@@ -31,7 +31,7 @@ from .harness import (
 )
 from .linalg import Regime
 from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, save_system
-from .sampling import spawn_trial_rng
+from .sampling import check_seed, spawn_trial_rng
 from .solvers import ConvergenceTrace, SolveConfig, SolverKind, StopMetric, run
 from .theory import TheoryBound, bound_comparison
 
@@ -55,8 +55,16 @@ def write_single_trace_csv(trace: ConvergenceTrace, fh) -> None:
         fh.write(f"{trace.trial},{it},{trace.solver.name},{err!r},{res!r}\n")
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer in [0, 2**64), rejected before any work."""
+    try:
+        return check_seed(int(text))
+    except (ValueError, ConfigurationError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base 64-bit seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="base 64-bit seed (default 0)")
     parser.add_argument("--tol", type=float, default=1e-6, help="stopping tolerance on the squared metric")
     parser.add_argument("--max-iter", type=int, default=100_000, help="iteration cap (default 1e5)")
     parser.add_argument("--record-every", type=int, default=1, help="history stride (default 1)")
@@ -75,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--regime", choices=sorted(_REGIME_NAMES), required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--noise-scale", type=float, default=1.0)
     p_gen.add_argument("--out", required=True, help="system directory to write")
 
     p_tomo = sub.add_parser("tomo", help="generate a tomography-style system directory")
     p_tomo.add_argument("--grid-n", type=int, required=True)
     p_tomo.add_argument("--oversample", type=int, required=True)
-    p_tomo.add_argument("--seed", type=int, default=0)
+    p_tomo.add_argument("--seed", type=_seed, default=0)
     p_tomo.add_argument("--out", required=True, help="system directory to write")
 
     p_solve = sub.add_parser("solve", help="single-trial run with per-iteration CSV")

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .linalg import LinearSystem, Regime
 from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, load_meta, load_system
-from .sampling import spawn_trial_rng, splitmix64
+from .sampling import check_seed, spawn_trial_rng, splitmix64
 from .solvers import (
     CONVERGENT_PAIRS,
     ConvergenceTrace,
@@ -66,6 +66,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        check_seed(self.base_seed)
         if not self.solvers:
             raise ConfigurationError("at least one solver is required")
         if self.trials < 1:

@@ -2,9 +2,12 @@
 
 Everything here is deliberately boring: row-major float64 storage with
 cached norms, a symmetric positive-definite (Cholesky) solve for the Gram
-systems behind the least-squares / least-norm references, and a cyclic
-Jacobi eigensolver for extreme singular values. Iterative solvers are
-validated against these direct routes.
+systems behind the least-squares / least-norm references, and extreme
+singular values from the eigenvalues of the smaller Gram matrix. The
+factorizations and eigensolves are LAPACK's, via ``numpy.linalg``; this
+module adds the rank thresholds and maps LAPACK failures onto the
+package's errors. Iterative solvers are validated against these direct
+routes.
 
 All types are immutable after construction and safe to share across
 threads; the functions are pure.
@@ -21,10 +24,6 @@ from .errors import ConfigurationError, NumericalError, SingularMatrixError
 
 #: eigenvalues below RANK_RTOL * lambda_max count as zero (numeric rank)
 RANK_RTOL = 1e-10
-
-#: Jacobi sweep convergence: off-diagonal Frobenius norm <= JACOBI_RTOL * ||S||_F
-JACOBI_RTOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 
 
 class Regime(Enum):
@@ -64,12 +63,6 @@ class DenseMatrix:
         self.col_norms_sq = col_nsq
         self.frob_sq = float(row_nsq.sum())
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
-    def col(self, j: int) -> np.ndarray:
-        return self.data[:, j]
-
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols}, frob_sq={self.frob_sq:.6g})"
 
@@ -83,17 +76,6 @@ def matvec(matrix: DenseMatrix, v) -> np.ndarray:
             f"vector has shape {v.shape}"
         )
     return matrix.data @ v
-
-
-def rmatvec(matrix: DenseMatrix, v) -> np.ndarray:
-    """Transpose product X^T @ v; v must have length m."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (matrix.rows,):
-        raise ConfigurationError(
-            f"rmatvec dimension mismatch: matrix is {matrix.rows}x{matrix.cols}, "
-            f"vector has shape {v.shape}"
-        )
-    return matrix.data.T @ v
 
 
 def apply_row_projector(matrix: DenseMatrix, i: int, w) -> np.ndarray:
@@ -183,10 +165,6 @@ class LinearSystem:
     def n(self) -> int:
         return self.X.cols
 
-    def residual_of(self, beta) -> np.ndarray:
-        """Fresh residual y - X beta."""
-        return self.y - self.X.data @ np.asarray(beta, dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # Symmetric positive-definite solve (Gram systems)
@@ -194,8 +172,9 @@ class LinearSystem:
 def cholesky_factor(gram: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Lower-triangular L with gram = L L^T.
 
-    Pivots are required to stay above rtol times the largest initial
-    diagonal entry; a smaller pivot raises SingularMatrixError.
+    Pivots L[i, i]^2 are required to stay above rtol times the largest
+    diagonal entry of gram; a smaller pivot, or a matrix LAPACK finds not
+    positive definite, raises SingularMatrixError.
     """
     a = np.array(gram, dtype=float)
     k = a.shape[0]
@@ -204,42 +183,38 @@ def cholesky_factor(gram: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     max_diag = float(a.diagonal().max(initial=0.0))
     if max_diag <= 0.0:
         raise SingularMatrixError("Gram matrix has no positive diagonal entry")
-    low = np.zeros_like(a)
     floor = rtol * max_diag
-    for i in range(k):
-        d = a[i, i] - low[i, :i] @ low[i, :i]
-        if d <= floor:
-            raise SingularMatrixError(
-                f"Gram matrix pivot {i} fell to {d:.3e} (threshold {floor:.3e})"
-            )
-        low[i, i] = math.sqrt(d)
-        if i + 1 < k:
-            low[i + 1 :, i] = (a[i + 1 :, i] - low[i + 1 :, :i] @ low[i, :i]) / low[i, i]
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            f"Gram matrix is not positive definite (pivot threshold {floor:.3e})"
+        ) from exc
+    pivots = low.diagonal() ** 2
+    low_pivots = np.flatnonzero(~(pivots > floor))  # also catches NaN pivots
+    if low_pivots.size:
+        i = int(low_pivots[0])
+        raise SingularMatrixError(
+            f"Gram matrix pivot {i} fell to {pivots[i]:.3e} (threshold {floor:.3e})"
+        )
     return low
 
 
 def cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b given the lower factor L."""
-    k = low.shape[0]
-    z = np.empty(k)
-    for i in range(k):
-        z[i] = (b[i] - low[i, :i] @ z[:i]) / low[i, i]
-    x = np.empty(k)
-    for i in range(k - 1, -1, -1):
-        x[i] = (z[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
 def _spd_solve(gram: np.ndarray, rhs: np.ndarray, matrix: DenseMatrix) -> np.ndarray:
     """SPD solve with one step of iterative refinement.
 
     On a rank-deficient Gram matrix, reports the offending eigenvalue ratio
-    (computed on demand via the Jacobi sweep).
+    (computed on demand).
     """
     try:
         low = cholesky_factor(gram)
     except SingularMatrixError as exc:
-        eigs = jacobi_eigenvalues(gram)
+        eigs = _eigvalsh(gram)
         lam_max = float(eigs.max(initial=0.0))
         lam_min = float(eigs.min(initial=0.0))
         ratio = lam_min / lam_max if lam_max > 0 else float("nan")
@@ -293,53 +268,21 @@ def project_row_span(matrix: DenseMatrix, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Spectral summary via cyclic Jacobi sweeps
+# Spectral summary from the eigenvalues of the smaller Gram matrix
 
-def jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def _eigvalsh(sym: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix (LAPACK ``eigvalsh``).
 
-    Sweeps until the off-diagonal Frobenius norm falls below JACOBI_RTOL
-    times the Frobenius norm of the input; raises NumericalError after
-    JACOBI_MAX_SWEEPS sweeps without convergence.
+    Raises NumericalError when the eigensolve fails or yields non-finite
+    values, e.g. on a Gram matrix that overflowed to inf.
     """
-    s = np.array(sym, dtype=float)
-    k = s.shape[0]
-    if s.shape != (k, k):
-        raise ConfigurationError(f"expected a square symmetric matrix, got {s.shape}")
-    if k == 1:
-        return s.diagonal().copy()
-    fnorm = math.sqrt(float((s * s).sum()))
-    if fnorm == 0.0:
-        return np.zeros(k)
-    target = JACOBI_RTOL * fnorm
-    skip = 1e-300
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = s - np.diag(s.diagonal())
-        off_sq = float((off * off).sum())  # summed directly to avoid cancellation
-        if math.sqrt(off_sq) <= target:
-            return np.sort(s.diagonal().copy())
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                spq = s[p, q]
-                if abs(spq) <= skip:
-                    continue
-                theta = (s[q, q] - s[p, p]) / (2.0 * spq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                rp = c * s[p] - sn * s[q]
-                rq = sn * s[p] + c * s[q]
-                s[p] = rp
-                s[q] = rq
-                cp = c * s[:, p] - sn * s[:, q]
-                cq = sn * s[:, p] + c * s[:, q]
-                s[:, p] = cp
-                s[:, q] = cq
-                s[p, q] = 0.0
-                s[q, p] = 0.0
-    raise NumericalError(
-        f"Jacobi eigensolve did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-    )
+    try:
+        eigs = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolve failed: {exc}") from exc
+    if not np.all(np.isfinite(eigs)):
+        raise NumericalError("symmetric eigensolve produced non-finite eigenvalues")
+    return eigs
 
 
 @dataclass(frozen=True)
@@ -361,7 +304,7 @@ def gram_eigenvalues(matrix: DenseMatrix) -> np.ndarray:
     """Eigenvalues of the smaller Gram matrix (X^T X if n <= m, else X X^T)."""
     a = matrix.data
     gram = a.T @ a if matrix.cols <= matrix.rows else a @ a.T
-    return jacobi_eigenvalues(gram)
+    return _eigvalsh(gram)
 
 
 def numeric_rank(matrix: DenseMatrix) -> int:
@@ -374,7 +317,7 @@ def numeric_rank(matrix: DenseMatrix) -> int:
 
 
 def spectral_summary(matrix: DenseMatrix) -> SpectralSummary:
-    """Extreme singular values via the Jacobi eigensolve of the smaller Gram.
+    """Extreme singular values from the eigenvalues of the smaller Gram.
 
     sigma_min is the square root of the smallest eigenvalue strictly above
     RANK_RTOL times the largest, i.e. the smallest *nonzero* singular value.

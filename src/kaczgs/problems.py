@@ -34,7 +34,7 @@ from .linalg import (
     least_squares_ref,
     numeric_rank,
 )
-from .sampling import Prng
+from .sampling import Prng, check_seed
 
 GEN_MAX_ATTEMPTS = 5
 
@@ -50,6 +50,7 @@ class GenSpec:
     noise_scale: float = 1.0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.m < 1 or self.n < 1:
             raise ConfigurationError(f"dimensions must be positive, got {self.m}x{self.n}")
         if self.regime in (Regime.OVER_CONSISTENT, Regime.OVER_INCONSISTENT):
@@ -76,6 +77,7 @@ class TomoSpec:
     seed: int
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.grid_n < 2:
             raise ConfigurationError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.oversample < 2:
@@ -95,11 +97,12 @@ def gen_gaussian(spec: GenSpec) -> LinearSystem:
     Draw order (row-major X, then the solution draw, then the noise draw for
     the inconsistent regime) is fixed so a spec reproduces byte-identical
     systems. Rank-degenerate draws are retried with seed+1, seed+2, ... up
-    to GEN_MAX_ATTEMPTS before failing.
+    to GEN_MAX_ATTEMPTS before failing; retry seeds wrap mod 2**64, and the
+    seed actually used is the one recorded on the system.
     """
     last_error = None
     for attempt in range(GEN_MAX_ATTEMPTS):
-        seed = spec.seed + attempt
+        seed = (spec.seed + attempt) % 2**64
         rng = Prng(seed)
         X = DenseMatrix(_gaussian_vector(rng, spec.m * spec.n).reshape(spec.m, spec.n))
         if numeric_rank(X) < min(spec.m, spec.n):
@@ -113,7 +116,7 @@ def gen_gaussian(spec: GenSpec) -> LinearSystem:
             continue
     raise NumericalError(
         f"gen_gaussian failed after {GEN_MAX_ATTEMPTS} attempts "
-        f"(seeds {spec.seed}..{spec.seed + GEN_MAX_ATTEMPTS - 1}): {last_error}"
+        f"(seeds {spec.seed} + 0..{GEN_MAX_ATTEMPTS - 1} mod 2**64): {last_error}"
     )
 
 
@@ -206,11 +209,12 @@ def gen_tomography(spec: TomoSpec) -> LinearSystem:
     Line endpoints are drawn uniformly on the grid boundary; draws landing
     on a single side (a degenerate chord along the boundary) are rejected
     and redrawn. Seeds whose line set fails the full-row-rank requirement of
-    the least-norm oracle are retried with seed+1, ... like gen_gaussian.
+    the least-norm oracle are retried with seed+1, ... (mod 2**64) like
+    gen_gaussian.
     """
     last_error = None
     for attempt in range(GEN_MAX_ATTEMPTS):
-        seed = spec.seed + attempt
+        seed = (spec.seed + attempt) % 2**64
         try:
             return _build_tomography(spec, seed)
         except SingularMatrixError as exc:

@@ -49,6 +49,17 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def check_seed(seed: int) -> int:
+    """Return seed unchanged if it lies in [0, 2**64); else raise ConfigurationError.
+
+    Seeds are never reduced mod 2**64 on entry: 2**64 would silently alias
+    seed 0.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 def splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 step: returns (advanced state, 64-bit output)."""
     state = (state + _GOLDEN) & _MASK64
@@ -68,9 +79,7 @@ class Prng:
     __slots__ = ("seed", "_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed & _MASK64
+        self.seed = check_seed(seed)
         s = self.seed
         s, self._s0 = splitmix64(s)
         s, self._s1 = splitmix64(s)
@@ -108,9 +117,12 @@ class Prng:
 def spawn_trial_rng(base_seed: int, trial: int) -> Prng:
     """Deterministic per-trial generator: seed = splitmix64(base_seed + trial).
 
-    Distinct trials get distinct streams; the same (base_seed, trial) pair
-    always yields the same stream regardless of scheduling.
+    base_seed must be a valid 64-bit seed; the sum wraps mod 2**64 like the
+    rest of the recurrence. Distinct trials get distinct streams; the same
+    (base_seed, trial) pair always yields the same stream regardless of
+    scheduling.
     """
+    check_seed(base_seed)
     _, derived = splitmix64((base_seed + trial) & _MASK64)
     return Prng(derived)
 

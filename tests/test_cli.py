@@ -1,6 +1,7 @@
 """CLI subcommands, schemas, determinism, exit codes."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from kaczgs import cli
@@ -160,6 +161,55 @@ class TestBounds:
         assert _run(base + ["--rek-form", "rate-eq", "--out", str(rate)]) == 0
         assert _run(base + ["--rek-form", "comparison", "--out", str(comp)]) == 0
         assert rate.read_bytes() != comp.read_bytes()
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    @pytest.mark.parametrize("command", ["gen", "tomo", "solve", "compare", "bounds"])
+    def test_out_of_range_seed_exits_2_before_writing(self, command, seed, system_dir,
+                                                      tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--m", "6", "--n", "2", "--regime", "over-consistent"],
+            "tomo": ["tomo", "--grid-n", "3", "--oversample", "2"],
+            "solve": ["solve", "--system", str(system_dir), "--solver", "rk"],
+            "compare": ["compare", "--system", str(system_dir), "--trials", "1"],
+            "bounds": ["bounds", "--system", str(system_dir), "--solver", "rk"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            _run(argv + ["--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "64-bit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "top"
+        assert _run(["gen", "--m", "6", "--n", "2", "--regime", "over-consistent",
+                     "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        assert load_system(out).seed == 2**64 - 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestEigensolveFailure:
+    @pytest.fixture
+    def overflow_dir(self, tmp_path):
+        # entries near 1e160 square to about 1e320: the Gram matrix overflows to inf
+        X = DenseMatrix(1e160 * np.random.default_rng(4).normal(size=(8, 3)))
+        beta = np.ones(3)
+        target = tmp_path / "overflow"
+        save_system(LinearSystem(X, X.data @ beta, Regime.OVER_CONSISTENT, reference=beta),
+                    target)
+        return target
+
+    def test_bounds_exits_3(self, overflow_dir, capsys):
+        assert _run(["bounds", "--system", str(overflow_dir), "--solver", "rk",
+                     "--max-iter", "10", "--out", "-"]) == 3
+        assert "numerical error" in capsys.readouterr().err
+
+    def test_compare_exits_3(self, overflow_dir, tmp_path, capsys):
+        assert _run(["compare", "--system", str(overflow_dir), "--trials", "1",
+                     "--max-iter", "10", "--out", str(tmp_path / "c.csv")]) == 3
+        assert "numerical error" in capsys.readouterr().err
 
 
 class TestParserBasics:

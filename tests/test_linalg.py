@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczgs.errors import ConfigurationError, SingularMatrixError
 from kaczgs.linalg import (
+    RANK_RTOL,
     DenseMatrix,
     LinearSystem,
     Regime,
     apply_row_projector,
     cholesky_factor,
     cholesky_solve,
-    jacobi_eigenvalues,
     least_norm_ref,
     least_squares_ref,
     matvec,
@@ -293,13 +295,74 @@ class TestCholesky:
         with pytest.raises(SingularMatrixError):
             cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
+    @pytest.mark.parametrize("factor", [0.99, 0.5])
+    def test_pivot_just_under_floor_rejected(self, factor):
+        # [[1, 1], [1, 1 + d]] is positive definite with second pivot d, so
+        # LAPACK factors it; the floor RANK_RTOL * max_diag must still reject.
+        d = factor * RANK_RTOL
+        with pytest.raises(SingularMatrixError, match="pivot 1 fell to"):
+            cholesky_factor(np.array([[1.0, 1.0], [1.0, 1.0 + d]]))
 
-class TestJacobi:
-    def test_matches_numpy_eigvalsh(self, rng_numpy):
-        A = rng_numpy.normal(size=(12, 12))
-        sym = A + A.T
-        mine = jacobi_eigenvalues(sym)
-        assert mine == pytest.approx(np.linalg.eigvalsh(sym), rel=1e-10, abs=1e-10)
+    def test_pivot_just_over_floor_accepted(self):
+        d = 1.01 * RANK_RTOL
+        low = cholesky_factor(np.array([[1.0, 1.0], [1.0, 1.0 + d]]))
+        assert low[1, 1] ** 2 == pytest.approx(d, rel=1e-5)
+
+
+# derandomized and without an example database: a fixed example set per run
+_oracle_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _gaussian_arrays(draw, min_side=1, max_side=7):
+    """Gaussian matrices of every shape up to max_side on both sides of m = n."""
+    m, n = draw(st.integers(min_side, max_side)), draw(st.integers(min_side, max_side))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).normal(size=(m, n))
+
+
+def _svd_oracle(a):
+    """(sigma_max, smallest sigma above the rank threshold, numeric rank) from the SVD."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    nonzero = sv[sv**2 > RANK_RTOL * sv[0] ** 2]
+    return sv[0], nonzero.min(), nonzero.size
+
+
+def _assert_summary_matches(a):
+    smax, smin, rank = _svd_oracle(a)
+    X = DenseMatrix(a)
+    s = spectral_summary(X)
+    # a backward-stable symmetric eigensolve moves each Gram eigenvalue by
+    # O(eps * sigma_max^2), so sigma_min^2 is compared on that absolute scale
+    assert s.sigma_max == pytest.approx(smax, rel=1e-12)
+    assert abs(s.sigma_min**2 - smin**2) <= 1e-12 * smax**2
+    assert s.trace_sigma == pytest.approx(float((a * a).sum()), rel=1e-12)
+    assert numeric_rank(X) == rank
+    return rank
+
+
+class TestSpectralOracle:
+    """spectral_summary and numeric_rank against np.linalg.svd of X itself."""
+
+    @_oracle_settings
+    @given(_gaussian_arrays())
+    def test_full_rank_matches_svd(self, a):
+        assert _assert_summary_matches(a) == min(a.shape)
+
+    @_oracle_settings
+    @given(_gaussian_arrays(min_side=2), st.integers(1, 6))
+    def test_duplicated_rows_or_columns_lose_rank(self, a, copies):
+        # overwrite the last rows (if m <= n) or columns (if n < m) with
+        # copies of the first: the smaller side keeps its length but the rank
+        # drops by the number of copies
+        k = min(a.shape)
+        copies = min(copies, k - 1)
+        dup = a.copy()
+        if a.shape[0] <= a.shape[1]:
+            dup[k - copies :] = a[0]
+        else:
+            dup[:, k - copies :] = a[:, [0]]
+        assert _assert_summary_matches(dup) == k - copies
 
 
 class TestGeneratedSystemsPassOracles(object):

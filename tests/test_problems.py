@@ -71,6 +71,27 @@ class TestGenGaussian:
             GenSpec(m=5, n=2, regime=Regime.UNDERDETERMINED, seed=0)
         with pytest.raises(ConfigurationError):
             GenSpec(m=5, n=2, regime=Regime.OVER_INCONSISTENT, seed=0, noise_scale=0.0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigurationError, match="64-bit"):
+                GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=seed)
+
+    def test_retry_seed_wraps_past_2_64(self, monkeypatch):
+        # force one rank-degenerate draw: the retry after 2**64 - 1 is seed 0
+        import kaczgs.problems as problems
+
+        real_rank, calls = problems.numeric_rank, []
+
+        def degenerate_first(X):
+            calls.append(X)
+            return 0 if len(calls) == 1 else real_rank(X)
+
+        monkeypatch.setattr(problems, "numeric_rank", degenerate_first)
+        wrapped = gen_gaussian(GenSpec(m=6, n=2, regime=Regime.OVER_CONSISTENT, seed=2**64 - 1))
+        monkeypatch.undo()
+        plain = gen_gaussian(GenSpec(m=6, n=2, regime=Regime.OVER_CONSISTENT, seed=0))
+        assert len(calls) == 2
+        assert wrapped.seed == plain.seed == 0
+        assert np.array_equal(wrapped.X.data, plain.X.data)
 
 
 class TestGenTomography:
@@ -99,6 +120,10 @@ class TestGenTomography:
     def test_oversample_below_two_rejected(self):
         with pytest.raises(ConfigurationError):
             TomoSpec(grid_n=4, oversample=1, seed=0)
+
+    def test_seed_past_64_bits_rejected(self):
+        with pytest.raises(ConfigurationError, match="64-bit"):
+            TomoSpec(grid_n=4, oversample=2, seed=2**64)
 
     def test_deterministic(self):
         a = gen_tomography(TomoSpec(grid_n=4, oversample=2, seed=5))

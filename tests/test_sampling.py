@@ -98,6 +98,12 @@ class TestPrngStream:
         with pytest.raises(ConfigurationError):
             Prng(-1)
 
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 2**65])
+    def test_seed_past_64_bits_rejected(self, seed):
+        # reducing mod 2**64 would alias 2**64 onto seed 0
+        with pytest.raises(ConfigurationError, match="64-bit"):
+            Prng(seed)
+
     def test_gaussian_sample_mean(self):
         # CLT: 3 sigma / sqrt(N) ~ 0.0095, widened to 0.02
         p = Prng(7)
@@ -123,6 +129,14 @@ class TestSpawnTrialRng:
         rng = spawn_trial_rng(42, 5)
         assert rng.seed == derived == 8913683988413733765
         assert rng.next_u64() == _RefGenerator(derived).next_u64() == 18075554809989720414
+
+    def test_base_seed_past_64_bits_rejected(self):
+        with pytest.raises(ConfigurationError):
+            spawn_trial_rng(2**64, 0)
+
+    def test_base_plus_trial_wraps(self):
+        # the base is checked; base + trial wraps mod 2**64 like the recurrence
+        assert spawn_trial_rng(2**64 - 1, 1).seed == spawn_trial_rng(0, 0).seed
 
     def test_splitmix_helper_agrees(self):
         state, out = splitmix64(99)
