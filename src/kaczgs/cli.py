@@ -108,7 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of rk,rgs,rek,regs (default all)",
     )
     p_cmp.add_argument("--trials", type=int, default=50)
-    p_cmp.add_argument("--workers", type=int, default=1, help="concurrent trial workers")
+    p_cmp.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted and validated (>= 1) but has no effect: trials run in one thread",
+    )
     p_cmp.add_argument(
         "--redraw-per-trial",
         action="store_true",

@@ -6,20 +6,33 @@ grid (stride = record_every; trials that converge early repeat their
 terminal value forward), and attaches the matching theory bound per
 solver/regime.
 
+Trials run one of two ways. With at least LOCKSTEP_MIN_TRIALS trials on one
+shared system (no per-trial redraw) and error-to-reference stopping, all
+trials of a solver advance together as one block (``solvers.run_batch``),
+which spreads the interpreter's per-step cost over the trials. Otherwise
+each trial is its own ``solvers.run``, which is faster for a handful of
+trials. Both paths make the same draws and stop each trial at the same
+iteration; batched error values differ from ``run`` (and so from ``kaczgs
+solve`` of the same trial) by about 1e-12 relative, because row dot
+products are summed in another order. For batched runs the wall-clock
+companion table holds the batch's time divided by the number of trials, an
+amortized per-trial time. Trials run in one thread; the ``workers``
+setting is validated but affects neither scheduling nor output.
+
 Output CSV schema (LF line endings, full-precision decimals):
 
     iteration,solver,mean_err_sq,median_err_sq,min_err_sq,max_err_sq,bound_value
 
 Determinism contract: the CSV bytes are a pure function of (config, system
-files), independent of worker count or scheduling. Wall-clock measurements
+files), independent of the worker setting. Wall-clock measurements
 for the CPU-time comparison are kept out of the canonical CSV for exactly
 this reason.
 """
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +40,14 @@ import numpy as np
 from .errors import ConfigurationError
 from .linalg import LinearSystem, Regime
 from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, load_meta, load_system
-from .sampling import check_seed, spawn_trial_rng, splitmix64
+from .sampling import Prng, check_seed, spawn_trial_rng, splitmix64
 from .solvers import (
     CONVERGENT_PAIRS,
-    ConvergenceTrace,
     SolveConfig,
     SolverKind,
     StopMetric,
     run,
+    run_batch,
 )
 from .theory import (
     TheoryBound,
@@ -48,6 +61,11 @@ CSV_HEADER = "iteration,solver,mean_err_sq,median_err_sq,min_err_sq,max_err_sq,b
 
 _KIND_ORDINAL = {kind: i for i, kind in enumerate(SolverKind)}
 _REDRAW_STREAM_BASE = 1 << 32  # generator seed streams, disjoint from solver streams
+
+#: from this many trials per solver on one shared system, trials run in lockstep.
+#: Against the per-trial loop the batch breaks even near 2 trials on 500x20 and
+#: 3-4 on 600x60 and 100x300 (a batch of one is 1.4-2.3x slower); 8 keeps a margin.
+LOCKSTEP_MIN_TRIALS = 8
 
 
 @dataclass
@@ -63,7 +81,7 @@ class ExperimentConfig:
     base_seed: int = 0
     record_every: int = 1
     redraw_matrix_per_trial: bool = False
-    workers: int = 1
+    workers: int = 1  # validated; has no effect on scheduling or output
 
     def __post_init__(self):
         check_seed(self.base_seed)
@@ -135,34 +153,21 @@ def _redraw_system(cfg: ExperimentConfig, base: LinearSystem, trial: int) -> Lin
     )
 
 
-def _run_trials(
-    cfg: ExperimentConfig,
-    system: LinearSystem,
-    kind: SolverKind,
-    collect_timing: bool,
-) -> list[ConvergenceTrace]:
-    solve_cfg = cfg.solve_config()
-
-    def one_trial(trial: int) -> ConvergenceTrace:
-        sys_t = _redraw_system(cfg, system, trial) if cfg.redraw_matrix_per_trial else system
-        stream = trial * len(SolverKind) + _KIND_ORDINAL[kind]
-        rng = spawn_trial_rng(cfg.base_seed, stream)
-        return run(sys_t, kind, solve_cfg, rng, trial=trial, collect_timing=collect_timing)
-
-    if cfg.workers == 1:
-        return [one_trial(t) for t in range(cfg.trials)]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(one_trial, range(cfg.trials)))
+def _trial_rng(cfg: ExperimentConfig, kind: SolverKind, trial: int) -> Prng:
+    return spawn_trial_rng(cfg.base_seed, trial * len(SolverKind) + _KIND_ORDINAL[kind])
 
 
-def _shared_grid(traces: list[ConvergenceTrace], stride: int) -> list[int]:
-    max_final = max(tr.records[-1][0] for tr in traces)
-    return list(range(0, max_final - max_final % stride + 1, stride))
+def _lockstep(cfg: ExperimentConfig) -> bool:
+    return (
+        cfg.trials >= LOCKSTEP_MIN_TRIALS
+        and not cfg.redraw_matrix_per_trial
+        and cfg.stop_metric is StopMetric.ERROR_TO_REFERENCE
+    )
 
 
-def _values_on_grid(trace: ConvergenceTrace, grid: list[int], column: int) -> list[float]:
-    by_iter = {rec[0]: rec[column] for rec in trace.records}
-    terminal_iter, terminal = trace.records[-1][0], trace.records[-1][column]
+def _values_on_grid(records: list[tuple], grid: list[int], column: int) -> list[float]:
+    by_iter = {rec[0]: rec[column] for rec in records}
+    terminal_iter, terminal = records[-1][0], records[-1][column]
     out = []
     for g in grid:
         if g <= terminal_iter and g in by_iter:
@@ -170,6 +175,43 @@ def _values_on_grid(trace: ConvergenceTrace, grid: list[int], column: int) -> li
         else:
             out.append(terminal)  # converged early: repeat terminal value forward
     return out
+
+
+def _trials_on_grid(
+    cfg: ExperimentConfig,
+    system: LinearSystem,
+    kind: SolverKind,
+    collect_timing: bool,
+) -> tuple[list[int], np.ndarray, np.ndarray | None]:
+    """(grid, errors of shape (trials, grid), mean cumulative seconds per grid point)."""
+    stride = cfg.record_every
+    solve_cfg = cfg.solve_config()
+    if _lockstep(cfg):
+        rngs = [_trial_rng(cfg, kind, trial) for trial in range(cfg.trials)]
+        batch = run_batch(system, kind, solve_cfg, rngs)
+        grid = list(range(0, batch.errors.shape[1] * stride, stride))
+        return grid, batch.errors, batch.mean_cum_seconds
+    traces = [
+        run(
+            _redraw_system(cfg, system, trial) if cfg.redraw_matrix_per_trial else system,
+            kind,
+            solve_cfg,
+            _trial_rng(cfg, kind, trial),
+            trial=trial,
+            collect_timing=collect_timing,
+        )
+        for trial in range(cfg.trials)
+    ]
+    max_final = max(tr.records[-1][0] for tr in traces)
+    grid = list(range(0, max_final - max_final % stride + 1, stride))
+    errs = np.array([_values_on_grid(tr.records, grid, 1) for tr in traces])
+    if not collect_timing:
+        return grid, errs, None
+    cumulative = []
+    for tr in traces:
+        its, secs = zip(*tr.block_seconds)
+        cumulative.append(_values_on_grid(list(zip(its, accumulate(secs))), grid, 1))
+    return grid, errs, np.array(cumulative).mean(axis=0)
 
 
 def run_experiment(
@@ -195,9 +237,7 @@ def run_experiment(
     rows = []
     timing_rows = []
     for kind in cfg.solvers:
-        traces = _run_trials(cfg, system, kind, collect_timing)
-        grid = _shared_grid(traces, cfg.record_every)
-        errs = np.array([_values_on_grid(tr, grid, 1) for tr in traces])  # (trials, grid)
+        grid, errs, mean_cum = _trials_on_grid(cfg, system, kind, collect_timing)
         bound_fn = _bound_evaluator(system, kind, tb)
         medians = np.median(errs, axis=0)
         mins = errs.min(axis=0)
@@ -217,21 +257,6 @@ def run_experiment(
                 )
             )
         if collect_timing:
-            cumulative = []
-            for tr in traces:
-                cum, acc = {}, 0.0
-                for it, sec in tr.block_seconds:
-                    acc += sec
-                    cum[it] = acc
-                cum_trace = ConvergenceTrace(
-                    tr.solver,
-                    tr.trial,
-                    tr.converged,
-                    tr.final_iteration,
-                    records=[(it, sec, 0.0) for it, sec in sorted(cum.items())],
-                )
-                cumulative.append(_values_on_grid(cum_trace, grid, 1))
-            mean_cum = np.array(cumulative).mean(axis=0)
             timing_rows.extend((g, kind, float(mean_cum[gi])) for gi, g in enumerate(grid))
     return AggregateTrace(rows=rows, timings=timing_rows)
 

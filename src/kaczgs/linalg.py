@@ -38,7 +38,8 @@ class DenseMatrix:
     """Row-major dense real matrix with cached row/column/Frobenius norms.
 
     The backing array is copied on construction and marked read-only, so the
-    cached squared norms stay valid for the object's lifetime.
+    cached squared norms stay valid for the object's lifetime. Finite entries
+    whose squared norms overflow raise NumericalError.
     """
 
     __slots__ = ("data", "rows", "cols", "row_norms_sq", "col_norms_sq", "frob_sq")
@@ -54,14 +55,17 @@ class DenseMatrix:
         arr.setflags(write=False)
         self.data = arr
         self.rows, self.cols = arr.shape
-        sq = arr * arr
-        row_nsq = sq.sum(axis=1)
-        col_nsq = sq.sum(axis=0)
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            sq = arr * arr
+            row_nsq = sq.sum(axis=1)
+            col_nsq = sq.sum(axis=0)
         row_nsq.setflags(write=False)
         col_nsq.setflags(write=False)
         self.row_norms_sq = row_nsq
         self.col_norms_sq = col_nsq
         self.frob_sq = float(row_nsq.sum())
+        if not (math.isfinite(self.frob_sq) and np.all(np.isfinite(col_nsq))):
+            raise NumericalError("squared norms of the matrix overflow float64")
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols}, frob_sq={self.frob_sq:.6g})"

@@ -106,6 +106,24 @@ class Prng:
         """Uniform draw in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
 
+    def uniforms(self, k: int) -> np.ndarray:
+        """k uniform draws, equal to k successive uniform() calls, in one loop."""
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        out = [0] * k
+        for idx in range(k):
+            x = (s0 + s3) & _MASK64
+            out[idx] = ((((x << 23) & _MASK64 | (x >> 41)) + s0) & _MASK64) >> 11
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << 45) & _MASK64 | (s3 >> 19)
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        # 53-bit integers convert to float exactly, and scaling by 2**-53 is exact
+        return np.array(out, dtype=float) * 1.1102230246251565e-16
+
     def gaussian(self) -> float:
         """Standard-normal draw; consumes exactly two uniforms per call."""
         u1 = self.uniform()
@@ -160,6 +178,11 @@ class WeightedIndex:
         if idx > self._last_positive:  # float rounding pushed u to the total
             return self._last_positive
         return idx
+
+    def sample_block(self, uniforms: np.ndarray) -> np.ndarray:
+        """Indices for an array of uniforms, each mapped exactly as sample() maps its draw."""
+        idx = np.searchsorted(self.cum_weights, uniforms * self.total, side="right")
+        return np.minimum(idx, self._last_positive, out=idx)
 
 
 def row_distribution(matrix) -> WeightedIndex:

@@ -1,4 +1,4 @@
-"""The four randomized iterative kernels and a generic run driver.
+"""The four randomized iterative kernels and two run drivers.
 
 Each solver advances a mutable :class:`SolverState` one randomized update at
 a time:
@@ -17,6 +17,17 @@ a time:
 One combined update (row draw + column draw for the extended methods)
 counts as one iteration.
 
+``run`` drives one trial through ``step``. ``run_batch`` drives several
+trials of one solver in lockstep through ``step_batch``, on a state whose
+arrays hold one row per trial: (T, n) iterates, a (T, m) residual for
+RGS/REGS, and a (T, m) z for REK or a (T, n) z for REGS. Each trial draws
+from its own generator in the same order as ``step`` (RK: row; RGS: column;
+REK: row then column; REGS: column then row) and gets the same updates and
+residual refreshes, so it stops at the same iteration as under ``run``.
+Its errors differ from ``run``'s, and so from ``kaczgs solve`` of the same
+trial, by about 1e-12 relative: the batch sums each row's dot products in
+another order than BLAS does for one vector.
+
 A note on the extended Gauss-Seidel coordinate update: the per-step
 increment along coordinate j is the coordinate least-squares correction
 X_(j)^T (y - X beta) / ||X_(j)||^2, identical to the plain RGS update, so
@@ -33,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linalg import LinearSystem, Regime, apply_row_projector
-from .sampling import Prng, col_distribution, row_distribution
+from .sampling import Prng, WeightedIndex, col_distribution, row_distribution
 
 #: maintained residuals are recomputed from scratch this often to cap drift
 RESIDUAL_REFRESH_EVERY = 1000
@@ -70,7 +81,8 @@ CONVERGENT_PAIRS = {
 class SolverState:
     """Mutable per-run state; single-owner, never shared across threads.
 
-    ``residual`` mirrors y - X beta. RGS/REGS maintain it incrementally
+    For ``run`` the arrays are vectors; for ``run_batch`` they hold one row
+    per trial. ``residual`` mirrors y - X beta. RGS/REGS maintain it incrementally
     (refreshed from scratch every RESIDUAL_REFRESH_EVERY steps); RK/REK
     leave it stale between observation points and the driver resynchronizes
     it before any read. ``last_row``/``last_col`` record the indices drawn
@@ -155,6 +167,29 @@ class _Solver:
     def step(self, state: SolverState, rng: Prng) -> SolverState:
         raise NotImplementedError
 
+    # -- lockstep batches: one row per trial, driven by run_batch ----------
+
+    def draw_order(self) -> list[WeightedIndex]:
+        """The distributions one step draws from, in the order it draws."""
+        return [self._row_dist]
+
+    def init_batch(self, trials: int) -> SolverState:
+        return SolverState(beta=np.zeros((trials, self.system.n)),
+                           residual=np.tile(self._y, (trials, 1)))
+
+    def refresh_batch(self, state: SolverState) -> None:
+        """The batch form of the periodic from-scratch residual refresh."""
+        if state.iteration % RESIDUAL_REFRESH_EVERY == 0:
+            state.residual = self._y - state.beta @ self._rows_arr.T
+
+    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+        """Advance every trial one step; draws[k][t] is trial t's k-th index."""
+        raise NotImplementedError
+
+
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=1)
+
 
 class RandomizedKaczmarz(_Solver):
     kind = SolverKind.RK
@@ -168,6 +203,13 @@ class RandomizedKaczmarz(_Solver):
         state.last_row = i
         state.last_col = None
         return state
+
+    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+        (i,) = draws
+        xi = self._rows_arr.take(i, axis=0)
+        scale = (self._y.take(i) - _rowwise_dot(xi, state.beta)) / self._row_nsq.take(i)
+        state.beta += scale[:, None] * xi
+        state.iteration += 1
 
 
 class RandomizedGaussSeidel(_Solver):
@@ -194,6 +236,18 @@ class RandomizedGaussSeidel(_Solver):
         self.sync_residual(state)
         return state
 
+    def draw_order(self) -> list[WeightedIndex]:
+        return [self._col_dist]
+
+    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+        (j,) = draws
+        xj = self._cols_arr.take(j, axis=0)
+        scale = _rowwise_dot(xj, state.residual) / self._col_nsq.take(j)
+        state.beta[np.arange(j.size), j] += scale
+        state.residual -= scale[:, None] * xj
+        state.iteration += 1
+        self.refresh_batch(state)
+
 
 class ExtendedKaczmarz(_Solver):
     kind = SolverKind.REK
@@ -204,6 +258,25 @@ class ExtendedKaczmarz(_Solver):
         state = super().init_state()
         state.z = self._y.copy()
         return state
+
+    def init_batch(self, trials: int) -> SolverState:
+        state = super().init_batch(trials)
+        state.z = np.tile(self._y, (trials, 1))
+        return state
+
+    def draw_order(self) -> list[WeightedIndex]:
+        return [self._row_dist, self._col_dist]
+
+    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+        i, j = draws
+        xj = self._cols_arr.take(j, axis=0)
+        z = state.z
+        z -= (_rowwise_dot(xj, z) / self._col_nsq.take(j))[:, None] * xj
+        xi = self._rows_arr.take(i, axis=0)
+        zi = z[np.arange(i.size), i]
+        scale = (self._y.take(i) - zi - _rowwise_dot(xi, state.beta)) / self._row_nsq.take(i)
+        state.beta += scale[:, None] * xi
+        state.iteration += 1
 
     def step(self, state: SolverState, rng: Prng) -> SolverState:
         i = self._row_dist.sample(rng)
@@ -229,6 +302,27 @@ class ExtendedGaussSeidel(_Solver):
         state = super().init_state()
         state.z = np.zeros(self.system.n)
         return state
+
+    def init_batch(self, trials: int) -> SolverState:
+        state = super().init_batch(trials)
+        state.z = np.zeros((trials, self.system.n))
+        return state
+
+    def draw_order(self) -> list[WeightedIndex]:
+        return [self._col_dist, self._row_dist]
+
+    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+        j, i = draws
+        rows = np.arange(j.size)
+        xj = self._cols_arr.take(j, axis=0)
+        scale = _rowwise_dot(xj, state.residual) / self._col_nsq.take(j)
+        state.beta[rows, j] += scale
+        state.residual -= scale[:, None] * xj
+        state.z[rows, j] += scale
+        xi = self._rows_arr.take(i, axis=0)
+        state.z -= (_rowwise_dot(xi, state.z) / self._row_nsq.take(i))[:, None] * xi
+        state.iteration += 1
+        self.refresh_batch(state)
 
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
@@ -358,3 +452,103 @@ def run(
             break
 
     return ConvergenceTrace(kind, trial, converged, state.iteration, records, block_seconds)
+
+
+#: lockstep steps whose index draws are taken per trial in one block
+DRAW_BLOCK = 64
+
+
+@dataclass
+class BatchTrace:
+    """Error history of trials run in lockstep, on the grid 0, stride, 2*stride, ...
+
+    ``errors[k, g]`` is trial k's squared error at iteration g * record_every,
+    or its terminal error once it has stopped. ``mean_cum_seconds[g]`` is the
+    batch's wall clock from the start to that grid point, divided by the
+    number of trials.
+    """
+
+    errors: np.ndarray
+    mean_cum_seconds: np.ndarray
+    final_iterations: np.ndarray
+    converged: np.ndarray
+
+
+def run_batch(
+    system: LinearSystem,
+    kind: SolverKind,
+    config: SolveConfig,
+    rngs: list[Prng],
+) -> BatchTrace:
+    """Run len(rngs) trials of one solver together, stopping on error to reference.
+
+    Trial k makes the same draws from rngs[k] and applies the same updates
+    as ``run`` would, so it stops at the same iteration; its errors agree
+    with ``run``'s to rounding (row dot products are summed in another
+    order). Each trial checks its own error at every step and leaves the
+    batch when it falls below tol. Draws are taken DRAW_BLOCK steps at a
+    time, so a trial that stops leaves its generator advanced past its last
+    draw.
+    """
+    if config.stop_metric is not StopMetric.ERROR_TO_REFERENCE:
+        raise ConfigurationError("lockstep trials stop on error to reference only")
+    ref = system.reference
+    if ref is None:
+        raise ConfigurationError(
+            "stop metric error-to-reference requires a reference solution; "
+            f"convergent solver/regime pairs: {_pairs_help()}"
+        )
+    solver = make_solver(kind, system)
+    dists = solver.draw_order()
+    trials = len(rngs)
+    state = solver.init_batch(trials)
+    start = time.perf_counter()
+
+    active = np.arange(trials)  # trial id of each batch row
+    final = np.full(trials, config.max_iter)
+    converged = np.zeros(trials, dtype=bool)
+    latest = np.empty(trials)  # each trial's latest error, terminal once it stopped
+    columns: list[np.ndarray] = []
+    seconds: list[float] = []
+    blocks: list[np.ndarray] = []
+    used = 0
+
+    def error_sq() -> np.ndarray:
+        diff = solver.estimate(state) - ref
+        return _rowwise_dot(diff, diff)
+
+    err = error_sq()
+    t = 0
+    while True:
+        latest[active] = err
+        if t % config.record_every == 0:
+            columns.append(latest.copy())
+            seconds.append(time.perf_counter() - start)
+        hit = err < config.tol
+        if hit.any():
+            final[active[hit]] = t
+            converged[active[hit]] = True
+            keep = ~hit
+            active = active[keep]
+            state.beta = state.beta[keep]
+            state.residual = state.residual[keep]
+            if state.z is not None:
+                state.z = state.z[keep]
+            blocks = [b[:, keep] for b in blocks]
+            if not active.size:
+                break
+        if t == config.max_iter:
+            break
+        if not blocks or used == blocks[0].shape[0]:
+            steps = min(DRAW_BLOCK, config.max_iter - t)
+            u = np.array([rngs[k].uniforms(steps * len(dists)) for k in active])
+            u = u.reshape(active.size, steps, len(dists))
+            blocks = [d.sample_block(np.ascontiguousarray(u[:, :, q].T))
+                      for q, d in enumerate(dists)]
+            used = 0
+        solver.step_batch(state, [b[used] for b in blocks])
+        used += 1
+        t += 1
+        err = error_sq()
+
+    return BatchTrace(np.stack(columns, axis=1), np.array(seconds) / trials, final, converged)

@@ -7,7 +7,7 @@ import pytest
 from kaczgs import cli
 from kaczgs.errors import NumericalError
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
-from kaczgs.problems import load_system, save_system
+from kaczgs.problems import load_system, save_system, write_matrix, write_vector
 
 
 def _run(argv):
@@ -189,17 +189,28 @@ class TestSeedRange:
         assert load_system(out).seed == 2**64 - 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestEigensolveFailure:
+    """A system whose squared norms overflow exits 3 from every command that loads it."""
+
     @pytest.fixture
     def overflow_dir(self, tmp_path):
-        # entries near 1e160 square to about 1e320: the Gram matrix overflows to inf
-        X = DenseMatrix(1e160 * np.random.default_rng(4).normal(size=(8, 3)))
+        # entries near 1e160 square to about 1e320: the cached squared norms and the
+        # Gram matrix overflow to inf. The files are written without DenseMatrix,
+        # which refuses such a matrix.
+        data = 1e160 * np.random.default_rng(4).normal(size=(8, 3))
         beta = np.ones(3)
         target = tmp_path / "overflow"
-        save_system(LinearSystem(X, X.data @ beta, Regime.OVER_CONSISTENT, reference=beta),
-                    target)
+        target.mkdir()
+        write_matrix(target / "X.txt", data)
+        write_vector(target / "y.txt", data @ beta)
+        write_vector(target / "reference.txt", beta)
+        (target / "meta.txt").write_text("regime over-consistent\nseed none\n")
         return target
+
+    def test_solve_exits_3(self, overflow_dir, capsys):
+        assert _run(["solve", "--system", str(overflow_dir), "--solver", "rk",
+                     "--max-iter", "10", "--out", "-"]) == 3
+        assert "numerical error" in capsys.readouterr().err
 
     def test_bounds_exits_3(self, overflow_dir, capsys):
         assert _run(["bounds", "--system", str(overflow_dir), "--solver", "rk",

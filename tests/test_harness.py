@@ -9,6 +9,7 @@ import pytest
 from kaczgs.errors import ConfigurationError
 from kaczgs.harness import (
     CSV_HEADER,
+    LOCKSTEP_MIN_TRIALS,
     AggregateTrace,
     ExperimentConfig,
     compare_solvers,
@@ -89,11 +90,13 @@ class TestRunExperiment:
         assert trace.rows
         assert all(math.isnan(row[2]) for row in trace.rows)  # no reference: NaN errors
 
-    def test_forward_fill_repeats_terminal_value(self, saved_system):
+    # 4 trials run one by one, LOCKSTEP_MIN_TRIALS trials run in lockstep
+    @pytest.mark.parametrize("trials", [4, LOCKSTEP_MIN_TRIALS])
+    def test_forward_fill_repeats_terminal_value(self, saved_system, trials):
         # stride 1 makes the grid reach the slowest trial's final iteration,
         # so every earlier trial contributes its forward-filled terminal value
         cfg = ExperimentConfig(system_dir=saved_system, solvers=[SolverKind.RK],
-                               trials=4, max_iter=30_000, record_every=1, base_seed=5)
+                               trials=trials, max_iter=30_000, record_every=1, base_seed=5)
         trace = run_experiment(cfg)
         rows = [r for r in trace.rows if r[1] is SolverKind.RK]
         tail = rows[-1]
@@ -110,8 +113,9 @@ class TestRunExperiment:
             assert bounds and all(math.isfinite(b) for b in bounds)
             assert all(b2 <= b1 * (1 + 1e-12) for b1, b2 in zip(bounds, bounds[1:]))
 
-    def test_redraw_per_trial_deterministic_and_distinct(self, saved_system):
-        base = dict(system_dir=saved_system, solvers=[SolverKind.RK], trials=4,
+    @pytest.mark.parametrize("trials", [4, LOCKSTEP_MIN_TRIALS])
+    def test_redraw_per_trial_deterministic_and_distinct(self, saved_system, trials):
+        base = dict(system_dir=saved_system, solvers=[SolverKind.RK], trials=trials,
                     max_iter=2000, record_every=50, base_seed=9)
         shared = run_experiment(ExperimentConfig(**base))
         redraw_a = run_experiment(ExperimentConfig(**base, redraw_matrix_per_trial=True))

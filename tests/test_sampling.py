@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kaczgs.errors import ConfigurationError
 from kaczgs.linalg import DenseMatrix
@@ -205,3 +207,59 @@ class TestWeightedIndex:
 
     def test_support_size(self):
         assert WeightedIndex([1.0, 2.0, 3.0]).support_size == 3
+
+
+# --- block draws against the one-draw-at-a-time oracle -----------------------
+
+_block_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class _ReplayUniform:
+    """Feeds sample() a fixed sequence of uniforms, one per call."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def uniform(self) -> float:
+        return float(next(self._values))
+
+
+class TestBlockDraws:
+    @_block_settings
+    @given(st.integers(0, M64), st.integers(0, 300))
+    @example(0, 300)
+    @example(M64, 300)
+    def test_uniforms_equal_repeated_uniform(self, seed, k):
+        block, single = Prng(seed), Prng(seed)
+        drawn = block.uniforms(k)
+        assert drawn.dtype == np.float64 and drawn.shape == (k,)
+        assert drawn.tolist() == [single.uniform() for _ in range(k)]
+        assert block.next_u64() == single.next_u64()  # same state afterwards
+
+    @_block_settings
+    @given(
+        st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12).filter(lambda w: sum(w) > 0),
+        st.integers(0, 3),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40),
+    )
+    def test_sample_block_equals_repeated_sample(self, weights, trailing_zeros, uniforms):
+        dist = WeightedIndex(weights + [0.0] * trailing_zeros)
+        replay = _ReplayUniform(uniforms)
+        expected = [dist.sample(replay) for _ in uniforms]
+        assert dist.sample_block(np.array(uniforms)).tolist() == expected
+
+    def test_sample_block_clamps_when_u_times_total_rounds_to_total(self):
+        # subnormal weights: 0.9999 * total rounds up to total, past every cumulative weight
+        dist = WeightedIndex([2e-321, 1e-320, 0.0, 0.0])
+        u = np.array([0.9999, 1.0 - 2.0**-53, 0.0, 0.1])
+        assert float(u[0] * dist.total) == dist.total
+        expected = [dist.sample(_ReplayUniform([v])) for v in u]
+        assert expected[:2] == [1, 1]
+        assert dist.sample_block(u).tolist() == expected
+
+    def test_sample_block_keeps_shape(self):
+        dist = WeightedIndex([1.0, 2.0, 0.0, 3.0])
+        u = Prng(4).uniforms(12).reshape(3, 4)
+        idx = dist.sample_block(u)
+        assert idx.shape == (3, 4)
+        assert idx.ravel().tolist() == dist.sample_block(u.ravel()).tolist()

@@ -14,12 +14,16 @@ from kaczgs.linalg import (
     spectral_summary,
 )
 from kaczgs.sampling import Prng, spawn_trial_rng
+from kaczgs import solvers
+from kaczgs.harness import LOCKSTEP_MIN_TRIALS
 from kaczgs.solvers import (
+    CONVERGENT_PAIRS,
     SolveConfig,
     SolverKind,
     StopMetric,
     make_solver,
     run,
+    run_batch,
 )
 
 from conftest import (
@@ -375,3 +379,68 @@ class TestRunDriver:
         assert not rk.converged
         assert rk.records[-1][1] > 10 * cfg.tol
         assert rek.converged
+
+
+_AGREEMENT_SYSTEMS = {
+    Regime.OVER_CONSISTENT: (40, 8),
+    Regime.OVER_INCONSISTENT: (40, 8),
+    Regime.UNDERDETERMINED: (8, 30),
+}
+
+
+class TestRunBatchAgreement:
+    """run is the reference: the lockstep batch must reproduce it trial by trial."""
+
+    @pytest.mark.parametrize(
+        "kind,regime",
+        sorted(CONVERGENT_PAIRS, key=lambda pair: (pair[0].value, pair[1].value)),
+        ids=lambda v: v.value,
+    )
+    def test_same_stops_and_errors_as_run(self, kind, regime, monkeypatch):
+        # refresh often enough that the periodic residual refresh runs in both paths
+        monkeypatch.setattr(solvers, "RESIDUAL_REFRESH_EVERY", 37)
+        m, n = _AGREEMENT_SYSTEMS[regime]
+        sys_ = gaussian_system(m, n, regime, seed=6)
+        stride = 3
+        cfg = SolveConfig(max_iter=20_000, tol=1e-8, record_every=stride)
+        trials = LOCKSTEP_MIN_TRIALS
+        traces = [run(sys_, kind, cfg, spawn_trial_rng(2, k), trial=k) for k in range(trials)]
+        batch = run_batch(sys_, kind, cfg, [spawn_trial_rng(2, k) for k in range(trials)])
+
+        assert batch.final_iterations.tolist() == [tr.final_iteration for tr in traces]
+        assert batch.converged.tolist() == [tr.converged for tr in traces]
+        assert all(tr.converged for tr in traces)
+        last = max(tr.final_iteration for tr in traces)
+        assert batch.errors.shape == (trials, last // stride + 1)
+        assert batch.mean_cum_seconds.shape == (last // stride + 1,)
+        for k, tr in enumerate(traces):
+            by_iter = {it: err for it, err, _res in tr.records}
+            terminal = tr.records[-1][1]
+            for g, value in enumerate(batch.errors[k]):
+                expected = by_iter[g * stride] if g * stride <= tr.final_iteration else terminal
+                assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("kind", [SolverKind.RGS, SolverKind.REGS], ids=lambda k: k.value)
+    def test_maintained_residual_refreshed_from_scratch(self, kind, monkeypatch):
+        monkeypatch.setattr(solvers, "RESIDUAL_REFRESH_EVERY", 5)
+        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        solver = make_solver(kind, sys_)
+        state = solver.init_batch(3)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            solver.step_batch(state, [d.sample_block(rng.random(3)) for d in solver.draw_order()])
+        assert np.array_equal(state.residual, sys_.y - state.beta @ sys_.X.data.T)
+
+    def test_trials_left_at_the_cap_report_max_iter(self):
+        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        cfg = SolveConfig(max_iter=50, tol=1e-30, record_every=20)
+        batch = run_batch(sys_, SolverKind.RK, cfg, [Prng(k) for k in range(3)])
+        assert batch.final_iterations.tolist() == [50, 50, 50]
+        assert not batch.converged.any()
+        assert batch.errors.shape == (3, 3)  # grid 0, 20, 40
+        assert np.all(np.diff(batch.mean_cum_seconds) >= 0)
+
+    def test_rejects_residual_stopping(self):
+        cfg = SolveConfig(max_iter=10, stop_metric=StopMetric.RESIDUAL_NORM)
+        with pytest.raises(ConfigurationError, match="error to reference"):
+            run_batch(DIAG_SYS, SolverKind.RK, cfg, [Prng(0)])
