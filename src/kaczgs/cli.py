@@ -28,10 +28,11 @@ from .harness import (
     emit_csv,
     emit_timings_csv,
     print_timing_summary,
+    trial_rng,
 )
 from .linalg import Regime
 from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, save_system
-from .sampling import check_seed, spawn_trial_rng
+from .sampling import check_seed
 from .solvers import ConvergenceTrace, SolveConfig, SolverKind, StopMetric, run
 from .theory import TheoryBound, bound_comparison
 
@@ -177,9 +178,7 @@ def _cmd_solve(args) -> int:
         record_every=args.record_every,
     )
     kind = _SOLVER_NAMES[args.solver]
-    stream = args.trial * len(SolverKind) + list(SolverKind).index(kind)
-    rng = spawn_trial_rng(args.seed, stream)
-    trace = run(system, kind, config, rng, trial=args.trial)
+    trace = run(system, kind, config, trial_rng(args.seed, kind, args.trial), trial=args.trial)
     with _open_out(args.out) as fh:
         write_single_trace_csv(trace, fh)
     status = "converged" if trace.converged else "did not converge"

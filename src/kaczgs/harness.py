@@ -11,13 +11,12 @@ shared system (no per-trial redraw) and error-to-reference stopping, all
 trials of a solver advance together as one block (``solvers.run_batch``),
 which spreads the interpreter's per-step cost over the trials. Otherwise
 each trial is its own ``solvers.run``, which is faster for a handful of
-trials. Both paths make the same draws and stop each trial at the same
-iteration; batched error values differ from ``run`` (and so from ``kaczgs
-solve`` of the same trial) by about 1e-12 relative, because row dot
-products are summed in another order. For batched runs the wall-clock
-companion table holds the batch's time divided by the number of trials, an
-amortized per-trial time. Trials run in one thread; the ``workers``
-setting is validated but affects neither scheduling nor output.
+trials. A batched trial is bit for bit the ``run`` (and so the ``kaczgs
+solve``) of the same trial, so the path changes the speed only, never a
+CSV byte. For batched runs the wall-clock companion table holds the
+batch's time divided by the number of trials, an amortized per-trial time.
+Trials run in one thread; the ``workers`` setting is validated but affects
+neither scheduling nor output.
 
 Output CSV schema (LF line endings, full-precision decimals):
 
@@ -31,8 +30,7 @@ this reason.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +44,7 @@ from .solvers import (
     SolveConfig,
     SolverKind,
     StopMetric,
+    _pairs_help,
     run,
     run_batch,
 )
@@ -153,8 +152,9 @@ def _redraw_system(cfg: ExperimentConfig, base: LinearSystem, trial: int) -> Lin
     )
 
 
-def _trial_rng(cfg: ExperimentConfig, kind: SolverKind, trial: int) -> Prng:
-    return spawn_trial_rng(cfg.base_seed, trial * len(SolverKind) + _KIND_ORDINAL[kind])
+def trial_rng(base_seed: int, kind: SolverKind, trial: int) -> Prng:
+    """The generator of one solver's trial: one stream per (trial, solver) pair."""
+    return spawn_trial_rng(base_seed, trial * len(SolverKind) + _KIND_ORDINAL[kind])
 
 
 def _lockstep(cfg: ExperimentConfig) -> bool:
@@ -165,9 +165,9 @@ def _lockstep(cfg: ExperimentConfig) -> bool:
     )
 
 
-def _values_on_grid(records: list[tuple], grid: list[int], column: int) -> list[float]:
-    by_iter = {rec[0]: rec[column] for rec in records}
-    terminal_iter, terminal = records[-1][0], records[-1][column]
+def _values_on_grid(iterations: list[int], values: list[float], grid: list[int]) -> list[float]:
+    by_iter = dict(zip(iterations, values))
+    terminal_iter, terminal = iterations[-1], values[-1]
     out = []
     for g in grid:
         if g <= terminal_iter and g in by_iter:
@@ -178,16 +178,13 @@ def _values_on_grid(records: list[tuple], grid: list[int], column: int) -> list[
 
 
 def _trials_on_grid(
-    cfg: ExperimentConfig,
-    system: LinearSystem,
-    kind: SolverKind,
-    collect_timing: bool,
-) -> tuple[list[int], np.ndarray, np.ndarray | None]:
+    cfg: ExperimentConfig, system: LinearSystem, kind: SolverKind
+) -> tuple[list[int], np.ndarray, np.ndarray]:
     """(grid, errors of shape (trials, grid), mean cumulative seconds per grid point)."""
     stride = cfg.record_every
     solve_cfg = cfg.solve_config()
     if _lockstep(cfg):
-        rngs = [_trial_rng(cfg, kind, trial) for trial in range(cfg.trials)]
+        rngs = [trial_rng(cfg.base_seed, kind, trial) for trial in range(cfg.trials)]
         batch = run_batch(system, kind, solve_cfg, rngs)
         grid = list(range(0, batch.errors.shape[1] * stride, stride))
         return grid, batch.errors, batch.mean_cum_seconds
@@ -196,35 +193,26 @@ def _trials_on_grid(
             _redraw_system(cfg, system, trial) if cfg.redraw_matrix_per_trial else system,
             kind,
             solve_cfg,
-            _trial_rng(cfg, kind, trial),
+            trial_rng(cfg.base_seed, kind, trial),
             trial=trial,
-            collect_timing=collect_timing,
         )
         for trial in range(cfg.trials)
     ]
-    max_final = max(tr.records[-1][0] for tr in traces)
+    max_final = max(tr.final_iteration for tr in traces)
     grid = list(range(0, max_final - max_final % stride + 1, stride))
-    errs = np.array([_values_on_grid(tr.records, grid, 1) for tr in traces])
-    if not collect_timing:
-        return grid, errs, None
-    cumulative = []
+    errs, secs = [], []
     for tr in traces:
-        its, secs = zip(*tr.block_seconds)
-        cumulative.append(_values_on_grid(list(zip(its, accumulate(secs))), grid, 1))
-    return grid, errs, np.array(cumulative).mean(axis=0)
+        its = [rec[0] for rec in tr.records]
+        errs.append(_values_on_grid(its, [rec[1] for rec in tr.records], grid))
+        secs.append(_values_on_grid(its, tr.seconds, grid))
+    return grid, np.array(errs), np.array(secs).mean(axis=0)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    system: LinearSystem | None = None,
-    collect_timing: bool = False,
-) -> AggregateTrace:
+def run_experiment(cfg: ExperimentConfig, system: LinearSystem | None = None) -> AggregateTrace:
     """Execute trials x solvers runs and aggregate on the shared grid."""
     if system is None:
         system = load_system(cfg.system_dir)
     if cfg.stop_metric is StopMetric.ERROR_TO_REFERENCE and system.reference is None:
-        from .solvers import _pairs_help
-
         raise ConfigurationError(
             "system has no reference solution for error-based stopping; "
             f"convergent solver/regime pairs: {_pairs_help()}"
@@ -237,7 +225,7 @@ def run_experiment(
     rows = []
     timing_rows = []
     for kind in cfg.solvers:
-        grid, errs, mean_cum = _trials_on_grid(cfg, system, kind, collect_timing)
+        grid, errs, mean_cum = _trials_on_grid(cfg, system, kind)
         bound_fn = _bound_evaluator(system, kind, tb)
         medians = np.median(errs, axis=0)
         mins = errs.min(axis=0)
@@ -256,8 +244,7 @@ def run_experiment(
                     float(bound_fn(g)),
                 )
             )
-        if collect_timing:
-            timing_rows.extend((g, kind, float(mean_cum[gi])) for gi, g in enumerate(grid))
+        timing_rows.extend((g, kind, float(sec)) for g, sec in zip(grid, mean_cum))
     return AggregateTrace(rows=rows, timings=timing_rows)
 
 
@@ -283,25 +270,11 @@ def compare_solvers(
         else:
             kept.append(kind)
     if not kept:
-        from .solvers import _pairs_help
-
         raise ConfigurationError(
             f"no requested solver converges on a {system.regime.value} system; "
             f"convergent pairs: {_pairs_help()}"
         )
-    sub_cfg = ExperimentConfig(
-        system_dir=cfg.system_dir,
-        solvers=kept,
-        trials=cfg.trials,
-        max_iter=cfg.max_iter,
-        tol=cfg.tol,
-        stop_metric=cfg.stop_metric,
-        base_seed=cfg.base_seed,
-        record_every=cfg.record_every,
-        redraw_matrix_per_trial=cfg.redraw_matrix_per_trial,
-        workers=cfg.workers,
-    )
-    trace = run_experiment(sub_cfg, system=system, collect_timing=True)
+    trace = run_experiment(replace(cfg, solvers=kept), system=system)
     trace.excluded = excluded
     return trace
 

@@ -19,14 +19,14 @@ counts as one iteration.
 
 ``run`` drives one trial through ``step``. ``run_batch`` drives several
 trials of one solver in lockstep through ``step_batch``, on a state whose
-arrays hold one row per trial: (T, n) iterates, a (T, m) residual for
-RGS/REGS, and a (T, m) z for REK or a (T, n) z for REGS. Each trial draws
-from its own generator in the same order as ``step`` (RK: row; RGS: column;
-REK: row then column; REGS: column then row) and gets the same updates and
-residual refreshes, so it stops at the same iteration as under ``run``.
-Its errors differ from ``run``'s, and so from ``kaczgs solve`` of the same
-trial, by about 1e-12 relative: the batch sums each row's dot products in
-another order than BLAS does for one vector.
+arrays hold one row per trial: (T, n) iterates, a (T, m) residual, and a
+(T, m) z for REK or a (T, n) z for REGS. Each trial draws from its own
+generator in the same order as ``step`` (RK: row; RGS: column; REK: row then
+column; REGS: column then row) and gets the same updates and residual
+refreshes, computed bit for bit the same way: each row's dot product is one
+``np.vecdot`` row, the same BLAS dot that ``x @ y`` calls, and the refresh
+is one routine for both shapes. So a batched trial's errors equal those of
+``run``, and so of ``kaczgs solve``, of the same trial exactly.
 
 A note on the extended Gauss-Seidel coordinate update: the per-step
 increment along coordinate j is the coordinate least-squares correction
@@ -82,11 +82,11 @@ class SolverState:
     """Mutable per-run state; single-owner, never shared across threads.
 
     For ``run`` the arrays are vectors; for ``run_batch`` they hold one row
-    per trial. ``residual`` mirrors y - X beta. RGS/REGS maintain it incrementally
-    (refreshed from scratch every RESIDUAL_REFRESH_EVERY steps); RK/REK
-    leave it stale between observation points and the driver resynchronizes
-    it before any read. ``last_row``/``last_col`` record the indices drawn
-    by the most recent step, for invariant checking.
+    per trial. ``residual`` mirrors y - X beta. RGS/REGS maintain it step by
+    step and refresh it from scratch every RESIDUAL_REFRESH_EVERY steps;
+    RK/REK leave it stale. Either way ``sync_residual`` makes it current
+    before any read. ``last_row``/``last_col`` record the indices drawn by
+    the most recent per-trial step, for invariant checking.
     """
 
     beta: np.ndarray
@@ -128,7 +128,8 @@ class ConvergenceTrace:
     converged: bool
     final_iteration: int
     records: list[tuple[int, float, float]] = field(default_factory=list)
-    block_seconds: list[tuple[int, float]] | None = None
+    #: wall clock from the start of the run to each record, in seconds
+    seconds: list[float] = field(default_factory=list)
 
 
 class _Solver:
@@ -150,15 +151,14 @@ class _Solver:
         # contiguous copy of the columns; column dots dominate RGS-family cost
         self._cols_arr = np.ascontiguousarray(X.data.T) if self.needs_cols else None
 
-    def init_state(self) -> SolverState:
-        n = self.system.n
-        return SolverState(beta=np.zeros(n), residual=self._y.copy())
+    def init_state(self, trials: int | None = None) -> SolverState:
+        """Zero iterates and residual y: vectors, or one row per trial."""
+        rows = () if trials is None else (trials,)
+        return SolverState(beta=np.zeros(rows + (self.system.n,)),
+                           residual=np.broadcast_to(self._y, rows + (self.system.m,)).copy())
 
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta
-
-    def maintains_residual(self) -> bool:
-        return False
 
     def sync_residual(self, state: SolverState) -> None:
         """Make state.residual equal y - X beta exactly (up to one matvec)."""
@@ -173,22 +173,23 @@ class _Solver:
         """The distributions one step draws from, in the order it draws."""
         return [self._row_dist]
 
-    def init_batch(self, trials: int) -> SolverState:
-        return SolverState(beta=np.zeros((trials, self.system.n)),
-                           residual=np.tile(self._y, (trials, 1)))
-
-    def refresh_batch(self, state: SolverState) -> None:
-        """The batch form of the periodic from-scratch residual refresh."""
-        if state.iteration % RESIDUAL_REFRESH_EVERY == 0:
-            state.residual = self._y - state.beta @ self._rows_arr.T
-
     def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
         """Advance every trial one step; draws[k][t] is trial t's k-th index."""
         raise NotImplementedError
 
 
-def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a * b).sum(axis=1)
+class _MaintainedResidual(_Solver):
+    """RGS and REGS: the residual is updated by every step, so it is current."""
+
+    needs_cols = True
+
+    def sync_residual(self, state: SolverState) -> None:
+        """Refresh the residual from scratch every RESIDUAL_REFRESH_EVERY steps.
+
+        One matvec per trial row, each bit for bit ``X @ beta`` of that row.
+        """
+        if state.iteration % RESIDUAL_REFRESH_EVERY == 0:
+            state.residual = self._y - np.matmul(self._rows_arr, state.beta[..., None])[..., 0]
 
 
 class RandomizedKaczmarz(_Solver):
@@ -207,22 +208,14 @@ class RandomizedKaczmarz(_Solver):
     def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
         (i,) = draws
         xi = self._rows_arr.take(i, axis=0)
-        scale = (self._y.take(i) - _rowwise_dot(xi, state.beta)) / self._row_nsq.take(i)
+        scale = (self._y.take(i) - np.vecdot(xi, state.beta)) / self._row_nsq.take(i)
         state.beta += scale[:, None] * xi
         state.iteration += 1
 
 
-class RandomizedGaussSeidel(_Solver):
+class RandomizedGaussSeidel(_MaintainedResidual):
     kind = SolverKind.RGS
     needs_rows = False
-    needs_cols = True
-
-    def maintains_residual(self) -> bool:
-        return True
-
-    def sync_residual(self, state: SolverState) -> None:
-        if state.iteration % RESIDUAL_REFRESH_EVERY == 0:
-            state.residual = self._y - self._rows_arr @ state.beta
 
     def step(self, state: SolverState, rng: Prng) -> SolverState:
         j = self._col_dist.sample(rng)
@@ -242,11 +235,11 @@ class RandomizedGaussSeidel(_Solver):
     def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
         (j,) = draws
         xj = self._cols_arr.take(j, axis=0)
-        scale = _rowwise_dot(xj, state.residual) / self._col_nsq.take(j)
+        scale = np.vecdot(xj, state.residual) / self._col_nsq.take(j)
         state.beta[np.arange(j.size), j] += scale
         state.residual -= scale[:, None] * xj
         state.iteration += 1
-        self.refresh_batch(state)
+        self.sync_residual(state)
 
 
 class ExtendedKaczmarz(_Solver):
@@ -254,14 +247,9 @@ class ExtendedKaczmarz(_Solver):
     needs_rows = True
     needs_cols = True
 
-    def init_state(self) -> SolverState:
-        state = super().init_state()
-        state.z = self._y.copy()
-        return state
-
-    def init_batch(self, trials: int) -> SolverState:
-        state = super().init_batch(trials)
-        state.z = np.tile(self._y, (trials, 1))
+    def init_state(self, trials: int | None = None) -> SolverState:
+        state = super().init_state(trials)
+        state.z = state.residual.copy()  # z starts at y
         return state
 
     def draw_order(self) -> list[WeightedIndex]:
@@ -271,10 +259,10 @@ class ExtendedKaczmarz(_Solver):
         i, j = draws
         xj = self._cols_arr.take(j, axis=0)
         z = state.z
-        z -= (_rowwise_dot(xj, z) / self._col_nsq.take(j))[:, None] * xj
+        z -= (np.vecdot(xj, z) / self._col_nsq.take(j))[:, None] * xj
         xi = self._rows_arr.take(i, axis=0)
         zi = z[np.arange(i.size), i]
-        scale = (self._y.take(i) - zi - _rowwise_dot(xi, state.beta)) / self._row_nsq.take(i)
+        scale = (self._y.take(i) - zi - np.vecdot(xi, state.beta)) / self._row_nsq.take(i)
         state.beta += scale[:, None] * xi
         state.iteration += 1
 
@@ -293,19 +281,12 @@ class ExtendedKaczmarz(_Solver):
         return state
 
 
-class ExtendedGaussSeidel(_Solver):
+class ExtendedGaussSeidel(_MaintainedResidual):
     kind = SolverKind.REGS
-    needs_rows = True
-    needs_cols = True
 
-    def init_state(self) -> SolverState:
-        state = super().init_state()
-        state.z = np.zeros(self.system.n)
-        return state
-
-    def init_batch(self, trials: int) -> SolverState:
-        state = super().init_batch(trials)
-        state.z = np.zeros((trials, self.system.n))
+    def init_state(self, trials: int | None = None) -> SolverState:
+        state = super().init_state(trials)
+        state.z = np.zeros_like(state.beta)
         return state
 
     def draw_order(self) -> list[WeightedIndex]:
@@ -315,24 +296,17 @@ class ExtendedGaussSeidel(_Solver):
         j, i = draws
         rows = np.arange(j.size)
         xj = self._cols_arr.take(j, axis=0)
-        scale = _rowwise_dot(xj, state.residual) / self._col_nsq.take(j)
+        scale = np.vecdot(xj, state.residual) / self._col_nsq.take(j)
         state.beta[rows, j] += scale
         state.residual -= scale[:, None] * xj
         state.z[rows, j] += scale
         xi = self._rows_arr.take(i, axis=0)
-        state.z -= (_rowwise_dot(xi, state.z) / self._row_nsq.take(i))[:, None] * xi
+        state.z -= (np.vecdot(xi, state.z) / self._row_nsq.take(i))[:, None] * xi
         state.iteration += 1
-        self.refresh_batch(state)
+        self.sync_residual(state)
 
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
-
-    def maintains_residual(self) -> bool:
-        return True
-
-    def sync_residual(self, state: SolverState) -> None:
-        if state.iteration % RESIDUAL_REFRESH_EVERY == 0:
-            state.residual = self._y - self._rows_arr @ state.beta
 
     def step(self, state: SolverState, rng: Prng) -> SolverState:
         j = self._col_dist.sample(rng)
@@ -376,15 +350,14 @@ def run(
     config: SolveConfig,
     rng: Prng,
     trial: int = 0,
-    collect_timing: bool = False,
 ) -> ConvergenceTrace:
     """Iterate one solver until the stop metric falls below tol or max_iter.
 
     Records (iteration, error_sq, residual_sq) at iteration 0, every
-    record_every iterations, and at termination. error_sq measures the
-    solver's reported estimate (beta, or beta - z for REGS) against the
-    system reference; it is NaN when no reference is available under
-    residual-norm stopping.
+    record_every iterations, and at termination, with the wall clock from
+    the start at each record. error_sq measures the solver's reported
+    estimate (beta, or beta - z for REGS) against the system reference; it
+    is NaN when no reference is available under residual-norm stopping.
     """
     solver = make_solver(kind, system)
     ref = system.reference
@@ -395,9 +368,8 @@ def run(
         )
 
     state = solver.init_state()
-    records: list[tuple[int, float, float]] = []
-    block_seconds: list[tuple[int, float]] | None = [] if collect_timing else None
-    clock = time.perf_counter() if collect_timing else 0.0
+    trace = ConvergenceTrace(kind, trial, False, 0)
+    start = time.perf_counter()
 
     def error_sq() -> float:
         if ref is None:
@@ -411,34 +383,24 @@ def run(
         return float(r @ r)
 
     def record(it: int, err: float, res: float):
-        nonlocal clock
-        records.append((it, err, res))
-        if block_seconds is not None:
-            now = time.perf_counter()
-            block_seconds.append((it, now - clock))
-            clock = now
+        trace.records.append((it, err, res))
+        trace.seconds.append(time.perf_counter() - start)
 
+    on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     err = error_sq()
     res = residual_sq()
     record(0, err, res)
-    metric = err if config.stop_metric is StopMetric.ERROR_TO_REFERENCE else res
-    if metric < config.tol:
-        return ConvergenceTrace(kind, trial, True, 0, records, block_seconds)
+    if (err if on_error else res) < config.tol:
+        trace.converged = True
+        return trace
 
-    on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
-    maintained = solver.maintains_residual()
-    converged = False
     for t in range(1, config.max_iter + 1):
         solver.step(state, rng)
         if on_error:
             err = error_sq()
             metric = err
         else:
-            if maintained:
-                r = state.residual
-                res = float(r @ r)
-            else:
-                res = residual_sq()
+            res = residual_sq()
             metric = res
         hit = metric < config.tol
         if hit or t % config.record_every == 0 or t == config.max_iter:
@@ -448,10 +410,11 @@ def run(
                 err = error_sq()
             record(t, err, res)
         if hit:
-            converged = True
+            trace.converged = True
             break
 
-    return ConvergenceTrace(kind, trial, converged, state.iteration, records, block_seconds)
+    trace.final_iteration = state.iteration
+    return trace
 
 
 #: lockstep steps whose index draws are taken per trial in one block
@@ -482,13 +445,12 @@ def run_batch(
 ) -> BatchTrace:
     """Run len(rngs) trials of one solver together, stopping on error to reference.
 
-    Trial k makes the same draws from rngs[k] and applies the same updates
-    as ``run`` would, so it stops at the same iteration; its errors agree
-    with ``run``'s to rounding (row dot products are summed in another
-    order). Each trial checks its own error at every step and leaves the
-    batch when it falls below tol. Draws are taken DRAW_BLOCK steps at a
-    time, so a trial that stops leaves its generator advanced past its last
-    draw.
+    Trial k makes the same draws from rngs[k] and computes the same updates
+    as ``run`` would, bit for bit, so its errors equal ``run``'s and it
+    stops at the same iteration. Each trial checks its own error at every
+    step and leaves the batch when it falls below tol. Draws are taken
+    DRAW_BLOCK steps at a time, so a trial that stops leaves its generator
+    advanced past its last draw.
     """
     if config.stop_metric is not StopMetric.ERROR_TO_REFERENCE:
         raise ConfigurationError("lockstep trials stop on error to reference only")
@@ -501,7 +463,7 @@ def run_batch(
     solver = make_solver(kind, system)
     dists = solver.draw_order()
     trials = len(rngs)
-    state = solver.init_batch(trials)
+    state = solver.init_state(trials)
     start = time.perf_counter()
 
     active = np.arange(trials)  # trial id of each batch row
@@ -515,7 +477,7 @@ def run_batch(
 
     def error_sq() -> np.ndarray:
         diff = solver.estimate(state) - ref
-        return _rowwise_dot(diff, diff)
+        return np.vecdot(diff, diff)
 
     err = error_sq()
     t = 0

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from kaczgs.harness import ExperimentConfig, compare_solvers, emit_csv, run_experiment
+from kaczgs.harness import ExperimentConfig, compare_solvers, emit_csv, run_experiment, trial_rng
 from kaczgs.linalg import (
     DenseMatrix,
     LinearSystem,
@@ -22,7 +22,7 @@ from kaczgs.linalg import (
     spectral_summary,
 )
 from kaczgs.problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, save_system
-from kaczgs.sampling import Prng, spawn_trial_rng
+from kaczgs.sampling import Prng
 from kaczgs.solvers import (
     CONVERGENT_PAIRS,
     SolveConfig,
@@ -45,10 +45,6 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
     status = "PASS" if ok else "FAIL"
     print(f"[ACCEPTANCE {number}] {name}: {status}" + (f"  ({detail})" if detail else ""))
     return ok
-
-
-def _stream(base_seed: int, trial: int, kind: SolverKind) -> Prng:
-    return spawn_trial_rng(base_seed, trial * len(SolverKind) + list(SolverKind).index(kind))
 
 
 def test_criterion_1_regs_bound_domination(tmp_path):
@@ -107,7 +103,7 @@ def test_criterion_2_table1_matrix():
                 cfg = SolveConfig(max_iter=max_iter, tol=TOL, record_every=max_iter)
                 finals = []
                 for trial in range(trials):
-                    tr = run(system, kind, cfg, _stream(seed, trial, kind), trial=trial)
+                    tr = run(system, kind, cfg, trial_rng(seed, kind, trial), trial=trial)
                     finals.append(tr.records[-1][1])
                 median = float(np.median(finals))
                 if expect_converge and not median < 1e-6:
@@ -362,9 +358,9 @@ def test_criterion_5_rk_horizon():
     tb = TheoryBound.from_system(system)
     assert tb.horizon > 0
     cfg = SolveConfig(max_iter=100_000, tol=TOL, record_every=10_000)
-    rk = run(system, SolverKind.RK, cfg, _stream(1, 0, SolverKind.RK))
-    rek = run(system, SolverKind.REK, cfg, _stream(1, 0, SolverKind.REK))
-    regs = run(system, SolverKind.REGS, cfg, _stream(1, 0, SolverKind.REGS))
+    rk = run(system, SolverKind.RK, cfg, trial_rng(1, SolverKind.RK, 0))
+    rek = run(system, SolverKind.REK, cfg, trial_rng(1, SolverKind.REK, 0))
+    regs = run(system, SolverKind.REGS, cfg, trial_rng(1, SolverKind.REGS, 0))
     rk_final = rk.records[-1][1]
     ok = (
         not rk.converged
@@ -428,8 +424,8 @@ def test_criterion_7_tomography_smoke():
         and bool(np.all(system.y >= 0.0))
     )
     cfg = SolveConfig(max_iter=1_000_000, tol=TOL, record_every=10_000)
-    rk = run(system, SolverKind.RK, cfg, _stream(5, 0, SolverKind.RK))
-    regs = run(system, SolverKind.REGS, cfg, _stream(5, 0, SolverKind.REGS))
+    rk = run(system, SolverKind.RK, cfg, trial_rng(5, SolverKind.RK, 0))
+    regs = run(system, SolverKind.REGS, cfg, trial_rng(5, SolverKind.REGS, 0))
     elapsed = time.perf_counter() - started
     ok = (
         structural

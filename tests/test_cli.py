@@ -6,6 +6,7 @@ import pytest
 
 from kaczgs import cli
 from kaczgs.errors import NumericalError
+from kaczgs.harness import LOCKSTEP_MIN_TRIALS
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import load_system, save_system, write_matrix, write_vector
 
@@ -140,6 +141,29 @@ class TestCompare:
                      "--trials", "2", "--max-iter", "1000", "--record-every", "100",
                      "--out", str(out), "--timings-out", str(tout)]) == 0
         assert tout.read_text().splitlines()[0] == "iteration,solver,mean_cum_seconds"
+
+    def test_lockstep_band_is_the_band_of_solve_trials(self, system_dir, tmp_path):
+        # these trials run in lockstep; each must be bit for bit the solve of that trial
+        trials = LOCKSTEP_MIN_TRIALS
+        out = tmp_path / "c.csv"
+        assert _run(["compare", "--system", str(system_dir), "--solvers", "rk",
+                     "--trials", str(trials), "--record-every", "1", "--seed", "4",
+                     "--out", str(out)]) == 0
+        errors = []
+        for trial in range(trials):
+            tout = tmp_path / f"s{trial}.csv"
+            assert _run(["solve", "--system", str(system_dir), "--solver", "rk",
+                         "--trial", str(trial), "--record-every", "1", "--seed", "4",
+                         "--out", str(tout)]) == 0
+            errors.append([float(line.split(",")[3])
+                           for line in tout.read_text().splitlines()[1:]])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == max(len(e) for e in errors)
+        for it, row in enumerate(rows):
+            at_it = [e[min(it, len(e) - 1)] for e in errors]  # terminal value carried forward
+            assert int(row[0]) == it
+            assert float(row[4]) == min(at_it)
+            assert float(row[5]) == max(at_it)
 
 
 class TestBounds:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from kaczgs import harness
 from kaczgs.errors import ConfigurationError
 from kaczgs.harness import (
     CSV_HEADER,
@@ -157,6 +158,20 @@ class TestCompareSolvers:
         trace = compare_solvers(cfg)
         assert trace.excluded == []
         assert {r[1] for r in trace.rows} == set(SolverKind)
+
+    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+    def test_lockstep_never_changes_bytes(self, regime, tmp_path, monkeypatch):
+        shape = (8, 30) if regime is Regime.UNDERDETERMINED else (40, 8)
+        sys_ = gen_gaussian(GenSpec(m=shape[0], n=shape[1], regime=regime, seed=3))
+        target = tmp_path / "sys"
+        save_system(sys_, target, extra_meta={"kind": "gaussian"})
+        cfg = ExperimentConfig(system_dir=target, solvers=list(SolverKind),
+                               trials=LOCKSTEP_MIN_TRIALS, max_iter=30_000, record_every=7,
+                               base_seed=2)
+        lockstep = compare_solvers(cfg)
+        monkeypatch.setattr(harness, "LOCKSTEP_MIN_TRIALS", cfg.trials + 1)
+        per_trial = compare_solvers(cfg)
+        assert _csv_bytes(lockstep) == _csv_bytes(per_trial)
 
     def test_timings_collected(self, saved_system):
         cfg = ExperimentConfig(system_dir=saved_system, solvers=[SolverKind.RK], trials=2,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from kaczgs.errors import ConfigurationError, NumericalError
+from kaczgs.harness import trial_rng
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime, spectral_summary
-from kaczgs.sampling import spawn_trial_rng
 from kaczgs.solvers import CONVERGENT_PAIRS, SolveConfig, SolverKind, run
 from kaczgs.theory import (
     TheoryBound,
@@ -191,7 +191,7 @@ class TestMeanTraceDomination:
         cfg = SolveConfig(max_iter=20_000, tol=1e-6, record_every=1)
         trials = 50
         traces = [
-            run(sys_, kind, cfg, spawn_trial_rng(31, t * len(SolverKind) + list(SolverKind).index(kind)), trial=t)
+            run(sys_, kind, cfg, trial_rng(31, kind, t), trial=t)
             for t in range(trials)
         ]
         horizon_t = max(tr.records[-1][0] for tr in traces)
