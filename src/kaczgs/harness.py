@@ -195,6 +195,7 @@ def _trials_on_grid(
             solve_cfg,
             trial_rng(cfg.base_seed, kind, trial),
             trial=trial,
+            residuals=False,
         )
         for trial in range(cfg.trials)
     ]

@@ -13,13 +13,29 @@ Serialized systems are plain text, one directory per system:
   reference.txt optional, vector format
   residual.txt  optional, vector format (least-squares residual)
   meta.txt      "key value" lines: regime, seed, and generator parameters
+  arrays.npz    binary cache of the four array files (below)
+
+A matrix or vector file holds exactly the lines its header declares,
+then blank lines only.
 
 Values are written with full round-trip precision (repr), so save/load is
 value-exact.
+
+save_system also writes arrays.npz, an uncompressed numpy archive holding
+X, y and the present references as float64 arrays, plus a sha256 of the
+exact bytes of the text array files (each framed by its name and length).
+It is a cache: load_system takes the arrays from it only when that digest
+matches the text files it has just read, and otherwise parses the text,
+so adding, deleting or editing any array file makes the sidecar miss.
+Deleting the sidecar is always safe; the text files stay canonical and a
+system loads to the same bits either way. The archive carries no
+timestamp, so it too is a pure function of the system.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -270,22 +286,21 @@ def _build_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
 # ---------------------------------------------------------------------------
 # Text serialization
 
-def write_matrix(path, matrix) -> None:
+def write_matrix(path, matrix) -> bytes:
+    """Write a matrix file; returns the bytes written."""
     data = matrix.data if isinstance(matrix, DenseMatrix) else np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{data.shape[0]} {data.shape[1]}\n")
-        for row in data:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    rows = (" ".join(map(repr, row)) for row in data.tolist())
+    text = "\n".join([f"{data.shape[0]} {data.shape[1]}", *rows, ""]).encode()
+    Path(path).write_bytes(text)
+    return text
 
 
-def write_vector(path, vec) -> None:
+def write_vector(path, vec) -> bytes:
+    """Write a vector file; returns the bytes written."""
     vec = np.asarray(vec, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{vec.shape[0]}\n")
-        for v in vec:
-            fh.write(repr(float(v)))
-            fh.write("\n")
+    text = "\n".join([str(vec.shape[0]), *map(repr, vec.tolist()), ""]).encode()
+    Path(path).write_bytes(text)
+    return text
 
 
 def _parse_floats(path, lineno, line, expected) -> list[float]:
@@ -298,9 +313,20 @@ def _parse_floats(path, lineno, line, expected) -> list[float]:
         raise ParseError(path, lineno, f"invalid number: {exc}") from None
 
 
-def read_matrix(path) -> DenseMatrix:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _check_count(path, lines, count: int, what: str) -> None:
+    """The header's ``count`` lines follow it, then blank lines only."""
+    if count < 0:
+        raise ParseError(path, 1, f"negative {what} count {count} in header")
+    if len(lines) < count + 1:
+        raise ParseError(path, len(lines), f"expected {count} {what}, found {len(lines) - 1}")
+    for lineno, line in enumerate(lines[count + 1:], start=count + 2):
+        if line.strip():
+            declared = f"the {count} {what} declared in the header"
+            raise ParseError(path, lineno, f"extra line after {declared}: {line[:40]!r}")
+
+
+def _parse_matrix(path, text: str) -> list[list[float]]:
+    lines = text.splitlines()
     if not lines:
         raise ParseError(path, 1, "empty matrix file")
     header = lines[0].split()
@@ -310,39 +336,77 @@ def read_matrix(path) -> DenseMatrix:
         m, n = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError(path, 1, f"non-integer dimensions in header {lines[0]!r}") from None
-    if len(lines) < m + 1:
-        raise ParseError(path, len(lines), f"expected {m} matrix rows, found {len(lines) - 1}")
-    rows = [_parse_floats(path, i + 2, lines[i + 1], n) for i in range(m)]
-    return DenseMatrix(rows)
+    _check_count(path, lines, m, "matrix rows")
+    return [_parse_floats(path, i + 2, lines[i + 1], n) for i in range(m)]
 
 
-def read_vector(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _parse_vector(path, text: str) -> np.ndarray:
+    lines = text.splitlines()
     if not lines:
         raise ParseError(path, 1, "empty vector file")
     try:
         m = int(lines[0].strip())
     except ValueError:
         raise ParseError(path, 1, f"expected vector length, got {lines[0]!r}") from None
-    if len(lines) < m + 1:
-        raise ParseError(path, len(lines), f"expected {m} values, found {len(lines) - 1}")
+    _check_count(path, lines, m, "values")
     return np.array([_parse_floats(path, i + 2, lines[i + 1], 1)[0] for i in range(m)])
+
+
+def read_matrix(path) -> DenseMatrix:
+    return DenseMatrix(_parse_matrix(path, Path(path).read_text()))
+
+
+def read_vector(path) -> np.ndarray:
+    return _parse_vector(path, Path(path).read_text())
+
+
+# ---------------------------------------------------------------------------
+# Binary sidecar: a cache of the text array files, checked against their bytes
+
+SIDECAR = "arrays.npz"
+
+#: the text array files, in digest order; each is stored in the sidecar under its stem
+_ARRAY_FILES = ("X.txt", "y.txt", "reference.txt", "residual.txt")
+
+
+def _text_digest(texts: dict[str, bytes]) -> bytes:
+    """sha256 over the present array files, each framed by its name and length."""
+    h = hashlib.sha256()
+    for name in _ARRAY_FILES:
+        if name in texts:
+            h.update(f"{name} {len(texts[name])}\n".encode())
+            h.update(texts[name])
+    return h.digest()
+
+
+def _read_sidecar(path: Path, texts: dict[str, bytes]) -> dict[str, np.ndarray] | None:
+    """The sidecar's arrays if it is the cache of exactly ``texts``, else None."""
+    try:
+        # np.load leaks the handle it opens when the archive is truncated
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if npz["digest"].tobytes() != _text_digest(texts):
+                return None
+            return {name: npz[name.removesuffix(".txt")] for name in texts}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None  # missing, truncated or not written by save_system
 
 
 _REGIME_NAMES = {r.value: r for r in Regime}
 
 
 def save_system(system: LinearSystem, directory, extra_meta: dict | None = None) -> None:
-    """Write a system directory (X.txt, y.txt, optional refs, meta.txt)."""
+    """Write a system directory (X.txt, y.txt, optional refs, meta.txt, arrays.npz)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_matrix(directory / "X.txt", system.X)
-    write_vector(directory / "y.txt", system.y)
-    if system.reference is not None:
-        write_vector(directory / "reference.txt", system.reference)
-    if system.residual_ref is not None:
-        write_vector(directory / "residual.txt", system.residual_ref)
+    present = zip(_ARRAY_FILES, (system.X.data, system.y, system.reference, system.residual_ref))
+    arrays = {name: values for name, values in present if values is not None}
+    texts = {
+        name: (write_matrix if name == "X.txt" else write_vector)(directory / name, values)
+        for name, values in arrays.items()
+    }
+    stored = {name.removesuffix(".txt"): values for name, values in arrays.items()}
+    digest = np.frombuffer(_text_digest(texts), dtype=np.uint8)
+    np.savez(directory / SIDECAR, digest=digest, **stored)
     meta = {"regime": system.regime.value, "seed": system.seed}
     if extra_meta:
         meta.update(extra_meta)
@@ -373,27 +437,36 @@ def load_meta(directory) -> dict:
 
 
 def load_system(directory) -> LinearSystem:
-    """Reconstruct a LinearSystem from a directory; invariants are revalidated."""
+    """Reconstruct a LinearSystem from a directory; invariants are revalidated.
+
+    The text array files are read once; their values come from the sidecar
+    when it holds the digest of exactly these bytes, else from parsing them.
+    """
     directory = Path(directory)
     for name in ("X.txt", "y.txt"):
         if not (directory / name).exists():
             raise ConfigurationError(f"missing system file: {directory / name}")
     meta = load_meta(directory)
-    X = read_matrix(directory / "X.txt")
-    y = read_vector(directory / "y.txt")
-    reference = None
-    residual = None
-    if (directory / "reference.txt").exists():
-        reference = read_vector(directory / "reference.txt")
-    if (directory / "residual.txt").exists():
-        residual = read_vector(directory / "residual.txt")
+    texts = {
+        name: (directory / name).read_bytes()
+        for name in _ARRAY_FILES
+        if (directory / name).exists()
+    }
+    arrays = _read_sidecar(directory / SIDECAR, texts)
+    if arrays is None:
+        arrays = {
+            name: (_parse_matrix if name == "X.txt" else _parse_vector)(
+                directory / name, text.decode()
+            )
+            for name, text in texts.items()
+        }
     seed_text = meta.get("seed", "none")
     seed = None if seed_text == "none" else int(seed_text)
     return LinearSystem(
-        X,
-        y,
+        DenseMatrix(arrays["X.txt"]),
+        arrays["y.txt"],
         _REGIME_NAMES[meta["regime"]],
-        reference=reference,
-        residual_ref=residual,
+        reference=arrays.get("reference.txt"),
+        residual_ref=arrays.get("residual.txt"),
         seed=seed,
     )

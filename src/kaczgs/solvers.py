@@ -350,6 +350,8 @@ def run(
     config: SolveConfig,
     rng: Prng,
     trial: int = 0,
+    *,
+    residuals: bool = True,
 ) -> ConvergenceTrace:
     """Iterate one solver until the stop metric falls below tol or max_iter.
 
@@ -358,6 +360,9 @@ def run(
     the start at each record. error_sq measures the solver's reported
     estimate (beta, or beta - z for REGS) against the system reference; it
     is NaN when no reference is available under residual-norm stopping.
+    With ``residuals=False`` the residual is computed only as a stop
+    metric, so under error stopping residual_sq is NaN and RK/REK skip the
+    full matvec that each recorded residual costs them.
     """
     solver = make_solver(kind, system)
     ref = system.reference
@@ -388,7 +393,7 @@ def run(
 
     on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     err = error_sq()
-    res = residual_sq()
+    res = residual_sq() if residuals or not on_error else float("nan")
     record(0, err, res)
     if (err if on_error else res) < config.tol:
         trace.converged = True
@@ -405,7 +410,8 @@ def run(
         hit = metric < config.tol
         if hit or t % config.record_every == 0 or t == config.max_iter:
             if on_error:
-                res = residual_sq()
+                if residuals:
+                    res = residual_sq()
             elif ref is not None:
                 err = error_sq()
             record(t, err, res)

@@ -21,7 +21,14 @@ from kaczgs.linalg import (
     least_norm_ref,
     spectral_summary,
 )
-from kaczgs.problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, save_system
+from kaczgs.problems import (
+    SIDECAR,
+    GenSpec,
+    TomoSpec,
+    gen_gaussian,
+    gen_tomography,
+    save_system,
+)
 from kaczgs.sampling import Prng
 from kaczgs.solvers import (
     CONVERGENT_PAIRS,
@@ -401,11 +408,14 @@ def test_criterion_6_compare_determinism(tmp_path):
 
     first = csv_for(1)
     second = csv_for(1)
-    threaded = csv_for(4)
-    ok = first == second == threaded and len(first) > 100
+    four_workers = csv_for(4)
+    (sys_dir / SIDECAR).unlink()  # the binary sidecar is a cache of the text files
+    from_text = csv_for(1)
+    ok = first == second == four_workers == from_text and len(first) > 100
     assert _report(
         6,
-        "compare twice (and under concurrent trials) yields byte-identical CSV",
+        "compare twice (at any --workers value, with or without the sidecar) "
+        "yields byte-identical CSV",
         ok,
         f"{len(first)} bytes",
     )

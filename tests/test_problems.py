@@ -1,12 +1,19 @@
 """Problem generators and system directory serialization."""
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kaczgs import problems
 from kaczgs.errors import ConfigurationError, ParseError
-from kaczgs.linalg import Regime
+from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import (
+    SIDECAR,
     GenSpec,
     TomoSpec,
     gen_gaussian,
@@ -176,6 +183,38 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             read_matrix(path)
 
+    def test_extra_matrix_row_rejected(self, tmp_path):
+        path = tmp_path / "X.txt"
+        path.write_text("2 2\n1 0\n0 1\n5 6\n")
+        with pytest.raises(ParseError, match=r"X\.txt:4: extra line after the 2 matrix rows"):
+            read_matrix(path)
+
+    def test_extra_vector_value_rejected(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2\n1.5\n2.5\n\n3.5\n")
+        with pytest.raises(ParseError, match=r"v\.txt:5: extra line after the 2 values"):
+            read_vector(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        (tmp_path / "X.txt").write_text("2 2\n1 0\n0 1\n\n  \n")
+        (tmp_path / "v.txt").write_text("2\n1.5\n2.5\n\n")
+        assert np.array_equal(read_matrix(tmp_path / "X.txt").data, np.eye(2))
+        assert np.array_equal(read_vector(tmp_path / "v.txt"), [1.5, 2.5])
+
+    def test_negative_count_rejected(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("-1\n")
+        with pytest.raises(ParseError, match=r"v\.txt:1: negative"):
+            read_vector(path)
+
+    def test_system_with_extra_rows_rejected(self, tmp_path):
+        # a 3-row X and 3-value y under 2-row headers used to load as 2x2
+        (tmp_path / "X.txt").write_text("2 2\n1 0\n0 1\n1 1\n")
+        (tmp_path / "y.txt").write_text("2\n1.0\n2.0\n3.0\n")
+        (tmp_path / "meta.txt").write_text("regime over-consistent\n")
+        with pytest.raises(ParseError, match=r"X\.txt:4"):
+            load_system(tmp_path)
+
 
 class TestSystemDirectories:
     def test_roundtrip_all_regimes(self, tmp_path):
@@ -202,7 +241,7 @@ class TestSystemDirectories:
         sys_ = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
         save_system(sys_, tmp_path / "a")
         save_system(sys_, tmp_path / "b")
-        for name in ("X.txt", "y.txt", "reference.txt", "meta.txt"):
+        for name in ("X.txt", "y.txt", "reference.txt", "meta.txt", SIDECAR):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_missing_y_named(self, tmp_path):
@@ -225,3 +264,143 @@ class TestSystemDirectories:
         (tmp_path / "sys" / "meta.txt").write_text("seed 3\n")
         with pytest.raises(ParseError, match="regime"):
             load_system(tmp_path / "sys")
+
+
+_sidecar_settings = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# finite float64 values that text and binary must both carry exactly
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-300]
+_entries = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_subnormal=True),
+)
+# vectors carry no norm cache, so they also reach 1e+300 and the largest float
+_vector_entries = st.one_of(
+    _entries, st.sampled_from([1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308])
+)
+
+
+@st.composite
+def _edge_systems(draw):
+    """Over-inconsistent systems built from edge values that pass validation.
+
+    X entries stay within 1e150 (DenseMatrix rejects overflowing squared
+    norms). The last row of X is signed zeros and the residual is zero
+    elsewhere, so X^T r is exactly zero whatever the residual's last entry.
+    An over-inconsistent reference has no identity to meet.
+    """
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, m - 1))
+    data = draw(st.lists(_entries, min_size=(m - 1) * n, max_size=(m - 1) * n))
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n + m - 1, max_size=n + m - 1))
+    X = np.array(data + zeros[:n]).reshape(m, n)
+    y = np.array(draw(st.lists(_vector_entries, min_size=m, max_size=m)))
+    reference = None
+    if draw(st.booleans()):
+        reference = np.array(draw(st.lists(_vector_entries, min_size=n, max_size=n)))
+    residual = None
+    if draw(st.booleans()):
+        residual = np.array(zeros[n:] + [draw(_vector_entries)])
+    return LinearSystem(DenseMatrix(X), y, Regime.OVER_INCONSISTENT, reference=reference,
+                        residual_ref=residual, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+def _bits(system) -> list:
+    arrays = (system.X.data, system.y, system.reference, system.residual_ref)
+    return [None if a is None else (a.shape, a.dtype.str, a.tobytes()) for a in arrays]
+
+
+def _text_parses(monkeypatch) -> list[str]:
+    """Record the files load_system parses as text (none when the sidecar hits)."""
+    parsed = []
+    for name in ("_parse_matrix", "_parse_vector"):
+        real = getattr(problems, name)
+
+        def spy(path, text, real=real):
+            parsed.append(Path(path).name)
+            return real(path, text)
+
+        monkeypatch.setattr(problems, name, spy)
+    return parsed
+
+
+class TestSidecar:
+    # LinearSystem takes ||y|| by an unscaled dot, which overflows for y near 1e300
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @_sidecar_settings
+    @given(_edge_systems())
+    def test_sidecar_and_text_load_the_same_bits(self, system):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_system(system, tmp)
+            cached = load_system(tmp)
+            (Path(tmp) / SIDECAR).unlink()
+            parsed = load_system(tmp)
+        assert _bits(cached) == _bits(parsed) == _bits(system)
+        assert cached.seed == parsed.seed == system.seed
+
+    def test_fresh_sidecar_skips_the_text_parse(self, tmp_path, monkeypatch):
+        sys_ = gen_gaussian(GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3))
+        save_system(sys_, tmp_path)
+        parsed = _text_parses(monkeypatch)
+        assert _bits(load_system(tmp_path)) == _bits(sys_)
+        assert parsed == []
+
+    @pytest.mark.parametrize("name", ["X.txt", "y.txt", "reference.txt", "residual.txt"])
+    def test_rewritten_text_file_wins(self, tmp_path, monkeypatch, name):
+        # move one entry by one ulp: the system stays valid, the sidecar goes stale
+        sys_ = gen_gaussian(GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3))
+        save_system(sys_, tmp_path)
+        path = tmp_path / name
+        if name == "X.txt":
+            values = read_matrix(path).data.copy()
+            values[0, 0] = np.nextafter(values[0, 0], np.inf)
+            write_matrix(path, values)
+        else:
+            values = read_vector(path)
+            values[0] = np.nextafter(values[0], np.inf)
+            write_vector(path, values)
+        parsed = _text_parses(monkeypatch)
+        back = load_system(tmp_path)
+        loaded = {"X.txt": back.X.data, "y.txt": back.y, "reference.txt": back.reference,
+                  "residual.txt": back.residual_ref}[name]
+        assert loaded.tobytes() == values.tobytes()
+        assert name in parsed
+
+    def test_bytes_moved_between_files_miss(self, tmp_path):
+        # X.txt's last newline moved to the front of y.txt: same concatenation,
+        # but y.txt no longer starts with its header
+        sys_ = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
+        save_system(sys_, tmp_path)
+        x_text = (tmp_path / "X.txt").read_bytes()
+        (tmp_path / "X.txt").write_bytes(x_text[:-1])
+        (tmp_path / "y.txt").write_bytes(b"\n" + (tmp_path / "y.txt").read_bytes())
+        with pytest.raises(ParseError, match=r"y\.txt:1"):
+            load_system(tmp_path)
+
+    def test_deleted_reference_is_not_resurrected(self, tmp_path):
+        sys_ = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
+        save_system(sys_, tmp_path)
+        (tmp_path / "reference.txt").unlink()
+        back = load_system(tmp_path)
+        assert back.reference is None
+        assert back.X.data.tobytes() == sys_.X.data.tobytes()
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5, 0.99])
+    def test_truncated_sidecar_falls_back(self, tmp_path, monkeypatch, keep):
+        sys_ = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
+        save_system(sys_, tmp_path)
+        blob = (tmp_path / SIDECAR).read_bytes()
+        (tmp_path / SIDECAR).write_bytes(blob[: int(keep * len(blob))])
+        parsed = _text_parses(monkeypatch)
+        assert _bits(load_system(tmp_path)) == _bits(sys_)
+        assert parsed == ["X.txt", "y.txt", "reference.txt"]
+
+    def test_sidecar_of_another_system_ignored(self, tmp_path, monkeypatch):
+        mine = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
+        other = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=4))
+        save_system(mine, tmp_path / "mine")
+        save_system(other, tmp_path / "other")
+        (tmp_path / "mine" / SIDECAR).write_bytes((tmp_path / "other" / SIDECAR).read_bytes())
+        parsed = _text_parses(monkeypatch)
+        assert _bits(load_system(tmp_path / "mine")) == _bits(mine)
+        assert parsed == ["X.txt", "y.txt", "reference.txt"]

@@ -355,6 +355,32 @@ class TestRunDriver:
         assert trace.seconds[0] >= 0
         assert all(b >= a for a, b in zip(trace.seconds, trace.seconds[1:]))
 
+    @pytest.mark.parametrize("residuals", [True, False])
+    def test_residuals_false_skips_the_record_sync(self, monkeypatch, residuals):
+        sys_ = gaussian_system(30, 6, Regime.OVER_CONSISTENT, seed=2)
+        cfg = SolveConfig(max_iter=5000, record_every=7)
+        calls = []
+        real_sync = solvers.RandomizedKaczmarz.sync_residual
+
+        def counting_sync(self, state):
+            calls.append(state.iteration)
+            real_sync(self, state)
+
+        monkeypatch.setattr(solvers.RandomizedKaczmarz, "sync_residual", counting_sync)
+        trace = run(sys_, SolverKind.RK, cfg, Prng(1), residuals=residuals)
+        monkeypatch.undo()
+        full = run(sys_, SolverKind.RK, cfg, Prng(1))
+        assert len(calls) == (len(trace.records) if residuals else 0)
+        assert [r[:2] for r in trace.records] == [r[:2] for r in full.records]
+        if not residuals:
+            assert all(np.isnan(r[2]) for r in trace.records)
+
+    def test_residuals_false_still_stops_on_the_residual(self):
+        sys_ = gaussian_system(30, 6, Regime.OVER_CONSISTENT, seed=2)
+        cfg = SolveConfig(max_iter=5000, record_every=7, stop_metric=StopMetric.RESIDUAL_NORM)
+        full = run(sys_, SolverKind.RK, cfg, Prng(1))
+        assert run(sys_, SolverKind.RK, cfg, Prng(1), residuals=False).records == full.records
+
     def test_residual_matches_fresh_computation_at_records(self):
         sys_ = gaussian_system(25, 5, Regime.OVER_CONSISTENT, seed=3)
         cfg = SolveConfig(max_iter=2000, record_every=50)
