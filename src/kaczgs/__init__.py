@@ -23,7 +23,6 @@ from .linalg import (
     apply_row_projector,
     least_norm_ref,
     least_squares_ref,
-    matvec,
     spectral_summary,
 )
 from .sampling import Prng, WeightedIndex, col_distribution, row_distribution, spawn_trial_rng
@@ -31,19 +30,15 @@ from .solvers import (
     ConvergenceTrace,
     SolveConfig,
     SolverKind,
-    SolverState,
     StopMetric,
-    make_solver,
     run,
 )
 from .theory import (
     TheoryBound,
-    bound_comparison,
     bound_regs,
     bound_rek,
     bound_rk_consistent,
     bound_rk_inconsistent,
-    objective,
 )
 from .problems import (
     GenSpec,
@@ -73,14 +68,12 @@ __all__ = [
     "SingularMatrixError",
     "SolveConfig",
     "SolverKind",
-    "SolverState",
     "SpectralSummary",
     "StopMetric",
     "TheoryBound",
     "TomoSpec",
     "WeightedIndex",
     "apply_row_projector",
-    "bound_comparison",
     "bound_regs",
     "bound_rek",
     "bound_rk_consistent",
@@ -93,9 +86,6 @@ __all__ = [
     "least_norm_ref",
     "least_squares_ref",
     "load_system",
-    "make_solver",
-    "matvec",
-    "objective",
     "row_distribution",
     "run",
     "run_experiment",

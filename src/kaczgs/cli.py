@@ -34,7 +34,7 @@ from .linalg import Regime
 from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, save_system
 from .sampling import check_seed
 from .solvers import ConvergenceTrace, SolveConfig, SolverKind, StopMetric, run
-from .theory import TheoryBound, bound_comparison
+from .theory import TheoryBound
 
 _SOLVER_NAMES = {kind.value: kind for kind in SolverKind}
 _REGIME_NAMES = {regime.value: regime for regime in Regime}
@@ -126,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="theory bound curve for one solver")
     p_bounds.add_argument("--system", required=True)
     p_bounds.add_argument("--solver", choices=sorted(_SOLVER_NAMES), required=True)
-    p_bounds.add_argument(
-        "--rek-form",
-        choices=["rate-eq", "comparison"],
-        default="rate-eq",
-        help="which published extended-Kaczmarz bound to evaluate",
-    )
     _add_common(p_bounds)
 
     return parser
@@ -226,15 +220,7 @@ def _cmd_bounds(args) -> int:
 
     system = load_system(args.system)
     tb = TheoryBound.from_system(system)
-    kind = _SOLVER_NAMES[args.solver]
-    if kind is SolverKind.REK and args.rek_form == "comparison":
-        ref_sq = float(system.reference @ system.reference)
-
-        def evaluate(t, _tb=tb, _ref_sq=ref_sq):
-            return bound_comparison(_tb, t // 2, _ref_sq)
-
-    else:
-        evaluate = _bound_evaluator(system, kind, tb)
+    evaluate = _bound_evaluator(system, _SOLVER_NAMES[args.solver], tb)
     with _open_out(args.out) as fh:
         fh.write("iteration,bound_value\n")
         for t in range(0, args.max_iter + 1, args.record_every):

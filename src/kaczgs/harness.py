@@ -110,6 +110,11 @@ class AggregateTrace:
 
 
 def _bound_evaluator(system: LinearSystem, kind: SolverKind, tb: TheoryBound | None):
+    """t -> bound_value for one solver on one system; NaN where no bound applies.
+
+    The one place that pairs each (solver, regime) with its bound, read by
+    ``compare`` and ``bounds`` alike.
+    """
     if tb is None or system.reference is None:
         return lambda t: float("nan")
     ref = system.reference

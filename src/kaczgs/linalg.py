@@ -71,17 +71,6 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols}, frob_sq={self.frob_sq:.6g})"
 
 
-def matvec(matrix: DenseMatrix, v) -> np.ndarray:
-    """Matrix-vector product X @ v; v must have length n."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (matrix.cols,):
-        raise ConfigurationError(
-            f"matvec dimension mismatch: matrix is {matrix.rows}x{matrix.cols}, "
-            f"vector has shape {v.shape}"
-        )
-    return matrix.data @ v
-
-
 def apply_row_projector(matrix: DenseMatrix, i: int, w) -> np.ndarray:
     """Apply P_i = I - (X^i)^T X^i / ||X^i||^2 to w, in O(n) without forming P_i."""
     nsq = float(matrix.row_norms_sq[i])
@@ -94,6 +83,19 @@ def apply_row_projector(matrix: DenseMatrix, i: int, w) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Linear systems
+
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, taken of v scaled by its largest entry so it cannot overflow."""
+    scale = _max_abs(v)
+    if scale == 0.0:
+        return 0.0
+    w = v / scale
+    return scale * math.sqrt(float(w @ w))
+
 
 def _as_readonly_vector(v, length, name):
     arr = np.array(v, dtype=float)
@@ -143,23 +145,30 @@ class LinearSystem:
         self._check_reference_identities()
 
     def _check_reference_identities(self):
-        ynorm = float(np.linalg.norm(self.y))
+        # each gate compares norms of vectors scaled by their largest entry, so
+        # finite entries cannot overflow a norm and wave a wrong reference through
         if self.regime is Regime.OVER_INCONSISTENT and self.residual_ref is not None:
-            r = self.residual_ref
-            lhs = float(np.linalg.norm(self.X.data.T @ r))
-            bound = 1e-8 * math.sqrt(self.X.frob_sq) * float(np.linalg.norm(r))
-            if lhs > bound:
-                raise ConfigurationError(
-                    f"residual_ref is not orthogonal to the column space: "
-                    f"||X^T r|| = {lhs:.3e} exceeds {bound:.3e}"
-                )
+            scale = _max_abs(self.residual_ref)
+            if scale > 0.0:
+                r = self.residual_ref / scale
+                lhs = _norm(self.X.data.T @ r)
+                bound = 1e-8 * math.sqrt(self.X.frob_sq) * _norm(r)
+                if lhs > bound:
+                    raise ConfigurationError(
+                        f"residual_ref is not orthogonal to the column space: "
+                        f"||X^T r|| = {lhs * scale:.3e} exceeds {bound * scale:.3e}"
+                    )
         if self.reference is not None and self.regime is not Regime.OVER_INCONSISTENT:
-            gap = float(np.linalg.norm(self.X.data @ self.reference - self.y))
-            if gap > 1e-8 * max(ynorm, 1e-300):
-                raise ConfigurationError(
-                    f"reference does not solve the system: ||X ref - y|| = {gap:.3e} "
-                    f"exceeds 1e-8 * ||y|| = {1e-8 * ynorm:.3e}"
-                )
+            scale = max(_max_abs(self.reference), _max_abs(self.y))
+            if scale > 0.0:
+                y = self.y / scale
+                gap = _norm(self.X.data @ (self.reference / scale) - y)
+                ynorm = _norm(y)
+                if gap > 1e-8 * max(ynorm, 1e-300 / scale):
+                    raise ConfigurationError(
+                        f"reference does not solve the system: ||X ref - y|| = "
+                        f"{gap * scale:.3e} exceeds 1e-8 * ||y|| = {1e-8 * ynorm * scale:.3e}"
+                    )
 
     @property
     def m(self) -> int:

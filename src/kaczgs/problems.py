@@ -19,7 +19,9 @@ A matrix or vector file holds exactly the lines its header declares,
 then blank lines only.
 
 Values are written with full round-trip precision (repr), so save/load is
-value-exact.
+value-exact. Saving into an existing directory deletes an optional array
+file that the new system lacks, so no earlier system's reference loads with
+it.
 
 save_system also writes arrays.npz, an uncompressed numpy archive holding
 X, y and the present references as float64 arrays, plus a sha256 of the
@@ -400,6 +402,9 @@ def save_system(system: LinearSystem, directory, extra_meta: dict | None = None)
     directory.mkdir(parents=True, exist_ok=True)
     present = zip(_ARRAY_FILES, (system.X.data, system.y, system.reference, system.residual_ref))
     arrays = {name: values for name, values in present if values is not None}
+    for name in _ARRAY_FILES:
+        if name not in arrays:
+            (directory / name).unlink(missing_ok=True)
     texts = {
         name: (write_matrix if name == "X.txt" else write_vector)(directory / name, values)
         for name, values in arrays.items()

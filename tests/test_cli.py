@@ -9,6 +9,7 @@ from kaczgs.errors import NumericalError
 from kaczgs.harness import LOCKSTEP_MIN_TRIALS
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import load_system, save_system, write_matrix, write_vector
+from kaczgs.theory import TheoryBound
 
 
 def _run(argv):
@@ -178,13 +179,25 @@ class TestBounds:
         assert len(values) == 21
         assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
-    def test_rek_forms_differ(self, system_dir, tmp_path):
-        rate, comp = tmp_path / "rate.csv", tmp_path / "comp.csv"
-        base = ["bounds", "--system", str(system_dir), "--solver", "rek",
-                "--max-iter", "100", "--record-every", "10"]
-        assert _run(base + ["--rek-form", "rate-eq", "--out", str(rate)]) == 0
-        assert _run(base + ["--rek-form", "comparison", "--out", str(comp)]) == 0
-        assert rate.read_bytes() != comp.read_bytes()
+    def test_rek_curve_is_the_zouzias_freris_bound(self, system_dir, tmp_path):
+        out = tmp_path / "rek.csv"
+        assert _run(["bounds", "--system", str(system_dir), "--solver", "rek",
+                     "--max-iter", "100", "--record-every", "10", "--out", str(out)]) == 0
+        sys_ = load_system(system_dir)
+        tb = TheoryBound.from_system(sys_)
+        ref_sq = float(sys_.reference @ sys_.reference)
+        expected = ["iteration,bound_value"] + [
+            f"{t},{tb.alpha ** (t // 2) * tb.kappa_sq_term * ref_sq!r}" for t in range(0, 101, 10)
+        ]
+        assert out.read_text().splitlines() == expected
+        assert float(expected[1].split(",")[1]) >= ref_sq
+
+    def test_rek_form_option_is_gone(self, system_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["bounds", "--system", str(system_dir), "--solver", "rek",
+                  "--rek-form", "comparison"])
+        assert exc.value.code == 2
+        assert "--rek-form" in capsys.readouterr().err
 
 
 class TestSeedRange:

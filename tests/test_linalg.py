@@ -17,7 +17,6 @@ from kaczgs.linalg import (
     cholesky_solve,
     least_norm_ref,
     least_squares_ref,
-    matvec,
     numeric_rank,
     project_row_span,
     spectral_summary,
@@ -55,22 +54,6 @@ class TestDenseMatrix:
             DenseMatrix([[1.0, float("nan")]])
 
 
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(DenseMatrix(np.eye(2)), [2.0, 3.0]), [2.0, 3.0])
-
-    def test_single_row_sum(self):
-        assert matvec(DenseMatrix([[3.0, 4.0]]), [1.0, 1.0]) == pytest.approx([7.0])
-
-    def test_hand_computed(self):
-        out = matvec(DenseMatrix([[1.0, 2.0], [3.0, 4.0]]), [1.0, -1.0])
-        assert out == pytest.approx([-1.0, -1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            matvec(DenseMatrix([[1.0, 2.0]]), [1.0, 2.0, 3.0])
-
-
 class TestLinearSystemInvariants:
     def test_regime_shape_mismatch(self):
         X = DenseMatrix(np.ones((2, 3)))
@@ -94,6 +77,30 @@ class TestLinearSystemInvariants:
                 Regime.OVER_INCONSISTENT,
                 residual_ref=np.array([1.0, 1.0]),  # not orthogonal to the column
             )
+
+    # finite entries near the top of the float range must not overflow a gate's
+    # norm (to inf, with a RuntimeWarning) and so accept a wrong reference
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_y_does_not_pass_a_wrong_reference(self):
+        with pytest.raises(ConfigurationError, match="does not solve"):
+            LinearSystem(DenseMatrix(np.eye(2)), [1e300, 1e300], Regime.OVER_CONSISTENT,
+                         reference=[1.0, 5.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_residual_must_still_be_orthogonal(self):
+        X = DenseMatrix([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ConfigurationError, match="not orthogonal"):
+            LinearSystem(X, [1e300, 0.0, 1e300], Regime.OVER_INCONSISTENT,
+                         residual_ref=[1e300, 0.0, 1e300])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_valid_references_accepted(self):
+        big = 1.7976931348623157e308
+        LinearSystem(DenseMatrix(np.eye(2)), [big, -big], Regime.OVER_CONSISTENT,
+                     reference=[big, -big])
+        X = DenseMatrix([[1.0e150, 0.0], [0.0, 1.0e150], [0.0, 0.0]])
+        LinearSystem(X, [big, big, big], Regime.OVER_INCONSISTENT,
+                     reference=[big / 1e150, big / 1e150], residual_ref=[0.0, 0.0, big])
 
     def test_square_consistent_allowed(self):
         sys_ = LinearSystem(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczgs import problems
+from kaczgs import cli, problems
 from kaczgs.errors import ConfigurationError, ParseError
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import (
@@ -325,8 +326,7 @@ def _text_parses(monkeypatch) -> list[str]:
 
 
 class TestSidecar:
-    # LinearSystem takes ||y|| by an unscaled dot, which overflows for y near 1e300
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @_sidecar_settings
     @given(_edge_systems())
     def test_sidecar_and_text_load_the_same_bits(self, system):
@@ -376,6 +376,26 @@ class TestSidecar:
         (tmp_path / "y.txt").write_bytes(b"\n" + (tmp_path / "y.txt").read_bytes())
         with pytest.raises(ParseError, match=r"y\.txt:1"):
             load_system(tmp_path)
+
+    def test_gen_over_an_inconsistent_system_drops_its_residual(self, tmp_path, monkeypatch):
+        argv = ["gen", "--m", "8", "--n", "3", "--seed", "1", "--regime"]
+        assert cli.main(argv + ["over-inconsistent", "--out", str(tmp_path / "d")]) == 0
+        assert cli.main(argv + ["over-consistent", "--out", str(tmp_path / "d")]) == 0
+        assert cli.main(argv + ["over-consistent", "--out", str(tmp_path / "fresh")]) == 0
+        assert not (tmp_path / "d" / "residual.txt").exists()
+        parsed = _text_parses(monkeypatch)
+        back = load_system(tmp_path / "d")
+        assert parsed == []  # the second gen's sidecar is a hit
+        assert back.regime is Regime.OVER_CONSISTENT
+        assert back.residual_ref is None
+        assert _bits(back) == _bits(load_system(tmp_path / "fresh"))
+
+    def test_save_without_reference_deletes_the_old_one(self, tmp_path):
+        sys_ = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
+        save_system(sys_, tmp_path)
+        save_system(replace(sys_, reference=None), tmp_path)
+        assert not (tmp_path / "reference.txt").exists()
+        assert load_system(tmp_path).reference is None
 
     def test_deleted_reference_is_not_resurrected(self, tmp_path):
         sys_ = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
