@@ -6,16 +6,18 @@ grid (stride = record_every; trials that converge early repeat their
 terminal value forward), and attaches the matching theory bound per
 solver/regime.
 
-Trials run one of two ways. With at least LOCKSTEP_MIN_TRIALS trials on one
-shared system (no per-trial redraw) and error-to-reference stopping, all
+Every trial stops on its squared error to the system's reference, so the
+system needs one. Trials run one of two ways. With at least
+LOCKSTEP_MIN_TRIALS trials on one shared system (no per-trial redraw), all
 trials of a solver advance together as one block (``solvers.run_batch``),
 which spreads the interpreter's per-step cost over the trials. Otherwise
 each trial is its own ``solvers.run``, which is faster for a handful of
-trials. A batched trial is bit for bit the ``run`` (and so the ``kaczgs
-solve``) of the same trial, so the path changes the speed only, never a
-CSV byte. For batched runs the wall-clock companion table holds the
-batch's time divided by the number of trials, an amortized per-trial time.
-Trials run in one thread; the ``workers`` setting is validated but affects
+trials. Both paths take a trial's indices from the same block draw, and a
+batched trial is bit for bit the ``run`` (and so the ``kaczgs solve``) of
+the same trial, so the path changes the speed only, never a CSV byte. For
+batched runs the wall-clock companion table holds the batch's time divided
+by the number of trials, an amortized per-trial time. Trials run in one
+thread; the ``workers`` setting is validated but affects
 neither scheduling nor output.
 
 Output CSV schema (LF line endings, full-precision decimals):
@@ -39,15 +41,7 @@ from .errors import ConfigurationError
 from .linalg import LinearSystem, Regime
 from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, load_meta, load_system
 from .sampling import Prng, check_seed, spawn_trial_rng, splitmix64
-from .solvers import (
-    CONVERGENT_PAIRS,
-    SolveConfig,
-    SolverKind,
-    StopMetric,
-    _pairs_help,
-    run,
-    run_batch,
-)
+from .solvers import CONVERGENT_PAIRS, SolveConfig, SolverKind, _pairs_help, run, run_batch
 from .theory import (
     TheoryBound,
     bound_regs,
@@ -76,7 +70,6 @@ class ExperimentConfig:
     trials: int = 50
     max_iter: int = 100_000
     tol: float = 1e-6
-    stop_metric: StopMetric = StopMetric.ERROR_TO_REFERENCE
     base_seed: int = 0
     record_every: int = 1
     redraw_matrix_per_trial: bool = False
@@ -92,12 +85,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
     def solve_config(self) -> SolveConfig:
-        return SolveConfig(
-            max_iter=self.max_iter,
-            tol=self.tol,
-            stop_metric=self.stop_metric,
-            record_every=self.record_every,
-        )
+        return SolveConfig(max_iter=self.max_iter, tol=self.tol, record_every=self.record_every)
 
 
 @dataclass
@@ -163,11 +151,7 @@ def trial_rng(base_seed: int, kind: SolverKind, trial: int) -> Prng:
 
 
 def _lockstep(cfg: ExperimentConfig) -> bool:
-    return (
-        cfg.trials >= LOCKSTEP_MIN_TRIALS
-        and not cfg.redraw_matrix_per_trial
-        and cfg.stop_metric is StopMetric.ERROR_TO_REFERENCE
-    )
+    return cfg.trials >= LOCKSTEP_MIN_TRIALS and not cfg.redraw_matrix_per_trial
 
 
 def _values_on_grid(iterations: list[int], values: list[float], grid: list[int]) -> list[float]:
@@ -218,11 +202,6 @@ def run_experiment(cfg: ExperimentConfig, system: LinearSystem | None = None) ->
     """Execute trials x solvers runs and aggregate on the shared grid."""
     if system is None:
         system = load_system(cfg.system_dir)
-    if cfg.stop_metric is StopMetric.ERROR_TO_REFERENCE and system.reference is None:
-        raise ConfigurationError(
-            "system has no reference solution for error-based stopping; "
-            f"convergent solver/regime pairs: {_pairs_help()}"
-        )
     try:
         tb = TheoryBound.from_system(system)
     except ConfigurationError:
@@ -260,18 +239,14 @@ def compare_solvers(
     """Run several solvers on one shared system, with wall-clock tracking.
 
     Solver/regime pairs that do not converge to the regime's reference are
-    excluded up front when stopping on error-to-reference (they would spin
-    to max_iter with a wrong limit); the exclusions are reported on the
-    returned trace.
+    excluded up front (they would spin to max_iter with a wrong limit); the
+    exclusions are reported on the returned trace.
     """
     if system is None:
         system = load_system(cfg.system_dir)
     kept, excluded = [], []
     for kind in cfg.solvers:
-        if (
-            cfg.stop_metric is StopMetric.ERROR_TO_REFERENCE
-            and (kind, system.regime) not in CONVERGENT_PAIRS
-        ):
+        if (kind, system.regime) not in CONVERGENT_PAIRS:
             excluded.append(kind)
         else:
             kept.append(kind)

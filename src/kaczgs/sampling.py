@@ -32,14 +32,15 @@ PRNG recurrence (all arithmetic mod 2**64):
 
   The cosine-partner variate is discarded; no state is cached between calls.
 
-Row/column selection uses cumulative squared-norm weights with a binary
-search per draw, so an index is chosen with probability proportional to its
-squared Euclidean norm and zero-weight indices are never returned.
+Row/column selection maps one uniform u per draw to the first index whose
+cumulative squared-norm weight exceeds u * total (a binary search, clamped
+to the last positive-weight index), so an index is chosen with probability
+proportional to its squared Euclidean norm and zero-weight indices are never
+returned. The solvers map a block of draws at once (``sample_block``).
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -149,7 +150,8 @@ class WeightedIndex:
     """Discrete distribution over 0..k-1 with probabilities w_i / sum(w).
 
     Sampling is a binary search over the cumulative weights, O(log k) per
-    draw. Indices with zero weight are never returned.
+    draw, done for a whole array of uniforms at once. Indices with zero
+    weight are never returned.
     """
 
     def __init__(self, weights):
@@ -165,23 +167,16 @@ class WeightedIndex:
         self.cum_weights = np.cumsum(w)
         self.total = float(self.cum_weights[-1])
         self._weights = w
-        self._cum_list = self.cum_weights.tolist()
         # rightmost index with positive weight, for the u == total edge case
         self._last_positive = int(np.flatnonzero(w > 0)[-1])
 
     def probabilities(self) -> np.ndarray:
         return self._weights / self.total
 
-    def sample(self, rng: Prng) -> int:
-        u = rng.uniform() * self.total
-        idx = bisect_right(self._cum_list, u)
-        if idx > self._last_positive:  # float rounding pushed u to the total
-            return self._last_positive
-        return idx
-
     def sample_block(self, uniforms: np.ndarray) -> np.ndarray:
-        """Indices for an array of uniforms, each mapped exactly as sample() maps its draw."""
+        """One index per uniform u: the first whose cumulative weight exceeds u * total."""
         idx = np.searchsorted(self.cum_weights, uniforms * self.total, side="right")
+        # float rounding can push u * total to the total, past every positive weight
         return np.minimum(idx, self._last_positive, out=idx)
 
 

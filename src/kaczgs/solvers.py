@@ -17,16 +17,22 @@ a time:
 One combined update (row draw + column draw for the extended methods)
 counts as one iteration.
 
+A solver's ``draw_order()`` is the one statement of what a step draws (RK:
+row; RGS: column; REK: row then column; REGS: column then row), and
+``_draw_blocks`` is the one way the draws are made: DRAW_BLOCK steps at a
+time, one uniform per draw from the trial's own generator, mapped to an
+index by ``WeightedIndex.sample_block``. ``step`` and ``step_batch`` only
+apply the indices they are given.
+
 ``run`` drives one trial through ``step``. ``run_batch`` drives several
 trials of one solver in lockstep through ``step_batch``, on a state whose
 arrays hold one row per trial: (T, n) iterates, a (T, m) residual, and a
-(T, m) z for REK or a (T, n) z for REGS. Each trial draws from its own
-generator in the same order as ``step`` (RK: row; RGS: column; REK: row then
-column; REGS: column then row) and gets the same updates and residual
-refreshes, computed bit for bit the same way: each row's dot product is one
-``np.vecdot`` row, the same BLAS dot that ``x @ y`` calls, and the refresh
-is one routine for both shapes. So a batched trial's errors equal those of
-``run``, and so of ``kaczgs solve``, of the same trial exactly.
+(T, m) z for REK or a (T, n) z for REGS. Each trial gets the same draws and
+the same updates and residual refreshes as under ``run``, computed bit for
+bit the same way: each row's dot product is one ``np.vecdot`` row, the same
+BLAS dot that ``x @ y`` calls, and the refresh is one routine for both
+shapes. So a batched trial's errors equal those of ``run``, and so of
+``kaczgs solve``, of the same trial exactly.
 
 A note on the extended Gauss-Seidel coordinate update: the per-step
 increment along coordinate j is the coordinate least-squares correction
@@ -39,15 +45,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import LinearSystem, Regime, apply_row_projector
+from .linalg import LinearSystem, Regime
 from .sampling import Prng, WeightedIndex, col_distribution, row_distribution
 
 #: maintained residuals are recomputed from scratch this often to cap drift
 RESIDUAL_REFRESH_EVERY = 1000
+
+#: steps whose index draws are taken per trial in one block
+DRAW_BLOCK = 64
 
 
 class SolverKind(Enum):
@@ -85,16 +95,13 @@ class SolverState:
     per trial. ``residual`` mirrors y - X beta. RGS/REGS maintain it step by
     step and refresh it from scratch every RESIDUAL_REFRESH_EVERY steps;
     RK/REK leave it stale. Either way ``sync_residual`` makes it current
-    before any read. ``last_row``/``last_col`` record the indices drawn by
-    the most recent per-trial step, for invariant checking.
+    before any read.
     """
 
     beta: np.ndarray
     residual: np.ndarray
     iteration: int = 0
     z: np.ndarray | None = None
-    last_row: int | None = None
-    last_col: int | None = None
 
 
 @dataclass(frozen=True)
@@ -164,14 +171,15 @@ class _Solver:
         """Make state.residual equal y - X beta exactly (up to one matvec)."""
         state.residual = self._y - self._rows_arr @ state.beta
 
-    def step(self, state: SolverState, rng: Prng) -> SolverState:
-        raise NotImplementedError
-
-    # -- lockstep batches: one row per trial, driven by run_batch ----------
-
     def draw_order(self) -> list[WeightedIndex]:
         """The distributions one step draws from, in the order it draws."""
         return [self._row_dist]
+
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+        """Advance one step; draws holds one index per entry of draw_order()."""
+        raise NotImplementedError
+
+    # -- lockstep batches: one row per trial, driven by run_batch ----------
 
     def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
         """Advance every trial one step; draws[k][t] is trial t's k-th index."""
@@ -195,15 +203,12 @@ class _MaintainedResidual(_Solver):
 class RandomizedKaczmarz(_Solver):
     kind = SolverKind.RK
 
-    def step(self, state: SolverState, rng: Prng) -> SolverState:
-        i = self._row_dist.sample(rng)
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+        (i,) = draws
         xi = self._rows_arr[i]
         scale = (self._y[i] - xi @ state.beta) / self._row_nsq[i]
         state.beta += scale * xi
         state.iteration += 1
-        state.last_row = i
-        state.last_col = None
-        return state
 
     def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
         (i,) = draws
@@ -217,17 +222,14 @@ class RandomizedGaussSeidel(_MaintainedResidual):
     kind = SolverKind.RGS
     needs_rows = False
 
-    def step(self, state: SolverState, rng: Prng) -> SolverState:
-        j = self._col_dist.sample(rng)
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+        (j,) = draws
         xj = self._cols_arr[j]
         scale = (xj @ state.residual) / self._col_nsq[j]
         state.beta[j] += scale
         state.residual -= scale * xj
         state.iteration += 1
-        state.last_col = j
-        state.last_row = None
         self.sync_residual(state)
-        return state
 
     def draw_order(self) -> list[WeightedIndex]:
         return [self._col_dist]
@@ -266,9 +268,8 @@ class ExtendedKaczmarz(_Solver):
         state.beta += scale[:, None] * xi
         state.iteration += 1
 
-    def step(self, state: SolverState, rng: Prng) -> SolverState:
-        i = self._row_dist.sample(rng)
-        j = self._col_dist.sample(rng)
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+        i, j = draws
         xj = self._cols_arr[j]
         z = state.z
         z -= ((xj @ z) / self._col_nsq[j]) * xj
@@ -276,9 +277,6 @@ class ExtendedKaczmarz(_Solver):
         scale = (self._y[i] - z[i] - xi @ state.beta) / self._row_nsq[i]
         state.beta += scale * xi
         state.iteration += 1
-        state.last_row = i
-        state.last_col = j
-        return state
 
 
 class ExtendedGaussSeidel(_MaintainedResidual):
@@ -308,20 +306,18 @@ class ExtendedGaussSeidel(_MaintainedResidual):
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
 
-    def step(self, state: SolverState, rng: Prng) -> SolverState:
-        j = self._col_dist.sample(rng)
-        i = self._row_dist.sample(rng)
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+        j, i = draws
         xj = self._cols_arr[j]
         scale = (xj @ state.residual) / self._col_nsq[j]
         state.beta[j] += scale
         state.residual -= scale * xj
-        state.z[j] += scale
-        state.z = apply_row_projector(self.system.X, i, state.z)
+        z = state.z
+        z[j] += scale
+        xi = self._rows_arr[i]
+        z -= ((xi @ z) / self._row_nsq[i]) * xi
         state.iteration += 1
-        state.last_row = i
-        state.last_col = j
         self.sync_residual(state)
-        return state
 
 
 _SOLVER_CLASSES = {
@@ -344,6 +340,34 @@ def _pairs_help() -> str:
     return "; ".join(lines)
 
 
+def _require_reference(system: LinearSystem) -> np.ndarray:
+    """The system's reference solution, which error-to-reference stopping needs."""
+    if system.reference is None:
+        raise ConfigurationError(
+            "stop metric error-to-reference requires a reference solution; "
+            f"convergent solver/regime pairs: {_pairs_help()}"
+        )
+    return system.reference
+
+
+def _draw_blocks(dists: list[WeightedIndex], rngs: list[Prng], steps: int):
+    """Yield the index draws of `steps` steps of len(rngs) trials, block by block.
+
+    Each block covers min(DRAW_BLOCK, steps left) steps and is a list with
+    one (block steps, trials) index array per distribution of ``dists``.
+    Trial k takes one uniform per draw from rngs[k], step after step and
+    within a step in ``dists`` order, so its indices do not depend on the
+    block size or on the other trials. A consumer that stops early leaves
+    the generators advanced past the last block drawn.
+    """
+    while steps:
+        block = min(DRAW_BLOCK, steps)
+        u = np.array([rng.uniforms(block * len(dists)) for rng in rngs])
+        u = u.reshape(len(rngs), block, len(dists))
+        yield [d.sample_block(np.ascontiguousarray(u[:, :, q].T)) for q, d in enumerate(dists)]
+        steps -= block
+
+
 def run(
     system: LinearSystem,
     kind: SolverKind,
@@ -364,14 +388,9 @@ def run(
     metric, so under error stopping residual_sq is NaN and RK/REK skip the
     full matvec that each recorded residual costs them.
     """
+    on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
+    ref = _require_reference(system) if on_error else system.reference
     solver = make_solver(kind, system)
-    ref = system.reference
-    if config.stop_metric is StopMetric.ERROR_TO_REFERENCE and ref is None:
-        raise ConfigurationError(
-            "stop metric error-to-reference requires a reference solution; "
-            f"convergent solver/regime pairs: {_pairs_help()}"
-        )
-
     state = solver.init_state()
     trace = ConvergenceTrace(kind, trial, False, 0)
     start = time.perf_counter()
@@ -391,7 +410,6 @@ def run(
         trace.records.append((it, err, res))
         trace.seconds.append(time.perf_counter() - start)
 
-    on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     err = error_sq()
     res = residual_sq() if residuals or not on_error else float("nan")
     record(0, err, res)
@@ -399,8 +417,10 @@ def run(
         trace.converged = True
         return trace
 
-    for t in range(1, config.max_iter + 1):
-        solver.step(state, rng)
+    blocks = _draw_blocks(solver.draw_order(), [rng], config.max_iter)
+    draws = chain.from_iterable(zip(*(b[:, 0].tolist() for b in block)) for block in blocks)
+    for t, step_draws in enumerate(draws, 1):
+        solver.step(state, step_draws)
         if on_error:
             err = error_sq()
             metric = err
@@ -421,10 +441,6 @@ def run(
 
     trace.final_iteration = state.iteration
     return trace
-
-
-#: lockstep steps whose index draws are taken per trial in one block
-DRAW_BLOCK = 64
 
 
 @dataclass
@@ -460,12 +476,7 @@ def run_batch(
     """
     if config.stop_metric is not StopMetric.ERROR_TO_REFERENCE:
         raise ConfigurationError("lockstep trials stop on error to reference only")
-    ref = system.reference
-    if ref is None:
-        raise ConfigurationError(
-            "stop metric error-to-reference requires a reference solution; "
-            f"convergent solver/regime pairs: {_pairs_help()}"
-        )
+    ref = _require_reference(system)
     solver = make_solver(kind, system)
     dists = solver.draw_order()
     trials = len(rngs)
@@ -508,11 +519,7 @@ def run_batch(
         if t == config.max_iter:
             break
         if not blocks or used == blocks[0].shape[0]:
-            steps = min(DRAW_BLOCK, config.max_iter - t)
-            u = np.array([rngs[k].uniforms(steps * len(dists)) for k in active])
-            u = u.reshape(active.size, steps, len(dists))
-            blocks = [d.sample_block(np.ascontiguousarray(u[:, :, q].T))
-                      for q, d in enumerate(dists)]
+            blocks = next(_draw_blocks(dists, [rngs[k] for k in active], config.max_iter - t))
             used = 0
         solver.step_batch(state, [b[used] for b in blocks])
         used += 1

@@ -1,21 +1,46 @@
 """Shared test helpers."""
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
 from kaczgs.linalg import Regime
 from kaczgs.problems import GenSpec, gen_gaussian
+from kaczgs.solvers import SolverKind
 
 
-class FakeUniform:
-    """Duck-typed rng feeding a fixed sequence of uniforms to samplers."""
+# --- the README's index-selection rule, written independently of the package --
 
-    def __init__(self, values):
-        self.values = list(values)
+def bisect_sampler(weights):
+    """u -> index, one uniform per draw, as the README states the rule.
 
-    def uniform(self) -> float:
-        return self.values.pop(0)
+    bisect_right over the cumulative weights for u * total, clamped to the
+    last index with positive weight.
+    """
+    cum = list(accumulate(float(w) for w in weights))
+    total = cum[-1]
+    last_positive = max(k for k, w in enumerate(weights) if w > 0)
+    return lambda u: min(bisect_right(cum, u * total), last_positive)
+
+
+#: what one step draws, in order: rows by squared row norm, columns by squared column norm
+STEP_DRAWS = {
+    SolverKind.RK: ("row",),
+    SolverKind.RGS: ("col",),
+    SolverKind.REK: ("row", "col"),
+    SolverKind.REGS: ("col", "row"),
+}
+
+
+def reference_draws(system, kind, rng, steps):
+    """Index tuples of `steps` steps of one trial, one rng.uniform() per draw."""
+    norms = {"row": system.X.row_norms_sq, "col": system.X.col_norms_sq}
+    samplers = [bisect_sampler(norms[axis].tolist()) for axis in STEP_DRAWS[kind]]
+    for _ in range(steps):
+        yield tuple(sample(rng.uniform()) for sample in samplers)
 
 
 def gaussian_system(m: int, n: int, regime: Regime, seed: int, noise_scale: float = 1.0):

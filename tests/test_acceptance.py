@@ -39,6 +39,8 @@ from kaczgs.solvers import (
 )
 from kaczgs.theory import TheoryBound
 
+from conftest import reference_draws
+
 from conftest import (
     rgs_enumerated_expected_xerror,
     rgs_one_step,
@@ -233,10 +235,9 @@ def test_criterion_4_per_step_invariants():
         sys_ = gen_gaussian(GenSpec(m=shape[0], n=shape[1], regime=regime, seed=seed))
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
-        rng = Prng(seed)
-        for _ in range(5000):
-            solver.step(state, rng)
-            i = state.last_row
+        for draws in reference_draws(sys_, SolverKind.RK, Prng(seed), 5000):
+            solver.step(state, draws)
+            (i,) = draws
             xi = sys_.X.data[i]
             gap = abs(xi @ state.beta - sys_.y[i])
             scale = max(abs(sys_.y[i]), np.linalg.norm(xi) * np.linalg.norm(state.beta), 1e-30)
@@ -250,10 +251,9 @@ def test_criterion_4_per_step_invariants():
         sys_ = gen_gaussian(GenSpec(m=100, n=25, regime=Regime.OVER_INCONSISTENT, seed=seed))
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
-        rng = Prng(seed)
-        for _ in range(5000):
-            solver.step(state, rng)
-            j = state.last_col
+        for draws in reference_draws(sys_, SolverKind.RGS, Prng(seed), 5000):
+            solver.step(state, draws)
+            (j,) = draws
             xj = sys_.X.data[:, j]
             fresh = sys_.y - sys_.X.data @ state.beta
             counts["optimality"] += 1
@@ -271,11 +271,10 @@ def test_criterion_4_per_step_invariants():
         ref = sys_.reference
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
-        rng = Prng(seed)
         prev = state.beta.copy()
-        for _ in range(steps):
+        for draws in reference_draws(sys_, SolverKind.RK, Prng(seed), steps):
             before = float(np.linalg.norm(prev - ref) ** 2)
-            solver.step(state, rng)
+            solver.step(state, draws)
             after = float(np.linalg.norm(state.beta - ref) ** 2)
             step_sq = float(np.linalg.norm(state.beta - prev) ** 2)
             counts["pythagorean"] += 1
@@ -293,11 +292,10 @@ def test_criterion_4_per_step_invariants():
         X = sys_.X.data
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
-        rng = Prng(seed)
         prev = state.beta.copy()
-        for _ in range(steps):
+        for draws in reference_draws(sys_, SolverKind.RGS, Prng(seed), steps):
             before = float(np.linalg.norm(X @ (prev - ref)) ** 2)
-            solver.step(state, rng)
+            solver.step(state, draws)
             after = float(np.linalg.norm(X @ (state.beta - ref)) ** 2)
             step_sq = float(np.linalg.norm(X @ (state.beta - prev)) ** 2)
             counts["pythagorean"] += 1
@@ -317,11 +315,10 @@ def test_criterion_4_per_step_invariants():
         ref = sys_.reference
         solver = make_solver(SolverKind.REGS, sys_)
         state = solver.init_state()
-        rng = Prng(seed)
-        for _ in range(steps):
+        for draws in reference_draws(sys_, SolverKind.REGS, Prng(seed), steps):
             prev_est = solver.estimate(state)
-            solver.step(state, rng)
-            i = state.last_row
+            solver.step(state, draws)
+            _, i = draws
             xi = sys_.X.data[i]
             term_a = apply_row_projector(sys_.X, i, prev_est - ref)
             v = state.beta - ref
@@ -339,9 +336,8 @@ def test_criterion_4_per_step_invariants():
         proj = _rowspan_projector(sys_.X)
         solver = make_solver(kind, sys_)
         state = solver.init_state()
-        rng = Prng(seed)
-        for t in range(1, 2501):
-            solver.step(state, rng)
+        for t, draws in enumerate(reference_draws(sys_, kind, Prng(seed), 2500), 1):
+            solver.step(state, draws)
             if t % 5 == 0:
                 counts["rowspan"] += 1
                 off = state.beta - proj @ state.beta

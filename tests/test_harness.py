@@ -20,7 +20,7 @@ from kaczgs.harness import (
 )
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import GenSpec, gen_gaussian, save_system
-from kaczgs.solvers import SolverKind, StopMetric
+from kaczgs.solvers import SolverKind
 
 
 @pytest.fixture
@@ -77,19 +77,6 @@ class TestRunExperiment:
                                max_iter=100)
         with pytest.raises(ConfigurationError, match="RK: over-consistent"):
             run_experiment(cfg)
-
-    def test_residual_metric_runs_without_reference(self, tmp_path, rng_numpy):
-        X = DenseMatrix(rng_numpy.normal(size=(10, 3)))
-        beta = rng_numpy.normal(size=3)
-        sys_ = LinearSystem(X, X.data @ beta, Regime.OVER_CONSISTENT)
-        target = tmp_path / "noref"
-        save_system(sys_, target)
-        cfg = ExperimentConfig(system_dir=target, solvers=[SolverKind.RK], trials=2,
-                               max_iter=5000, stop_metric=StopMetric.RESIDUAL_NORM,
-                               record_every=100)
-        trace = run_experiment(cfg)
-        assert trace.rows
-        assert all(math.isnan(row[2]) for row in trace.rows)  # no reference: NaN errors
 
     # 4 trials run one by one, LOCKSTEP_MIN_TRIALS trials run in lockstep
     @pytest.mark.parametrize("trials", [4, LOCKSTEP_MIN_TRIALS])

@@ -12,6 +12,8 @@ from kaczgs.errors import ConfigurationError
 from kaczgs.linalg import DenseMatrix
 from kaczgs.sampling import Prng, WeightedIndex, col_distribution, row_distribution, spawn_trial_rng, splitmix64
 
+from conftest import bisect_sampler
+
 M64 = (1 << 64) - 1
 
 
@@ -163,8 +165,7 @@ class TestWeightedIndex:
     def test_zero_row_never_sampled(self):
         dist = row_distribution(DenseMatrix([[3.0, 4.0], [0.0, 0.0]]))
         assert np.allclose(dist.probabilities(), [1.0, 0.0])
-        rng = Prng(11)
-        assert all(dist.sample(rng) == 0 for _ in range(10_000))
+        assert np.all(dist.sample_block(Prng(11).uniforms(10_000)) == 0)
 
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -179,8 +180,7 @@ class TestWeightedIndex:
     def test_column_frequencies_binomial(self):
         # 3 sigma = 3 sqrt(.2*.8/1e5) ~ 0.0038, spec widens to 0.01
         dist = col_distribution(DenseMatrix([[1.0, 2.0]]))
-        rng = Prng(3)
-        draws = np.array([dist.sample(rng) for _ in range(100_000)])
+        draws = dist.sample_block(Prng(3).uniforms(100_000))
         freq1 = (draws == 1).mean()
         assert abs((1.0 - freq1) - 0.2) <= 0.01
         assert abs(freq1 - 0.8) <= 0.01
@@ -188,11 +188,8 @@ class TestWeightedIndex:
     def test_empirical_frequencies_within_four_sigma(self):
         weights = [0.5, 3.0, 0.0, 1.25, 7.0, 0.25]
         dist = WeightedIndex(weights)
-        rng = Prng(17)
         n_draws = 100_000
-        counts = np.zeros(len(weights))
-        for _ in range(n_draws):
-            counts[dist.sample(rng)] += 1
+        counts = np.bincount(dist.sample_block(Prng(17).uniforms(n_draws)), minlength=len(weights))
         probs = dist.probabilities()
         for i, p in enumerate(probs):
             slack = 4.0 * math.sqrt(p * (1.0 - p) / n_draws)
@@ -209,19 +206,9 @@ class TestWeightedIndex:
         assert WeightedIndex([1.0, 2.0, 3.0]).support_size == 3
 
 
-# --- block draws against the one-draw-at-a-time oracle -----------------------
+# --- block draws against the one-draw-at-a-time bisect reference -------------
 
 _block_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-class _ReplayUniform:
-    """Feeds sample() a fixed sequence of uniforms, one per call."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def uniform(self) -> float:
-        return float(next(self._values))
 
 
 class TestBlockDraws:
@@ -242,18 +229,20 @@ class TestBlockDraws:
         st.integers(0, 3),
         st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40),
     )
-    def test_sample_block_equals_repeated_sample(self, weights, trailing_zeros, uniforms):
-        dist = WeightedIndex(weights + [0.0] * trailing_zeros)
-        replay = _ReplayUniform(uniforms)
-        expected = [dist.sample(replay) for _ in uniforms]
-        assert dist.sample_block(np.array(uniforms)).tolist() == expected
+    def test_sample_block_equals_bisect_reference(self, weights, trailing_zeros, uniforms):
+        weights = weights + [0.0] * trailing_zeros
+        sample = bisect_sampler(weights)
+        expected = [sample(u) for u in uniforms]
+        assert WeightedIndex(weights).sample_block(np.array(uniforms)).tolist() == expected
 
     def test_sample_block_clamps_when_u_times_total_rounds_to_total(self):
         # subnormal weights: 0.9999 * total rounds up to total, past every cumulative weight
-        dist = WeightedIndex([2e-321, 1e-320, 0.0, 0.0])
+        weights = [2e-321, 1e-320, 0.0, 0.0]
+        dist = WeightedIndex(weights)
         u = np.array([0.9999, 1.0 - 2.0**-53, 0.0, 0.1])
         assert float(u[0] * dist.total) == dist.total
-        expected = [dist.sample(_ReplayUniform([v])) for v in u]
+        sample = bisect_sampler(weights)
+        expected = [sample(float(v)) for v in u]
         assert expected[:2] == [1, 1]
         assert dist.sample_block(u).tolist() == expected
 

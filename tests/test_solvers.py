@@ -27,8 +27,8 @@ from kaczgs.solvers import (
 )
 
 from conftest import (
-    FakeUniform,
     gaussian_system,
+    reference_draws,
     rgs_enumerated_expected_xerror,
     rk_enumerated_expected_error,
 )
@@ -50,7 +50,7 @@ class TestRandomizedKaczmarzStep:
     def test_identity_projects_coordinate(self):
         solver = make_solver(SolverKind.RK, IDENTITY_SYS)
         state = solver.init_state()
-        solver.step(state, FakeUniform([0.1]))  # row 0
+        solver.step(state, (0,))  # row 0
         assert state.beta == pytest.approx([2.0, 0.0])
         assert state.iteration == 1
 
@@ -58,17 +58,16 @@ class TestRandomizedKaczmarzStep:
         sys_ = _system([[1.0, 1.0]], [2.0], Regime.UNDERDETERMINED, reference=[1.0, 1.0])
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
-        solver.step(state, FakeUniform([0.5]))
+        solver.step(state, (0,))
         assert state.beta == pytest.approx([1.0, 1.0])
 
     def test_row_equation_satisfied_after_step(self):
         sys_ = gaussian_system(15, 4, Regime.OVER_CONSISTENT, seed=8)
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
-        rng = Prng(0)
-        for _ in range(200):
-            solver.step(state, rng)
-            i = state.last_row
+        for draws in reference_draws(sys_, SolverKind.RK, Prng(0), 200):
+            solver.step(state, draws)
+            (i,) = draws
             xi = sys_.X.data[i]
             scale = max(abs(sys_.y[i]), np.linalg.norm(xi) * np.linalg.norm(state.beta))
             assert abs(xi @ state.beta - sys_.y[i]) <= 1e-10 * max(scale, 1e-30)
@@ -89,7 +88,7 @@ class TestRandomizedGaussSeidelStep:
     def test_identity_coordinate_update(self):
         solver = make_solver(SolverKind.RGS, IDENTITY_SYS)
         state = solver.init_state()
-        solver.step(state, FakeUniform([0.1]))  # column 0
+        solver.step(state, (0,))  # column 0
         assert state.beta == pytest.approx([2.0, 0.0])
         assert state.residual == pytest.approx([0.0, 3.0])
 
@@ -98,17 +97,16 @@ class TestRandomizedGaussSeidelStep:
                        reference=[2.0], residual_ref=[-1.0, 1.0])
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
-        solver.step(state, FakeUniform([0.3]))
+        solver.step(state, (0,))
         assert state.beta == pytest.approx([2.0])
 
     def test_coordinate_optimality_after_step(self):
         sys_ = gaussian_system(20, 6, Regime.OVER_INCONSISTENT, seed=4)
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
-        rng = Prng(1)
-        for _ in range(300):
-            solver.step(state, rng)
-            j = state.last_col
+        for draws in reference_draws(sys_, SolverKind.RGS, Prng(1), 300):
+            solver.step(state, draws)
+            (j,) = draws
             xj = sys_.X.data[:, j]
             fresh = sys_.y - sys_.X.data @ state.beta
             bound = 1e-10 * np.linalg.norm(xj) * max(np.linalg.norm(fresh), 1e-30)
@@ -133,17 +131,17 @@ class TestExtendedKaczmarzStep:
         solver = make_solver(SolverKind.REK, sys_)
         state = solver.init_state()
         assert state.z == pytest.approx([1.0, 1.0])  # z0 = y
-        solver.step(state, FakeUniform([0.1, 0.1]))  # row 0, column 0
+        solver.step(state, (0, 0))  # row 0, column 0
         assert state.z == pytest.approx([0.0, 1.0])
 
     def test_z_orthogonal_to_chosen_column(self):
         sys_ = gaussian_system(18, 5, Regime.OVER_INCONSISTENT, seed=6)
         solver = make_solver(SolverKind.REK, sys_)
         state = solver.init_state()
-        rng = Prng(2)
-        for _ in range(200):
-            solver.step(state, rng)
-            xj = sys_.X.data[:, state.last_col]
+        for draws in reference_draws(sys_, SolverKind.REK, Prng(2), 200):
+            solver.step(state, draws)
+            _, j = draws
+            xj = sys_.X.data[:, j]
             assert abs(xj @ state.z) <= 1e-10 * np.linalg.norm(xj) * max(
                 np.linalg.norm(state.z), 1e-30
             )
@@ -153,9 +151,8 @@ class TestExtendedKaczmarzStep:
         r = sys_.residual_ref
         solver = make_solver(SolverKind.REK, sys_)
         state = solver.init_state()
-        rng = Prng(11)
-        for _ in range(10_000):
-            solver.step(state, rng)
+        for draws in reference_draws(sys_, SolverKind.REK, Prng(11), 10_000):
+            solver.step(state, draws)
         assert np.linalg.norm(state.z - r) < 1e-4
 
 
@@ -164,7 +161,7 @@ class TestExtendedGaussSeidelStep:
         solver = make_solver(SolverKind.REGS, IDENTITY_SYS)
         state = solver.init_state()
         assert state.z == pytest.approx([0.0, 0.0])
-        solver.step(state, FakeUniform([0.1, 0.1]))  # column 0, then row 0
+        solver.step(state, (0, 0))  # column 0, then row 0
         # gamma_1 = (2, 0); beta_1 = (2, 0); z_1 = P_0 (2, 0) = (0, 0)
         assert state.beta == pytest.approx([2.0, 0.0])
         assert state.z == pytest.approx([0.0, 0.0], abs=1e-15)
@@ -172,28 +169,22 @@ class TestExtendedGaussSeidelStep:
 
     def test_beta_line_identical_to_rgs_under_shared_column_draws(self):
         sys_ = gaussian_system(12, 30, Regime.UNDERDETERMINED, seed=9)
-        base = Prng(77)
-        cols = [base.uniform() for _ in range(60)]
-        rows = [base.uniform() for _ in range(60)]
-        interleaved = [u for pair in zip(cols, rows) for u in pair]
         regs = make_solver(SolverKind.REGS, sys_)
         rgs = make_solver(SolverKind.RGS, sys_)
         st_regs, st_rgs = regs.init_state(), rgs.init_state()
-        regs_rng, rgs_rng = FakeUniform(interleaved), FakeUniform(cols)
-        for _ in range(60):
-            regs.step(st_regs, regs_rng)
-            rgs.step(st_rgs, rgs_rng)
-            assert st_regs.last_col == st_rgs.last_col
+        for j, i in reference_draws(sys_, SolverKind.REGS, Prng(77), 60):
+            regs.step(st_regs, (j, i))
+            rgs.step(st_rgs, (j,))
             assert np.array_equal(st_regs.beta, st_rgs.beta)
 
     def test_z_orthogonal_to_chosen_row(self):
         sys_ = gaussian_system(8, 20, Regime.UNDERDETERMINED, seed=10)
         solver = make_solver(SolverKind.REGS, sys_)
         state = solver.init_state()
-        rng = Prng(3)
-        for _ in range(300):
-            solver.step(state, rng)
-            xi = sys_.X.data[state.last_row]
+        for draws in reference_draws(sys_, SolverKind.REGS, Prng(3), 300):
+            solver.step(state, draws)
+            _, i = draws
+            xi = sys_.X.data[i]
             assert abs(xi @ state.z) <= 1e-10 * np.linalg.norm(xi) * max(
                 np.linalg.norm(state.z), 1e-30
             )
@@ -210,11 +201,10 @@ class TestExtendedGaussSeidelStep:
         beta_ln = sys_.reference
         solver = make_solver(SolverKind.REGS, sys_)
         state = solver.init_state()
-        rng = Prng(4)
-        for _ in range(400):
+        for draws in reference_draws(sys_, SolverKind.REGS, Prng(4), 400):
             prev_est = solver.estimate(state)
-            solver.step(state, rng)
-            i = state.last_row
+            solver.step(state, draws)
+            _, i = draws
             term_a = apply_row_projector(sys_.X, i, prev_est - beta_ln)
             v = state.beta - beta_ln
             xi = sys_.X.data[i]
@@ -235,11 +225,11 @@ class TestPythagoreanRecursions:
             rounding = 1e-20 * (1.0 + float(ref @ ref))  # float-noise allowance
             solver = make_solver(SolverKind.RK, sys_)
             state = solver.init_state()
-            rng = Prng(6)
             prev = state.beta.copy()
-            for _ in range(250):  # short enough to stay above the float-noise floor
+            # short enough to stay above the float-noise floor
+            for draws in reference_draws(sys_, SolverKind.RK, Prng(6), 250):
                 err_before = float(np.linalg.norm(prev - ref) ** 2)
-                solver.step(state, rng)
+                solver.step(state, draws)
                 err_after = float(np.linalg.norm(state.beta - ref) ** 2)
                 step_sq = float(np.linalg.norm(state.beta - prev) ** 2)
                 assert err_after == pytest.approx(err_before - step_sq, rel=1e-8, abs=1e-18)
@@ -253,11 +243,10 @@ class TestPythagoreanRecursions:
             X = sys_.X.data
             solver = make_solver(SolverKind.RGS, sys_)
             state = solver.init_state()
-            rng = Prng(7)
             prev = state.beta.copy()
-            for _ in range(600):
+            for draws in reference_draws(sys_, SolverKind.RGS, Prng(7), 600):
                 a = float(np.linalg.norm(X @ (prev - ref)) ** 2)
-                solver.step(state, rng)
+                solver.step(state, draws)
                 b = float(np.linalg.norm(X @ (state.beta - ref)) ** 2)
                 s = float(np.linalg.norm(X @ (state.beta - prev)) ** 2)
                 assert b == pytest.approx(a - s, rel=1e-8, abs=1e-18)
@@ -273,9 +262,8 @@ class TestRowSpanInvariance:
         proj = X.T @ np.linalg.pinv(X @ X.T) @ X  # numpy oracle for P_rowspan
         solver = make_solver(kind, sys_)
         state = solver.init_state()
-        rng = Prng(8)
-        for t in range(1, 801):
-            solver.step(state, rng)
+        for t, draws in enumerate(reference_draws(sys_, kind, Prng(8), 800), 1):
+            solver.step(state, draws)
             if t % 10 == 0:
                 off = state.beta - proj @ state.beta
                 assert np.linalg.norm(off) <= 1e-8 * max(np.linalg.norm(state.beta), 1e-30)
@@ -389,9 +377,8 @@ class TestRunDriver:
             # rerun deterministically to the final state and compare the last record
             solver = make_solver(kind, sys_)
             state = solver.init_state()
-            rng = Prng(4)
-            for _ in range(trace.final_iteration):
-                solver.step(state, rng)
+            for draws in reference_draws(sys_, kind, Prng(4), trace.final_iteration):
+                solver.step(state, draws)
             fresh = sys_.y - sys_.X.data @ state.beta
             assert trace.records[-1][2] == pytest.approx(float(fresh @ fresh), rel=1e-8, abs=1e-12)
 
@@ -413,6 +400,33 @@ class TestRunDriver:
         assert not rk.converged
         assert rk.records[-1][1] > 10 * cfg.tol
         assert rek.converged
+
+
+class TestRunDrawsReference:
+    """run's draws against the README rule, replayed one uniform() at a time."""
+
+    # one step, one block of solvers.DRAW_BLOCK = 64 steps either side of its end, three blocks
+    @pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 150])
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
+    def test_records_equal_steps_on_reference_draws(self, kind, max_iter):
+        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        trace = run(sys_, kind, SolveConfig(max_iter=max_iter, tol=1e-300), Prng(9))
+
+        solver = make_solver(kind, sys_)
+        state = solver.init_state()
+        expected = []
+
+        def record(t):
+            diff = solver.estimate(state) - sys_.reference
+            solver.sync_residual(state)
+            expected.append((t, float(diff @ diff), float(state.residual @ state.residual)))
+
+        record(0)
+        for t, draws in enumerate(reference_draws(sys_, kind, Prng(9), max_iter), 1):
+            solver.step(state, draws)
+            record(t)
+        assert trace.final_iteration == max_iter
+        assert trace.records == expected
 
 
 _AGREEMENT_SYSTEMS = {
