@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: parses flags, opens outputs and dispatches.
 
 Subcommands:
 
@@ -10,6 +10,10 @@ Subcommands:
            (iteration,solver,mean_err_sq,median_err_sq,min_err_sq,max_err_sq,bound_value)
   bounds   evaluate the theory bound curve for one solver on one system
            (iteration,bound_value)
+
+``problems`` writes the system directory with its generator metadata,
+``harness`` writes every CSV, and the library's config objects check the
+flags. Every CSV output path may be '-' for stdout.
 
 Exit codes: 0 on success, 2 on configuration errors (including malformed
 inputs), 3 on numerical errors.
@@ -23,22 +27,19 @@ from contextlib import contextmanager
 from .errors import ConfigurationError, NumericalError
 from .harness import (
     ExperimentConfig,
-    _bound_evaluator,
     compare_solvers,
+    emit_bounds_csv,
     emit_csv,
     emit_timings_csv,
+    emit_trace_csv,
     print_timing_summary,
+    solver_bound,
     trial_rng,
 )
 from .linalg import Regime
-from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, save_system
+from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, load_system, save_system
 from .sampling import check_seed
-from .solvers import ConvergenceTrace, SolveConfig, SolverKind, StopMetric, run
-from .theory import TheoryBound
-
-_SOLVER_NAMES = {kind.value: kind for kind in SolverKind}
-_REGIME_NAMES = {regime.value: regime for regime in Regime}
-_STOP_NAMES = {metric.value: metric for metric in StopMetric}
+from .solvers import SolveConfig, SolverKind, StopMetric, run
 
 
 @contextmanager
@@ -50,18 +51,16 @@ def _open_out(path: str):
             yield fh
 
 
-def write_single_trace_csv(trace: ConvergenceTrace, fh) -> None:
-    fh.write("trial,iteration,solver,error_sq,residual_sq\n")
-    for it, err, res in trace.records:
-        fh.write(f"{trace.trial},{it},{trace.solver.name},{err!r},{res!r}\n")
-
-
 def _seed(text: str) -> int:
     """argparse type for --seed: an integer in [0, 2**64), rejected before any work."""
     try:
         return check_seed(int(text))
     except (ValueError, ConfigurationError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _values(enum) -> list[str]:
+    return sorted(member.value for member in enum)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a Gaussian system directory")
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--regime", choices=sorted(_REGIME_NAMES), required=True)
+    p_gen.add_argument("--regime", choices=_values(Regime), required=True)
     p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--noise-scale", type=float, default=1.0)
     p_gen.add_argument("--out", required=True, help="system directory to write")
@@ -96,9 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="single-trial run with per-iteration CSV")
     p_solve.add_argument("--system", required=True, help="system directory")
-    p_solve.add_argument("--solver", choices=sorted(_SOLVER_NAMES), required=True)
-    p_solve.add_argument("--stop-metric", choices=sorted(_STOP_NAMES), default="error")
-    p_solve.add_argument("--trial", type=int, default=0, help="trial index (seeds the stream)")
+    p_solve.add_argument("--solver", choices=_values(SolverKind), required=True)
+    p_solve.add_argument("--stop-metric", choices=_values(StopMetric), default="error")
+    p_solve.add_argument(
+        "--trial", type=int, default=0, help="trial index, from 0 (seeds the stream)"
+    )
     _add_common(p_solve)
 
     p_cmp = sub.add_parser("compare", help="multi-trial, multi-solver aggregate CSV")
@@ -120,27 +121,24 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="redraw the matrix for every trial instead of sharing one draw",
     )
-    p_cmp.add_argument("--timings-out", default=None, help="optional wall-clock CSV path")
+    p_cmp.add_argument(
+        "--timings-out", default=None, help="optional wall-clock CSV path, '-' for stdout"
+    )
     _add_common(p_cmp)
 
     p_bounds = sub.add_parser("bounds", help="theory bound curve for one solver")
     p_bounds.add_argument("--system", required=True)
-    p_bounds.add_argument("--solver", choices=sorted(_SOLVER_NAMES), required=True)
+    p_bounds.add_argument("--solver", choices=_values(SolverKind), required=True)
     _add_common(p_bounds)
 
     return parser
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        m=args.m,
-        n=args.n,
-        regime=_REGIME_NAMES[args.regime],
-        seed=args.seed,
-        noise_scale=args.noise_scale,
-    )
+    spec = GenSpec(m=args.m, n=args.n, regime=Regime(args.regime), seed=args.seed,
+                   noise_scale=args.noise_scale)
     system = gen_gaussian(spec)
-    save_system(system, args.out, extra_meta={"kind": "gaussian", "noise_scale": args.noise_scale})
+    save_system(system, args.out, spec)
     print(f"wrote {system.m}x{system.n} {system.regime.value} system to {args.out}")
     return 0
 
@@ -148,33 +146,19 @@ def _cmd_gen(args) -> int:
 def _cmd_tomo(args) -> int:
     spec = TomoSpec(grid_n=args.grid_n, oversample=args.oversample, seed=args.seed)
     system = gen_tomography(spec)
-    save_system(
-        system,
-        args.out,
-        extra_meta={
-            "kind": "tomography",
-            "grid_n": args.grid_n,
-            "oversample": args.oversample,
-        },
-    )
+    save_system(system, args.out, spec)
     print(f"wrote {system.m}x{system.n} tomography system to {args.out}")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    from .problems import load_system
-
-    system = load_system(args.system)
-    config = SolveConfig(
-        max_iter=args.max_iter,
-        tol=args.tol,
-        stop_metric=_STOP_NAMES[args.stop_metric],
-        record_every=args.record_every,
-    )
-    kind = _SOLVER_NAMES[args.solver]
-    trace = run(system, kind, config, trial_rng(args.seed, kind, args.trial), trial=args.trial)
+    config = SolveConfig(max_iter=args.max_iter, tol=args.tol, record_every=args.record_every,
+                         stop_metric=StopMetric(args.stop_metric))
+    kind = SolverKind(args.solver)
+    rng = trial_rng(args.seed, kind, args.trial)
+    trace = run(load_system(args.system), kind, config, rng, trial=args.trial)
     with _open_out(args.out) as fh:
-        write_single_trace_csv(trace, fh)
+        emit_trace_csv(trace, fh)
     status = "converged" if trace.converged else "did not converge"
     print(f"{kind.name} {status} at iteration {trace.final_iteration}", file=sys.stderr)
     return 0
@@ -186,15 +170,20 @@ def _parse_solver_list(text: str) -> list[SolverKind]:
         name = name.strip().lower()
         if not name:
             continue
-        if name not in _SOLVER_NAMES:
-            raise ConfigurationError(f"unknown solver {name!r}; choose from rk,rgs,rek,regs")
-        kinds.append(_SOLVER_NAMES[name])
+        try:
+            kinds.append(SolverKind(name))
+        except ValueError:
+            raise ConfigurationError(
+                f"unknown solver {name!r}; choose from rk,rgs,rek,regs"
+            ) from None
     if not kinds:
         raise ConfigurationError("empty solver list")
     return kinds
 
 
 def _cmd_compare(args) -> int:
+    if args.workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
     cfg = ExperimentConfig(
         system_dir=args.system,
         solvers=_parse_solver_list(args.solvers),
@@ -204,27 +193,22 @@ def _cmd_compare(args) -> int:
         base_seed=args.seed,
         record_every=args.record_every,
         redraw_matrix_per_trial=args.redraw_per_trial,
-        workers=args.workers,
     )
     trace = compare_solvers(cfg)
     with _open_out(args.out) as fh:
         emit_csv(trace, fh)
     if args.timings_out:
-        emit_timings_csv(trace, args.timings_out)
+        with _open_out(args.timings_out) as fh:
+            emit_timings_csv(trace, fh)
     print_timing_summary(trace, sys.stderr)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    from .problems import load_system
-
-    system = load_system(args.system)
-    tb = TheoryBound.from_system(system)
-    evaluate = _bound_evaluator(system, _SOLVER_NAMES[args.solver], tb)
+    config = SolveConfig(max_iter=args.max_iter, tol=args.tol, record_every=args.record_every)
+    bound = solver_bound(load_system(args.system), SolverKind(args.solver))
     with _open_out(args.out) as fh:
-        fh.write("iteration,bound_value\n")
-        for t in range(0, args.max_iter + 1, args.record_every):
-            fh.write(f"{t},{evaluate(t)!r}\n")
+        emit_bounds_csv(bound, config, fh)
     return 0
 
 

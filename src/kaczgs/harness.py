@@ -1,4 +1,4 @@
-"""Multi-trial experiment orchestration and CSV emission.
+"""Multi-trial experiment orchestration and every CSV the tools write.
 
 An experiment runs `trials` independent, deterministically seeded runs per
 solver on one system, aggregates the error traces on a shared iteration
@@ -17,21 +17,24 @@ batched trial is bit for bit the ``run`` (and so the ``kaczgs solve``) of
 the same trial, so the path changes the speed only, never a CSV byte. For
 batched runs the wall-clock companion table holds the batch's time divided
 by the number of trials, an amortized per-trial time. Trials run in one
-thread; the ``workers`` setting is validated but affects
-neither scheduling nor output.
+thread. A per-trial redraw draws each trial's system from the generator
+recorded in the system directory (``problems.redraw``).
 
-Output CSV schema (LF line endings, full-precision decimals):
+The four CSV writers each take an open text file and write LF line
+endings and full-precision (repr) decimals:
 
-    iteration,solver,mean_err_sq,median_err_sq,min_err_sq,max_err_sq,bound_value
+    emit_csv          iteration,solver,mean_err_sq,median_err_sq,min_err_sq,max_err_sq,bound_value
+    emit_timings_csv  iteration,solver,mean_cum_seconds
+    emit_trace_csv    trial,iteration,solver,error_sq,residual_sq
+    emit_bounds_csv   iteration,bound_value
 
-Determinism contract: the CSV bytes are a pure function of (config, system
-files), independent of the worker setting. Wall-clock measurements
-for the CPU-time comparison are kept out of the canonical CSV for exactly
-this reason.
+Determinism contract: the aggregate CSV bytes are a pure function of
+(config, system files). Wall-clock measurements for the CPU-time
+comparison are kept out of it for exactly this reason.
 """
 from __future__ import annotations
 
-import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -39,9 +42,17 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linalg import LinearSystem, Regime
-from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, load_meta, load_system
+from .problems import load_system, redraw
 from .sampling import Prng, check_seed, spawn_trial_rng, splitmix64
-from .solvers import CONVERGENT_PAIRS, SolveConfig, SolverKind, _pairs_help, run, run_batch
+from .solvers import (
+    CONVERGENT_PAIRS,
+    ConvergenceTrace,
+    SolveConfig,
+    SolverKind,
+    _pairs_help,
+    run,
+    run_batch,
+)
 from .theory import (
     TheoryBound,
     bound_regs,
@@ -73,7 +84,6 @@ class ExperimentConfig:
     base_seed: int = 0
     record_every: int = 1
     redraw_matrix_per_trial: bool = False
-    workers: int = 1  # validated; has no effect on scheduling or output
 
     def __post_init__(self):
         check_seed(self.base_seed)
@@ -81,8 +91,7 @@ class ExperimentConfig:
             raise ConfigurationError("at least one solver is required")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        self.solve_config()  # checks max_iter, tol and record_every before any work
 
     def solve_config(self) -> SolveConfig:
         return SolveConfig(max_iter=self.max_iter, tol=self.tol, record_every=self.record_every)
@@ -121,32 +130,20 @@ def _bound_evaluator(system: LinearSystem, kind: SolverKind, tb: TheoryBound | N
     return lambda t: bound_regs(tb, t, ref_sq)
 
 
+def solver_bound(system: LinearSystem, kind: SolverKind) -> Callable[[int], float]:
+    """t -> bound_value of one solver on one system; the theory set-up runs on the call."""
+    return _bound_evaluator(system, kind, TheoryBound.from_system(system))
+
+
 def _redraw_system(cfg: ExperimentConfig, base: LinearSystem, trial: int) -> LinearSystem:
-    meta = load_meta(cfg.system_dir)
-    kind = meta.get("kind")
     _, seed = splitmix64((cfg.base_seed + _REDRAW_STREAM_BASE + trial) & 0xFFFFFFFFFFFFFFFF)
-    if kind == "gaussian":
-        spec = GenSpec(
-            m=base.m,
-            n=base.n,
-            regime=base.regime,
-            seed=seed,
-            noise_scale=float(meta.get("noise_scale", 1.0)),
-        )
-        return gen_gaussian(spec)
-    if kind == "tomography":
-        spec = TomoSpec(
-            grid_n=int(meta["grid_n"]), oversample=int(meta["oversample"]), seed=seed
-        )
-        return gen_tomography(spec)
-    raise ConfigurationError(
-        "redraw_matrix_per_trial requires generator metadata (kind gaussian|tomography) "
-        f"in {Path(cfg.system_dir) / 'meta.txt'}"
-    )
+    return redraw(cfg.system_dir, base, seed)
 
 
 def trial_rng(base_seed: int, kind: SolverKind, trial: int) -> Prng:
     """The generator of one solver's trial: one stream per (trial, solver) pair."""
+    if trial < 0:
+        raise ConfigurationError(f"trial must be >= 0, got {trial}")
     return spawn_trial_rng(base_seed, trial * len(SolverKind) + _KIND_ORDINAL[kind])
 
 
@@ -156,14 +153,8 @@ def _lockstep(cfg: ExperimentConfig) -> bool:
 
 def _values_on_grid(iterations: list[int], values: list[float], grid: list[int]) -> list[float]:
     by_iter = dict(zip(iterations, values))
-    terminal_iter, terminal = iterations[-1], values[-1]
-    out = []
-    for g in grid:
-        if g <= terminal_iter and g in by_iter:
-            out.append(by_iter[g])
-        else:
-            out.append(terminal)  # converged early: repeat terminal value forward
-    return out
+    # past the last record (the run converged early) the terminal value repeats forward
+    return [by_iter.get(g, values[-1]) for g in grid]
 
 
 def _trials_on_grid(
@@ -260,37 +251,39 @@ def compare_solvers(
     return trace
 
 
-def emit_csv(trace: AggregateTrace, target) -> None:
-    """Write the aggregate trace; target is a path or an open text file."""
-    if hasattr(target, "write"):
-        _write_csv(trace, target)
-        return
-    with open(target, "w", newline="\n") as fh:
-        _write_csv(trace, fh)
+# ---------------------------------------------------------------------------
+# CSV writers: each writes one schema to an open text file, LF line endings
 
 
-def _write_csv(trace: AggregateTrace, fh) -> None:
+def emit_csv(trace: AggregateTrace, fh) -> None:
+    """Write the aggregate trace of ``compare``."""
     fh.write(CSV_HEADER + "\n")
     for it, kind, mean, median, mn, mx, bound in trace.rows:
-        fh.write(
-            f"{it},{kind.name},{mean!r},{median!r},{mn!r},{mx!r},{bound!r}\n"
-        )
+        fh.write(f"{it},{kind.name},{mean!r},{median!r},{mn!r},{mx!r},{bound!r}\n")
 
 
-def emit_timings_csv(trace: AggregateTrace, target) -> None:
+def emit_timings_csv(trace: AggregateTrace, fh) -> None:
     """Write the wall-clock companion table (iteration,solver,mean_cum_seconds)."""
-    if hasattr(target, "write"):
-        fh = target
-        fh.write("iteration,solver,mean_cum_seconds\n")
-        for it, kind, sec in trace.timings:
-            fh.write(f"{it},{kind.name},{sec!r}\n")
-        return
-    with open(target, "w", newline="\n") as fh:
-        emit_timings_csv(trace, fh)
+    fh.write("iteration,solver,mean_cum_seconds\n")
+    for it, kind, sec in trace.timings:
+        fh.write(f"{it},{kind.name},{sec!r}\n")
 
 
-def print_timing_summary(trace: AggregateTrace, stream=None) -> None:
-    stream = stream or sys.stderr
+def emit_trace_csv(trace: ConvergenceTrace, fh) -> None:
+    """Write one run's history (trial,iteration,solver,error_sq,residual_sq)."""
+    fh.write("trial,iteration,solver,error_sq,residual_sq\n")
+    for it, err, res in trace.records:
+        fh.write(f"{trace.trial},{it},{trace.solver.name},{err!r},{res!r}\n")
+
+
+def emit_bounds_csv(bound: Callable[[int], float], cfg: SolveConfig, fh) -> None:
+    """Write a bound curve (iteration,bound_value) at t = 0, record_every, ..., max_iter."""
+    fh.write("iteration,bound_value\n")
+    for t in range(0, cfg.max_iter + 1, cfg.record_every):
+        fh.write(f"{t},{bound(t)!r}\n")
+
+
+def print_timing_summary(trace: AggregateTrace, stream) -> None:
     totals: dict[SolverKind, float] = {}
     for it, kind, sec in trace.timings:
         totals[kind] = max(totals.get(kind, 0.0), sec)
@@ -299,4 +292,3 @@ def print_timing_summary(trace: AggregateTrace, stream=None) -> None:
     if trace.excluded:
         names = ", ".join(k.name for k in trace.excluded)
         print(f"excluded (wrong-limit pairs): {names}", file=stream)
-

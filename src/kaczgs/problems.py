@@ -12,7 +12,8 @@ Serialized systems are plain text, one directory per system:
   y.txt         "m" then m values, one per line
   reference.txt optional, vector format
   residual.txt  optional, vector format (least-squares residual)
-  meta.txt      "key value" lines: regime, seed, and generator parameters
+  meta.txt      "key value" lines: regime, seed, and the generating spec's kind
+                (gaussian: noise_scale; tomography: grid_n, oversample)
   arrays.npz    binary cache of the four array files (below)
 
 A matrix or vector file holds exactly the lines its header declares,
@@ -21,7 +22,7 @@ then blank lines only.
 Values are written with full round-trip precision (repr), so save/load is
 value-exact. Saving into an existing directory deletes an optional array
 file that the new system lacks, so no earlier system's reference loads with
-it.
+it. ``redraw`` draws a fresh system from the generator that meta.txt records.
 
 save_system also writes arrays.npz, an uncompressed numpy archive holding
 X, y and the present references as float64 arrays, plus a sha256 of the
@@ -393,11 +394,8 @@ def _read_sidecar(path: Path, texts: dict[str, bytes]) -> dict[str, np.ndarray] 
         return None  # missing, truncated or not written by save_system
 
 
-_REGIME_NAMES = {r.value: r for r in Regime}
-
-
-def save_system(system: LinearSystem, directory, extra_meta: dict | None = None) -> None:
-    """Write a system directory (X.txt, y.txt, optional refs, meta.txt, arrays.npz)."""
+def save_system(system: LinearSystem, directory, spec: GenSpec | TomoSpec | None = None) -> None:
+    """Write a system directory; meta.txt records ``spec``, the draw's generator, for redraw."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     present = zip(_ARRAY_FILES, (system.X.data, system.y, system.reference, system.residual_ref))
@@ -413,8 +411,10 @@ def save_system(system: LinearSystem, directory, extra_meta: dict | None = None)
     digest = np.frombuffer(_text_digest(texts), dtype=np.uint8)
     np.savez(directory / SIDECAR, digest=digest, **stored)
     meta = {"regime": system.regime.value, "seed": system.seed}
-    if extra_meta:
-        meta.update(extra_meta)
+    if isinstance(spec, GenSpec):
+        meta.update(kind="gaussian", noise_scale=spec.noise_scale)
+    elif isinstance(spec, TomoSpec):
+        meta.update(kind="tomography", grid_n=spec.grid_n, oversample=spec.oversample)
     with open(directory / "meta.txt", "w", newline="\n") as fh:
         for key, value in meta.items():
             fh.write(f"{key} {'none' if value is None else value}\n")
@@ -436,9 +436,31 @@ def load_meta(directory) -> dict:
             meta[parts[0]] = parts[1]
     if "regime" not in meta:
         raise ParseError(path, 1, "meta.txt is missing the regime entry")
-    if meta["regime"] not in _REGIME_NAMES:
+    if meta["regime"] not in {r.value for r in Regime}:
         raise ParseError(path, 1, f"unknown regime {meta['regime']!r}")
     return meta
+
+
+def redraw(directory, base: LinearSystem, seed: int) -> LinearSystem:
+    """A fresh draw at ``seed`` from the generator recorded in the directory's meta.txt.
+
+    ``base`` is the system loaded from the directory; a Gaussian redraw
+    keeps its shape and regime.
+    """
+    meta = load_meta(directory)
+    kind = meta.get("kind")
+    if kind == "gaussian":
+        noise_scale = float(meta.get("noise_scale", 1.0))
+        return gen_gaussian(
+            GenSpec(m=base.m, n=base.n, regime=base.regime, seed=seed, noise_scale=noise_scale)
+        )
+    if kind == "tomography":
+        grid_n, oversample = int(meta["grid_n"]), int(meta["oversample"])
+        return gen_tomography(TomoSpec(grid_n=grid_n, oversample=oversample, seed=seed))
+    raise ConfigurationError(
+        "redraw_matrix_per_trial requires generator metadata (kind gaussian|tomography) "
+        f"in {Path(directory) / 'meta.txt'}"
+    )
 
 
 def load_system(directory) -> LinearSystem:
@@ -470,7 +492,7 @@ def load_system(directory) -> LinearSystem:
     return LinearSystem(
         DenseMatrix(arrays["X.txt"]),
         arrays["y.txt"],
-        _REGIME_NAMES[meta["regime"]],
+        Regime(meta["regime"]),
         reference=arrays.get("reference.txt"),
         residual_ref=arrays.get("residual.txt"),
         seed=seed,

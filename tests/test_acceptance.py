@@ -5,12 +5,12 @@ lines as they complete. Criteria with stated runtime targets assert them.
 """
 from __future__ import annotations
 
-import io
 import time
 
 import numpy as np
 
-from kaczgs.harness import ExperimentConfig, compare_solvers, emit_csv, run_experiment, trial_rng
+from kaczgs import cli
+from kaczgs.harness import ExperimentConfig, run_experiment, trial_rng
 from kaczgs.linalg import (
     DenseMatrix,
     LinearSystem,
@@ -58,9 +58,10 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
 
 def test_criterion_1_regs_bound_domination(tmp_path):
     started = time.perf_counter()
-    system = gen_gaussian(GenSpec(m=150, n=500, regime=Regime.UNDERDETERMINED, seed=1))
+    spec = GenSpec(m=150, n=500, regime=Regime.UNDERDETERMINED, seed=1)
+    system = gen_gaussian(spec)
     sys_dir = tmp_path / "regs_under"
-    save_system(system, sys_dir, extra_meta={"kind": "gaussian", "noise_scale": 1.0})
+    save_system(system, sys_dir, spec)
     cfg = ExperimentConfig(
         system_dir=sys_dir,
         solvers=[SolverKind.REGS],
@@ -383,30 +384,25 @@ def test_criterion_5_rk_horizon():
 
 
 def test_criterion_6_compare_determinism(tmp_path):
-    system = gen_gaussian(GenSpec(m=100, n=20, regime=Regime.OVER_CONSISTENT, seed=3))
+    spec = GenSpec(m=100, n=20, regime=Regime.OVER_CONSISTENT, seed=3)
     sys_dir = tmp_path / "sys"
-    save_system(system, sys_dir, extra_meta={"kind": "gaussian", "noise_scale": 1.0})
+    save_system(gen_gaussian(spec), sys_dir, spec)
 
-    def csv_for(workers: int) -> bytes:
-        cfg = ExperimentConfig(
-            system_dir=sys_dir,
-            solvers=list(SolverKind),
-            trials=8,
-            max_iter=5000,
-            tol=TOL,
-            base_seed=6,
-            record_every=20,
-            workers=workers,
-        )
-        buf = io.StringIO()
-        emit_csv(compare_solvers(cfg), buf)
-        return buf.getvalue().encode()
+    def csv_for(workers: int, name: str) -> bytes:
+        out = tmp_path / f"{name}.csv"
+        code = cli.main([
+            "compare", "--system", str(sys_dir), "--solvers", "rk,rgs,rek,regs",
+            "--trials", "8", "--max-iter", "5000", "--tol", repr(TOL), "--seed", "6",
+            "--record-every", "20", "--workers", str(workers), "--out", str(out),
+        ])
+        assert code == 0
+        return out.read_bytes()
 
-    first = csv_for(1)
-    second = csv_for(1)
-    four_workers = csv_for(4)
+    first = csv_for(1, "first")
+    second = csv_for(1, "second")
+    four_workers = csv_for(4, "four_workers")
     (sys_dir / SIDECAR).unlink()  # the binary sidecar is a cache of the text files
-    from_text = csv_for(1)
+    from_text = csv_for(1, "from_text")
     ok = first == second == four_workers == from_text and len(first) > 100
     assert _report(
         6,

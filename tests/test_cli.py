@@ -101,6 +101,14 @@ class TestSolve:
         assert _run(["solve", "--system", str(tmp_path / "nope"), "--solver", "rk",
                      "--out", "-"]) == 2
 
+    def test_negative_trial_exits_2(self, system_dir, tmp_path, capsys):
+        # trials count from 0; a negative index names no compare trial
+        out = tmp_path / "neg.csv"
+        assert _run(["solve", "--system", str(system_dir), "--solver", "rk",
+                     "--trial", "-1", "--seed", "4", "--out", str(out)]) == 2
+        assert "trial must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_reference_with_error_metric_exits_2(self, tmp_path, rng_numpy):
         X = DenseMatrix(rng_numpy.normal(size=(12, 3)))
         beta = rng_numpy.normal(size=3)
@@ -142,6 +150,22 @@ class TestCompare:
                      "--trials", "2", "--max-iter", "1000", "--record-every", "100",
                      "--out", str(out), "--timings-out", str(tout)]) == 0
         assert tout.read_text().splitlines()[0] == "iteration,solver,mean_cum_seconds"
+
+    def test_timings_to_stdout(self, system_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "c.csv"
+        assert _run(["compare", "--system", str(system_dir), "--solvers", "rk",
+                     "--trials", "2", "--max-iter", "1000", "--record-every", "100",
+                     "--out", str(out), "--timings-out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("iteration,solver,mean_cum_seconds\n")
+        assert not (tmp_path / "-").exists()
+
+    def test_zero_workers_exits_2(self, system_dir, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert _run(["compare", "--system", str(system_dir), "--trials", "2",
+                     "--workers", "0", "--out", str(out)]) == 2
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lockstep_band_is_the_band_of_solve_trials(self, system_dir, tmp_path):
         # these trials run in lockstep; each must be bit for bit the solve of that trial
@@ -191,6 +215,21 @@ class TestBounds:
         ]
         assert out.read_text().splitlines() == expected
         assert float(expected[1].split(",")[1]) >= ref_sq
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--record-every", "0", "record_every must be >= 1, got 0"),
+        ("--max-iter", "-5", "max_iter must be >= 1, got -5"),
+        ("--tol", "0", "tol must be positive, got 0.0"),
+    ])
+    def test_bad_flag_exits_2_as_in_solve(self, system_dir, tmp_path, capsys,
+                                          flag, value, message):
+        outs = {}
+        for command in ("bounds", "solve"):
+            outs[command] = tmp_path / f"{command}.csv"
+            assert _run([command, "--system", str(system_dir), "--solver", "rk",
+                         flag, value, "--out", str(outs[command])]) == 2
+            assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not any(out.exists() for out in outs.values())
 
     def test_rek_form_option_is_gone(self, system_dir, capsys):
         with pytest.raises(SystemExit) as exc:

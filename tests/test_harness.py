@@ -25,9 +25,9 @@ from kaczgs.solvers import SolverKind
 
 @pytest.fixture
 def saved_system(tmp_path):
-    sys_ = gen_gaussian(GenSpec(m=40, n=8, regime=Regime.OVER_CONSISTENT, seed=2))
+    spec = GenSpec(m=40, n=8, regime=Regime.OVER_CONSISTENT, seed=2)
     target = tmp_path / "sys"
-    save_system(sys_, target, extra_meta={"kind": "gaussian", "noise_scale": 1.0})
+    save_system(gen_gaussian(spec), target, spec)
     return target
 
 
@@ -60,13 +60,6 @@ class TestRunExperiment:
         a = run_experiment(ExperimentConfig(**cfg))
         b = run_experiment(ExperimentConfig(**cfg))
         assert _csv_bytes(a) == _csv_bytes(b)
-
-    def test_worker_count_never_changes_bytes(self, saved_system):
-        base = dict(system_dir=saved_system, solvers=[SolverKind.REK, SolverKind.RK],
-                    trials=8, max_iter=2000, record_every=25, base_seed=3)
-        serial = run_experiment(ExperimentConfig(**base, workers=1))
-        threaded = run_experiment(ExperimentConfig(**base, workers=4))
-        assert _csv_bytes(serial) == _csv_bytes(threaded)
 
     def test_missing_reference_lists_valid_pairs(self, tmp_path, rng_numpy):
         X = DenseMatrix(rng_numpy.normal(size=(10, 3)))
@@ -116,13 +109,15 @@ class TestRunExperiment:
             ExperimentConfig(system_dir=saved_system, solvers=[], trials=1)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(system_dir=saved_system, solvers=[SolverKind.RK], trials=0)
+        with pytest.raises(ConfigurationError, match="record_every"):
+            ExperimentConfig(system_dir=saved_system, solvers=[SolverKind.RK], record_every=0)
 
 
 class TestCompareSolvers:
     def test_excludes_wrong_limit_pairs_underdetermined(self, tmp_path):
-        sys_ = gen_gaussian(GenSpec(m=8, n=40, regime=Regime.UNDERDETERMINED, seed=4))
+        spec = GenSpec(m=8, n=40, regime=Regime.UNDERDETERMINED, seed=4)
         target = tmp_path / "under"
-        save_system(sys_, target, extra_meta={"kind": "gaussian"})
+        save_system(gen_gaussian(spec), target, spec)
         cfg = ExperimentConfig(system_dir=target, solvers=list(SolverKind), trials=3,
                                max_iter=30_000, record_every=100, base_seed=1)
         trace = compare_solvers(cfg)
@@ -131,9 +126,9 @@ class TestCompareSolvers:
         assert kinds == {SolverKind.RK, SolverKind.REK, SolverKind.REGS}
 
     def test_excludes_rk_on_inconsistent(self, tmp_path):
-        sys_ = gen_gaussian(GenSpec(m=40, n=8, regime=Regime.OVER_INCONSISTENT, seed=4))
+        spec = GenSpec(m=40, n=8, regime=Regime.OVER_INCONSISTENT, seed=4)
         target = tmp_path / "incons"
-        save_system(sys_, target, extra_meta={"kind": "gaussian"})
+        save_system(gen_gaussian(spec), target, spec)
         cfg = ExperimentConfig(system_dir=target, solvers=list(SolverKind), trials=3,
                                max_iter=30_000, record_every=100, base_seed=1)
         trace = compare_solvers(cfg)
@@ -149,9 +144,9 @@ class TestCompareSolvers:
     @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
     def test_lockstep_never_changes_bytes(self, regime, tmp_path, monkeypatch):
         shape = (8, 30) if regime is Regime.UNDERDETERMINED else (40, 8)
-        sys_ = gen_gaussian(GenSpec(m=shape[0], n=shape[1], regime=regime, seed=3))
+        spec = GenSpec(m=shape[0], n=shape[1], regime=regime, seed=3)
         target = tmp_path / "sys"
-        save_system(sys_, target, extra_meta={"kind": "gaussian"})
+        save_system(gen_gaussian(spec), target, spec)
         cfg = ExperimentConfig(system_dir=target, solvers=list(SolverKind),
                                trials=LOCKSTEP_MIN_TRIALS, max_iter=30_000, record_every=7,
                                base_seed=2)
@@ -204,17 +199,18 @@ class TestEmitCsv:
                                max_iter=500, record_every=100, base_seed=4)
         trace = run_experiment(cfg)
         path = tmp_path / "out.csv"
-        emit_csv(trace, path)
+        with open(path, "w", newline="") as fh:  # no newline translation
+            emit_csv(trace, fh)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
-    def test_timings_csv(self, tmp_path, saved_system):
+    def test_timings_csv(self, saved_system):
         cfg = ExperimentConfig(system_dir=saved_system, solvers=[SolverKind.RK], trials=1,
                                max_iter=500, record_every=100, base_seed=4)
         trace = compare_solvers(cfg)
-        path = tmp_path / "timings.csv"
-        emit_timings_csv(trace, path)
-        lines = path.read_text().splitlines()
+        buf = io.StringIO()
+        emit_timings_csv(trace, buf)
+        lines = buf.getvalue().splitlines()
         assert lines[0] == "iteration,solver,mean_cum_seconds"
         assert len(lines) > 1

@@ -23,6 +23,7 @@ from kaczgs.problems import (
     load_system,
     read_matrix,
     read_vector,
+    redraw,
     save_system,
     write_matrix,
     write_vector,
@@ -224,9 +225,10 @@ class TestSystemDirectories:
             (Regime.OVER_INCONSISTENT, (6, 2)),
             (Regime.UNDERDETERMINED, (2, 6)),
         ]:
-            sys_ = gen_gaussian(GenSpec(m=shape[0], n=shape[1], regime=regime, seed=13))
+            spec = GenSpec(m=shape[0], n=shape[1], regime=regime, seed=13)
+            sys_ = gen_gaussian(spec)
             target = tmp_path / regime.value
-            save_system(sys_, target, extra_meta={"kind": "gaussian", "noise_scale": 1.0})
+            save_system(sys_, target, spec)
             back = load_system(target)
             assert np.array_equal(back.X.data, sys_.X.data)
             assert np.array_equal(back.y, sys_.y)
@@ -265,6 +267,29 @@ class TestSystemDirectories:
         (tmp_path / "sys" / "meta.txt").write_text("seed 3\n")
         with pytest.raises(ParseError, match="regime"):
             load_system(tmp_path / "sys")
+
+    @pytest.mark.parametrize("spec, meta", [
+        (GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3, noise_scale=0.5),
+         "regime over-inconsistent\nseed 3\nkind gaussian\nnoise_scale 0.5\n"),
+        (TomoSpec(grid_n=3, oversample=2, seed=4),
+         "regime underdetermined\nseed 4\nkind tomography\ngrid_n 3\noversample 2\n"),
+    ], ids=["gaussian", "tomography"])
+    def test_meta_records_the_generator_and_redraw_follows_it(self, tmp_path, spec, meta):
+        generate = gen_gaussian if isinstance(spec, GenSpec) else gen_tomography
+        save_system(generate(spec), tmp_path, spec)
+        assert (tmp_path / "meta.txt").read_text() == meta
+        again = redraw(tmp_path, load_system(tmp_path), 9)
+        expected = generate(replace(spec, seed=9))
+        assert np.array_equal(again.X.data, expected.X.data)
+        assert np.array_equal(again.y, expected.y)
+        assert again.seed == expected.seed
+
+    def test_redraw_without_generator_metadata(self, tmp_path):
+        sys_ = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
+        save_system(sys_, tmp_path)
+        assert (tmp_path / "meta.txt").read_text() == "regime over-consistent\nseed 3\n"
+        with pytest.raises(ConfigurationError, match="generator metadata"):
+            redraw(tmp_path, sys_, 9)
 
 
 _sidecar_settings = settings(max_examples=40, deadline=None, derandomize=True, database=None)
