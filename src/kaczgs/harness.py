@@ -17,8 +17,10 @@ batched trial is bit for bit the ``run`` (and so the ``kaczgs solve``) of
 the same trial, so the path changes the speed only, never a CSV byte. For
 batched runs the wall-clock companion table holds the batch's time divided
 by the number of trials, an amortized per-trial time. Trials run in one
-thread. A per-trial redraw draws each trial's system from the generator
-recorded in the system directory (``problems.redraw``).
+thread. A per-trial redraw draws each trial's system once, for every
+solver, from the generator recorded in the system directory
+(``problems.redraw``); ``bound_value`` is then the mean over trials of each
+redrawn system's own bound, so it bounds the mean error where they do.
 
 The four CSV writers each take an open text file and write LF line
 endings and full-precision (repr) decimals:
@@ -135,9 +137,20 @@ def solver_bound(system: LinearSystem, kind: SolverKind) -> Callable[[int], floa
     return _bound_evaluator(system, kind, TheoryBound.from_system(system))
 
 
-def _redraw_system(cfg: ExperimentConfig, base: LinearSystem, trial: int) -> LinearSystem:
-    _, seed = splitmix64((cfg.base_seed + _REDRAW_STREAM_BASE + trial) & 0xFFFFFFFFFFFFFFFF)
-    return redraw(cfg.system_dir, base, seed)
+def _theory_bound(system: LinearSystem) -> TheoryBound | None:
+    try:
+        return TheoryBound.from_system(system)
+    except ConfigurationError:
+        return None
+
+
+def _trial_systems(cfg: ExperimentConfig, system: LinearSystem) -> list[LinearSystem]:
+    """The system of each trial, shared by every solver: ``system``, or one redraw per trial."""
+    if not cfg.redraw_matrix_per_trial:
+        return [system] * cfg.trials
+    seeds = [splitmix64((cfg.base_seed + _REDRAW_STREAM_BASE + trial) & 0xFFFFFFFFFFFFFFFF)[1]
+             for trial in range(cfg.trials)]
+    return [redraw(cfg.system_dir, system, seed) for seed in seeds]
 
 
 def trial_rng(base_seed: int, kind: SolverKind, trial: int) -> Prng:
@@ -158,26 +171,20 @@ def _values_on_grid(iterations: list[int], values: list[float], grid: list[int])
 
 
 def _trials_on_grid(
-    cfg: ExperimentConfig, system: LinearSystem, kind: SolverKind
+    cfg: ExperimentConfig, systems: list[LinearSystem], kind: SolverKind
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """(grid, errors of shape (trials, grid), mean cumulative seconds per grid point)."""
     stride = cfg.record_every
     solve_cfg = cfg.solve_config()
     if _lockstep(cfg):
         rngs = [trial_rng(cfg.base_seed, kind, trial) for trial in range(cfg.trials)]
-        batch = run_batch(system, kind, solve_cfg, rngs)
+        batch = run_batch(systems[0], kind, solve_cfg, rngs)
         grid = list(range(0, batch.errors.shape[1] * stride, stride))
         return grid, batch.errors, batch.mean_cum_seconds
     traces = [
-        run(
-            _redraw_system(cfg, system, trial) if cfg.redraw_matrix_per_trial else system,
-            kind,
-            solve_cfg,
-            trial_rng(cfg.base_seed, kind, trial),
-            trial=trial,
-            residuals=False,
-        )
-        for trial in range(cfg.trials)
+        run(system, kind, solve_cfg, trial_rng(cfg.base_seed, kind, trial),
+            trial=trial, residuals=False)
+        for trial, system in enumerate(systems)
     ]
     max_final = max(tr.final_iteration for tr in traces)
     grid = list(range(0, max_final - max_final % stride + 1, stride))
@@ -193,16 +200,18 @@ def run_experiment(cfg: ExperimentConfig, system: LinearSystem | None = None) ->
     """Execute trials x solvers runs and aggregate on the shared grid."""
     if system is None:
         system = load_system(cfg.system_dir)
-    try:
-        tb = TheoryBound.from_system(system)
-    except ConfigurationError:
-        tb = None
+    systems = _trial_systems(cfg, system)
+    distinct = systems if cfg.redraw_matrix_per_trial else [system]
+    theories = [(s, _theory_bound(s)) for s in distinct]
 
     rows = []
     timing_rows = []
     for kind in cfg.solvers:
-        grid, errs, mean_cum = _trials_on_grid(cfg, system, kind)
-        bound_fn = _bound_evaluator(system, kind, tb)
+        grid, errs, mean_cum = _trials_on_grid(cfg, systems, kind)
+        bounds = [_bound_evaluator(s, kind, tb) for s, tb in theories]
+        # a lone bound is used as it is; redrawn systems' bounds are averaged
+        bound_fn = (bounds[0] if len(bounds) == 1
+                    else lambda t: sum(b(t) for b in bounds) / len(bounds))
         medians = np.median(errs, axis=0)
         mins = errs.min(axis=0)
         maxs = errs.max(axis=0)

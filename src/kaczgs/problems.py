@@ -106,10 +106,6 @@ class TomoSpec:
             )
 
 
-def _gaussian_vector(rng: Prng, k: int) -> np.ndarray:
-    return np.array([rng.gaussian() for _ in range(k)])
-
-
 def gen_gaussian(spec: GenSpec) -> LinearSystem:
     """Draw an i.i.d. standard-normal system for the requested regime.
 
@@ -123,11 +119,11 @@ def gen_gaussian(spec: GenSpec) -> LinearSystem:
     for attempt in range(GEN_MAX_ATTEMPTS):
         seed = (spec.seed + attempt) % 2**64
         rng = Prng(seed)
-        X = DenseMatrix(_gaussian_vector(rng, spec.m * spec.n).reshape(spec.m, spec.n))
+        X = DenseMatrix(rng.gaussians(spec.m * spec.n).reshape(spec.m, spec.n))
         if numeric_rank(X) < min(spec.m, spec.n):
             last_error = NumericalError(f"rank-degenerate draw at seed {seed}")
             continue
-        beta = _gaussian_vector(rng, spec.n)
+        beta = rng.gaussians(spec.n)
         try:
             return _finish_gaussian(spec, X, beta, rng, seed)
         except SingularMatrixError as exc:
@@ -153,7 +149,7 @@ def _finish_gaussian(
         return replace(provisional, reference=ref)
 
     # over-inconsistent: residual is a scaled projection onto null(X^T)
-    w = _gaussian_vector(rng, spec.m)
+    w = rng.gaussians(spec.m)
     fit = LinearSystem(X, w, Regime.OVER_CONSISTENT, seed=seed)
     w_col = X.data @ least_squares_ref(fit)
     r = spec.noise_scale * (w - w_col)
@@ -243,19 +239,25 @@ def gen_tomography(spec: TomoSpec) -> LinearSystem:
     )
 
 
+def _uniform_stream(rng: Prng):
+    """rng's uniforms one at a time in stream order; those past the last one read go unseen."""
+    while True:
+        yield from rng.uniforms(256).tolist()
+
+
 def _build_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
     n_grid = spec.grid_n
     m = n_grid * n_grid
     n = spec.oversample * m
-    rng = Prng(seed)
+    draws = _uniform_stream(Prng(seed))
     perimeter = 4.0 * n_grid
 
     data = np.zeros((m, n))
     midpoints = np.empty((n, 2))
     for j in range(n):
         while True:
-            u0 = rng.uniform() * perimeter
-            u1 = rng.uniform() * perimeter
+            u0 = next(draws) * perimeter
+            u1 = next(draws) * perimeter
             if int(u0 // n_grid) % 4 == int(u1 // n_grid) % 4:
                 continue  # both endpoints on one side: degenerate chord
             p0 = _perimeter_point(u0, n_grid)
@@ -272,10 +274,10 @@ def _build_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
     # domain, evaluated at each line's midpoint
     beta = np.zeros(n)
     for _ in range(3):
-        cx = n_grid * (0.2 + 0.6 * rng.uniform())
-        cy = n_grid * (0.2 + 0.6 * rng.uniform())
-        width = n_grid * (0.125 + 0.125 * rng.uniform())
-        amp = 0.5 + rng.uniform()
+        cx = n_grid * (0.2 + 0.6 * next(draws))
+        cy = n_grid * (0.2 + 0.6 * next(draws))
+        width = n_grid * (0.125 + 0.125 * next(draws))
+        amp = 0.5 + next(draws)
         d_sq = (midpoints[:, 0] - cx) ** 2 + (midpoints[:, 1] - cy) ** 2
         beta += amp * np.exp(-d_sq / (2.0 * width * width))
 

@@ -25,18 +25,22 @@ PRNG recurrence (all arithmetic mod 2**64):
 
   uniform in [0, 1): (out >> 11) * 2**-53.
 
-  standard normal: one Box-Muller evaluation per call, consuming exactly two
-  uniforms u1, u2 (in that order) and returning
+  standard normal: one Box-Muller evaluation per variate, consuming exactly
+  two successive uniforms u1, u2 (in that order) and returning
 
       sqrt(-2 * ln(1 - u1)) * cos(2 * pi * u2)
 
-  The cosine-partner variate is discarded; no state is cached between calls.
+  The cosine-partner variate is discarded; no state is cached between draws.
+
+``Prng.uniforms(k)`` is the one implementation of the step: a block of a + b
+draws equals a block of a then a block of b, and ``Prng.gaussians(k)`` takes
+its 2k uniforms from such blocks.
 
 Row/column selection maps one uniform u per draw to the first index whose
-cumulative squared-norm weight exceeds u * total (a binary search, clamped
-to the last positive-weight index), so an index is chosen with probability
-proportional to its squared Euclidean norm and zero-weight indices are never
-returned. The solvers map a block of draws at once (``sample_block``).
+cumulative squared-norm weight exceeds u * total (``np.searchsorted`` over a
+whole block of draws, clamped to the last positive-weight index), so an
+index is chosen with probability proportional to its squared Euclidean norm
+and zero-weight indices are never returned.
 """
 from __future__ import annotations
 
@@ -89,26 +93,8 @@ class Prng:
         if self._s0 == self._s1 == self._s2 == self._s3 == 0:
             self._s0 = 1  # all-zero state would be a fixed point
 
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        x = (s0 + s3) & _MASK64
-        result = (((x << 23) & _MASK64 | (x >> 41)) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = (s3 << 45) & _MASK64 | (s3 >> 19)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
-
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
-
     def uniforms(self, k: int) -> np.ndarray:
-        """k uniform draws, equal to k successive uniform() calls, in one loop."""
+        """The next k uniform draws in [0, 1), one xoshiro256++ step each."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         out = [0] * k
         for idx in range(k):
@@ -125,12 +111,17 @@ class Prng:
         # 53-bit integers convert to float exactly, and scaling by 2**-53 is exact
         return np.array(out, dtype=float) * 1.1102230246251565e-16
 
-    def gaussian(self) -> float:
-        """Standard-normal draw; consumes exactly two uniforms per call."""
-        u1 = self.uniform()
-        u2 = self.uniform()
-        # evaluated exactly as documented, so reimplementations agree bitwise
-        return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+    def gaussians(self, k: int) -> np.ndarray:
+        """The next k standard-normal draws; each consumes two uniforms u1, u2."""
+        out = []
+        for start in range(0, k, 512):  # bounded blocks keep the transient lists small
+            u = self.uniforms(2 * min(512, k - start)).tolist()
+            # evaluated exactly as documented, so reimplementations agree bitwise
+            out += [
+                math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+                for u1, u2 in zip(u[0::2], u[1::2])
+            ]
+        return np.array(out)
 
 
 def spawn_trial_rng(base_seed: int, trial: int) -> Prng:
@@ -163,15 +154,10 @@ class WeightedIndex:
         total = float(w.sum())
         if total <= 0.0:
             raise ConfigurationError("all sampling weights are zero")
-        self.support_size = int(w.size)
         self.cum_weights = np.cumsum(w)
         self.total = float(self.cum_weights[-1])
-        self._weights = w
         # rightmost index with positive weight, for the u == total edge case
         self._last_positive = int(np.flatnonzero(w > 0)[-1])
-
-    def probabilities(self) -> np.ndarray:
-        return self._weights / self.total
 
     def sample_block(self, uniforms: np.ndarray) -> np.ndarray:
         """One index per uniform u: the first whose cumulative weight exceeds u * total."""

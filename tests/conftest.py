@@ -1,6 +1,7 @@
 """Shared test helpers."""
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -10,6 +11,56 @@ import pytest
 from kaczgs.linalg import Regime
 from kaczgs.problems import GenSpec, gen_gaussian
 from kaczgs.solvers import SolverKind
+
+
+M64 = (1 << 64) - 1
+
+
+# --- independent reference implementation of the documented recurrence ------
+# Deliberately transcribed from the docs in a different style than the
+# package (expanded temporaries, list state, one draw per call) to serve as
+# an oracle.
+
+def ref_splitmix_stream(seed, count):
+    out = []
+    s = seed & M64
+    for _ in range(count):
+        s = (s + 0x9E3779B97F4A7C15) & M64
+        z = s
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def _ref_rotl(x, k):
+    return ((x << k) & M64) | (x >> (64 - k))
+
+
+class RefGenerator:
+    def __init__(self, seed):
+        self.state = ref_splitmix_stream(seed, 4)
+
+    def next_u64(self):
+        s0, s1, s2, s3 = self.state
+        result = (_ref_rotl((s0 + s3) & M64, 23) + s0) & M64
+        t = (s1 << 17) & M64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = _ref_rotl(s3, 45)
+        self.state = [s0, s1, s2, s3]
+        return result
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def gaussian(self):
+        u1 = self.uniform()
+        u2 = self.uniform()
+        return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
 
 # --- the README's index-selection rule, written independently of the package --
@@ -35,8 +86,9 @@ STEP_DRAWS = {
 }
 
 
-def reference_draws(system, kind, rng, steps):
-    """Index tuples of `steps` steps of one trial, one rng.uniform() per draw."""
+def reference_draws(system, kind, seed, steps):
+    """Index tuples of `steps` steps of a run seeded `seed`, one reference uniform per draw."""
+    rng = RefGenerator(seed)
     norms = {"row": system.X.row_norms_sq, "col": system.X.col_norms_sq}
     samplers = [bisect_sampler(norms[axis].tolist()) for axis in STEP_DRAWS[kind]]
     for _ in range(steps):

@@ -29,7 +29,6 @@ from kaczgs.problems import (
     gen_tomography,
     save_system,
 )
-from kaczgs.sampling import Prng
 from kaczgs.solvers import (
     CONVERGENT_PAIRS,
     SolveConfig,
@@ -236,7 +235,7 @@ def test_criterion_4_per_step_invariants():
         sys_ = gen_gaussian(GenSpec(m=shape[0], n=shape[1], regime=regime, seed=seed))
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.RK, Prng(seed), 5000):
+        for draws in reference_draws(sys_, SolverKind.RK, seed, 5000):
             solver.step(state, draws)
             (i,) = draws
             xi = sys_.X.data[i]
@@ -252,7 +251,7 @@ def test_criterion_4_per_step_invariants():
         sys_ = gen_gaussian(GenSpec(m=100, n=25, regime=Regime.OVER_INCONSISTENT, seed=seed))
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.RGS, Prng(seed), 5000):
+        for draws in reference_draws(sys_, SolverKind.RGS, seed, 5000):
             solver.step(state, draws)
             (j,) = draws
             xj = sys_.X.data[:, j]
@@ -273,7 +272,7 @@ def test_criterion_4_per_step_invariants():
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
         prev = state.beta.copy()
-        for draws in reference_draws(sys_, SolverKind.RK, Prng(seed), steps):
+        for draws in reference_draws(sys_, SolverKind.RK, seed, steps):
             before = float(np.linalg.norm(prev - ref) ** 2)
             solver.step(state, draws)
             after = float(np.linalg.norm(state.beta - ref) ** 2)
@@ -294,7 +293,7 @@ def test_criterion_4_per_step_invariants():
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
         prev = state.beta.copy()
-        for draws in reference_draws(sys_, SolverKind.RGS, Prng(seed), steps):
+        for draws in reference_draws(sys_, SolverKind.RGS, seed, steps):
             before = float(np.linalg.norm(X @ (prev - ref)) ** 2)
             solver.step(state, draws)
             after = float(np.linalg.norm(X @ (state.beta - ref)) ** 2)
@@ -316,7 +315,7 @@ def test_criterion_4_per_step_invariants():
         ref = sys_.reference
         solver = make_solver(SolverKind.REGS, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.REGS, Prng(seed), steps):
+        for draws in reference_draws(sys_, SolverKind.REGS, seed, steps):
             prev_est = solver.estimate(state)
             solver.step(state, draws)
             _, i = draws
@@ -337,7 +336,7 @@ def test_criterion_4_per_step_invariants():
         proj = _rowspan_projector(sys_.X)
         solver = make_solver(kind, sys_)
         state = solver.init_state()
-        for t, draws in enumerate(reference_draws(sys_, kind, Prng(seed), 2500), 1):
+        for t, draws in enumerate(reference_draws(sys_, kind, seed, 2500), 1):
             solver.step(state, draws)
             if t % 5 == 0:
                 counts["rowspan"] += 1

@@ -19,7 +19,14 @@ from kaczgs.harness import (
     run_experiment,
 )
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
-from kaczgs.problems import GenSpec, gen_gaussian, save_system
+from kaczgs.problems import (
+    GenSpec,
+    TomoSpec,
+    gen_gaussian,
+    gen_tomography,
+    load_system,
+    save_system,
+)
 from kaczgs.solvers import SolverKind
 
 
@@ -103,6 +110,35 @@ class TestRunExperiment:
         redraw_b = run_experiment(ExperimentConfig(**base, redraw_matrix_per_trial=True))
         assert _csv_bytes(redraw_a) == _csv_bytes(redraw_b)
         assert _csv_bytes(redraw_a) != _csv_bytes(shared)
+
+    # at t = 0 each trial's error is its own system's ||ref||^2, which the base
+    # system's bound alone does not bound on these two cases
+    @pytest.mark.parametrize("spec, kind", [
+        (GenSpec(m=600, n=60, regime=Regime.OVER_INCONSISTENT, seed=11), SolverKind.RGS),
+        (TomoSpec(grid_n=10, oversample=3, seed=11), SolverKind.RK),
+    ], ids=["gaussian-rgs", "tomography-rk"])
+    def test_redraw_bound_is_the_mean_of_the_trial_systems_bounds(self, tmp_path, spec, kind):
+        generate = gen_gaussian if isinstance(spec, GenSpec) else gen_tomography
+        save_system(generate(spec), tmp_path, spec)
+        cfg = ExperimentConfig(system_dir=tmp_path, solvers=[kind], trials=3, max_iter=2000,
+                               record_every=50, redraw_matrix_per_trial=True)
+        trace = run_experiment(cfg)
+        _it, _kind, mean, _median, _mn, _mx, bound = trace.rows[0]
+        assert mean <= bound
+        systems = harness._trial_systems(cfg, load_system(tmp_path))
+        bounds = [harness.solver_bound(s, kind) for s in systems]
+        for it, _kind, _mean, _median, _mn, _mx, bound in trace.rows:
+            assert bound == sum(b(it) for b in bounds) / 3
+
+    def test_redraw_draws_each_trial_system_once(self, saved_system, monkeypatch):
+        drawn = []
+        real = harness.redraw
+        monkeypatch.setattr(harness, "redraw", lambda *a: drawn.append(a[2]) or real(*a))
+        solvers = [SolverKind.RK, SolverKind.REK, SolverKind.REGS]
+        cfg = ExperimentConfig(system_dir=saved_system, solvers=solvers, trials=3, max_iter=200,
+                               record_every=50, redraw_matrix_per_trial=True)
+        run_experiment(cfg)
+        assert len(drawn) == len(set(drawn)) == 3
 
     def test_invalid_configs(self, saved_system):
         with pytest.raises(ConfigurationError):

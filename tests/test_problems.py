@@ -1,6 +1,7 @@
 """Problem generators and system directory serialization."""
 from __future__ import annotations
 
+import hashlib
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -31,10 +32,12 @@ from kaczgs.problems import (
 from kaczgs.sampling import Prng
 from kaczgs.solvers import SolveConfig, SolverKind, run
 
+from conftest import RefGenerator
+
 
 def _replay_drawn_beta(system, m, n):
     """Re-derive the generator's drawn beta by replaying the documented draw order."""
-    rng = Prng(system.seed)
+    rng = RefGenerator(system.seed)
     for _ in range(m * n):
         rng.gaussian()
     return np.array([rng.gaussian() for _ in range(n)])
@@ -146,6 +149,24 @@ class TestGenTomography:
         trace = run(sys_, SolverKind.RK, cfg, Prng(5))
         assert trace.converged
         assert trace.records[-1][1] < 1e-6
+
+
+class TestGoldenDraws:
+    """The whole draw order of each generator, pinned by the sha256 of X.txt.
+
+    The Gaussian file fixes the Box-Muller pairing of X's entries; the
+    tomography file fixes every endpoint draw, the rejected ones included.
+    """
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["gen", "--m", "6", "--n", "3", "--regime", "over-consistent", "--seed", "1"],
+         "2b3d26f95af29b4ace263b72e55747b9e76b4c30c4d3e5b4b85210efe6fbefed"),
+        (["tomo", "--grid-n", "3", "--oversample", "2", "--seed", "1"],
+         "9bdd9a88363eccae0cf6861807e2ac44b51ee8db1b71030d5d5e2b97cb85b822"),
+    ], ids=["gen", "tomo"])
+    def test_x_file_digest(self, tmp_path, argv, digest):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "X.txt").read_bytes()).hexdigest() == digest
 
 
 class TestTextFormats:

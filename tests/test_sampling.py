@@ -12,91 +12,46 @@ from kaczgs.errors import ConfigurationError
 from kaczgs.linalg import DenseMatrix
 from kaczgs.sampling import Prng, WeightedIndex, col_distribution, row_distribution, spawn_trial_rng, splitmix64
 
-from conftest import bisect_sampler
-
-M64 = (1 << 64) - 1
-
-
-# --- independent reference implementation of the documented recurrence ------
-# Deliberately transcribed from the docs in a different style than the
-# package (expanded temporaries, list state) to serve as an oracle.
-
-def _ref_splitmix_stream(seed, count):
-    out = []
-    s = seed & M64
-    for _ in range(count):
-        s = (s + 0x9E3779B97F4A7C15) & M64
-        z = s
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
-        out.append(z ^ (z >> 31))
-    return out
-
-
-def _ref_rotl(x, k):
-    return ((x << k) & M64) | (x >> (64 - k))
-
-
-class _RefGenerator:
-    def __init__(self, seed):
-        self.state = _ref_splitmix_stream(seed, 4)
-
-    def next_u64(self):
-        s0, s1, s2, s3 = self.state
-        result = (_ref_rotl((s0 + s3) & M64, 23) + s0) & M64
-        t = (s1 << 17) & M64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _ref_rotl(s3, 45)
-        self.state = [s0, s1, s2, s3]
-        return result
-
-    def uniform(self):
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def gaussian(self):
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+from conftest import M64, RefGenerator, bisect_sampler, ref_splitmix_stream
 
 
 class TestPrngStream:
     def test_matches_reference_implementation(self):
         for seed in (0, 1, 7, 42, 2**64 - 1):
-            mine = Prng(seed)
-            ref = _RefGenerator(seed)
-            assert [mine.next_u64() for _ in range(64)] == [ref.next_u64() for _ in range(64)]
+            ref = RefGenerator(seed)
+            assert Prng(seed).uniforms(64).tolist() == [ref.uniform() for _ in range(64)]
 
     def test_frozen_first_outputs_seed1(self):
-        p = Prng(1)
-        assert [p.next_u64() for _ in range(4)] == [
+        frozen_u64 = (
             14971601782005023387,
             13781649495232077965,
             1847458086238483744,
             13765271635752736470,
-        ]
+        )
+        assert Prng(1).uniforms(4).tolist() == [(out >> 11) * 2.0**-53 for out in frozen_u64]
 
     def test_frozen_first_gaussians_seed1(self):
-        p = Prng(1)
-        assert p.gaussian() == -0.03323709594059198
-        assert p.gaussian() == -0.01091916499162517
+        assert Prng(1).gaussians(2).tolist() == [-0.03323709594059198, -0.01091916499162517]
 
     def test_gaussian_matches_reference(self):
-        mine, ref = Prng(9), _RefGenerator(9)
-        for _ in range(100):
-            assert mine.gaussian() == ref.gaussian()
+        # 1100 normals span three of gaussians' internal blocks
+        ref = RefGenerator(9)
+        assert Prng(9).gaussians(1100).tolist() == [ref.gaussian() for _ in range(1100)]
+
+    @pytest.mark.parametrize("a, b", [(0, 3), (3, 0), (511, 2), (512, 513), (700, 900)])
+    def test_split_gaussians_equal_one_call(self, a, b):
+        split, whole = Prng(5), Prng(5)
+        drawn = split.gaussians(a).tolist() + split.gaussians(b).tolist()
+        assert drawn == whole.gaussians(a + b).tolist()
+        assert split.uniforms(4).tolist() == whole.uniforms(4).tolist()  # same state afterwards
 
     def test_identical_seed_identical_stream(self):
         a, b = Prng(123456789), Prng(123456789)
-        assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+        assert a.uniforms(100).tolist() == b.uniforms(100).tolist()
 
     def test_uniform_range(self):
-        p = Prng(3)
-        draws = [p.uniform() for _ in range(10_000)]
-        assert all(0.0 <= u < 1.0 for u in draws)
+        draws = Prng(3).uniforms(10_000)
+        assert np.all((0.0 <= draws) & (draws < 1.0))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -110,29 +65,26 @@ class TestPrngStream:
 
     def test_gaussian_sample_mean(self):
         # CLT: 3 sigma / sqrt(N) ~ 0.0095, widened to 0.02
-        p = Prng(7)
-        draws = np.array([p.gaussian() for _ in range(100_000)])
-        assert abs(draws.mean()) <= 0.02
+        assert abs(Prng(7).gaussians(100_000).mean()) <= 0.02
 
     def test_gaussian_sample_variance(self):
-        p = Prng(7)
-        draws = np.array([p.gaussian() for _ in range(100_000)])
-        assert abs(draws.var() - 1.0) <= 0.03
+        assert abs(Prng(7).gaussians(100_000).var() - 1.0) <= 0.03
 
 
 class TestSpawnTrialRng:
     def test_distinct_trials_distinct_streams(self):
-        assert spawn_trial_rng(0, 0).next_u64() != spawn_trial_rng(0, 1).next_u64()
+        assert spawn_trial_rng(0, 0).uniforms(1)[0] != spawn_trial_rng(0, 1).uniforms(1)[0]
 
     def test_same_trial_same_stream(self):
         a, b = spawn_trial_rng(42, 5), spawn_trial_rng(42, 5)
-        assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
+        assert a.uniforms(20).tolist() == b.uniforms(20).tolist()
 
     def test_derived_seed_matches_recurrence(self):
-        derived = _ref_splitmix_stream(42 + 5, 1)[0]
+        derived = ref_splitmix_stream(42 + 5, 1)[0]
         rng = spawn_trial_rng(42, 5)
         assert rng.seed == derived == 8913683988413733765
-        assert rng.next_u64() == _RefGenerator(derived).next_u64() == 18075554809989720414
+        first = (18075554809989720414 >> 11) * 2.0**-53
+        assert rng.uniforms(1)[0] == RefGenerator(derived).uniform() == first
 
     def test_base_seed_past_64_bits_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -144,27 +96,14 @@ class TestSpawnTrialRng:
 
     def test_splitmix_helper_agrees(self):
         state, out = splitmix64(99)
-        assert out == _ref_splitmix_stream(99, 1)[0]
+        assert out == ref_splitmix_stream(99, 1)[0]
         _, out2 = splitmix64(state)
-        assert out2 == _ref_splitmix_stream(99, 2)[1]
+        assert out2 == ref_splitmix_stream(99, 2)[1]
 
 
 class TestWeightedIndex:
-    def test_equal_rows_half_half(self):
-        dist = row_distribution(DenseMatrix(np.eye(2)))
-        assert np.allclose(dist.probabilities(), [0.5, 0.5])
-
-    def test_weighted_rows_one_to_four(self):
-        dist = row_distribution(DenseMatrix([[1.0, 0.0], [0.0, 2.0]]))
-        assert np.allclose(dist.probabilities(), [0.2, 0.8], rtol=1e-14)
-
-    def test_column_weights(self):
-        dist = col_distribution(DenseMatrix([[1.0, 2.0]]))
-        assert np.allclose(dist.probabilities(), [0.2, 0.8], rtol=1e-14)
-
     def test_zero_row_never_sampled(self):
         dist = row_distribution(DenseMatrix([[3.0, 4.0], [0.0, 0.0]]))
-        assert np.allclose(dist.probabilities(), [1.0, 0.0])
         assert np.all(dist.sample_block(Prng(11).uniforms(10_000)) == 0)
 
     def test_all_zero_matrix_rejected(self):
@@ -190,8 +129,7 @@ class TestWeightedIndex:
         dist = WeightedIndex(weights)
         n_draws = 100_000
         counts = np.bincount(dist.sample_block(Prng(17).uniforms(n_draws)), minlength=len(weights))
-        probs = dist.probabilities()
-        for i, p in enumerate(probs):
+        for i, p in enumerate(np.array(weights) / sum(weights)):
             slack = 4.0 * math.sqrt(p * (1.0 - p) / n_draws)
             assert abs(counts[i] / n_draws - p) <= slack + 1e-12
 
@@ -202,9 +140,6 @@ class TestWeightedIndex:
         diffs = np.diff(np.concatenate([[0.0], dist.cum_weights]))
         assert np.allclose(diffs / dist.total, weights / weights.sum(), rtol=1e-12)
 
-    def test_support_size(self):
-        assert WeightedIndex([1.0, 2.0, 3.0]).support_size == 3
-
 
 # --- block draws against the one-draw-at-a-time bisect reference -------------
 
@@ -213,15 +148,16 @@ _block_settings = settings(max_examples=60, deadline=None, derandomize=True, dat
 
 class TestBlockDraws:
     @_block_settings
-    @given(st.integers(0, M64), st.integers(0, 300))
-    @example(0, 300)
-    @example(M64, 300)
-    def test_uniforms_equal_repeated_uniform(self, seed, k):
-        block, single = Prng(seed), Prng(seed)
-        drawn = block.uniforms(k)
-        assert drawn.dtype == np.float64 and drawn.shape == (k,)
-        assert drawn.tolist() == [single.uniform() for _ in range(k)]
-        assert block.next_u64() == single.next_u64()  # same state afterwards
+    @given(st.integers(0, M64), st.integers(0, 300), st.integers(0, 300))
+    @example(0, 300, 0)
+    @example(M64, 0, 300)
+    def test_split_blocks_equal_one_block_and_reference(self, seed, a, b):
+        split, whole, ref = Prng(seed), Prng(seed), RefGenerator(seed)
+        first, second = split.uniforms(a), split.uniforms(b)
+        drawn = whole.uniforms(a + b)
+        assert drawn.dtype == np.float64 and drawn.shape == (a + b,)
+        assert first.tolist() + second.tolist() == drawn.tolist()
+        assert drawn.tolist() == [ref.uniform() for _ in range(a + b)]
 
     @_block_settings
     @given(

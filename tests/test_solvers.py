@@ -65,7 +65,7 @@ class TestRandomizedKaczmarzStep:
         sys_ = gaussian_system(15, 4, Regime.OVER_CONSISTENT, seed=8)
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.RK, Prng(0), 200):
+        for draws in reference_draws(sys_, SolverKind.RK, 0, 200):
             solver.step(state, draws)
             (i,) = draws
             xi = sys_.X.data[i]
@@ -104,7 +104,7 @@ class TestRandomizedGaussSeidelStep:
         sys_ = gaussian_system(20, 6, Regime.OVER_INCONSISTENT, seed=4)
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.RGS, Prng(1), 300):
+        for draws in reference_draws(sys_, SolverKind.RGS, 1, 300):
             solver.step(state, draws)
             (j,) = draws
             xj = sys_.X.data[:, j]
@@ -138,7 +138,7 @@ class TestExtendedKaczmarzStep:
         sys_ = gaussian_system(18, 5, Regime.OVER_INCONSISTENT, seed=6)
         solver = make_solver(SolverKind.REK, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.REK, Prng(2), 200):
+        for draws in reference_draws(sys_, SolverKind.REK, 2, 200):
             solver.step(state, draws)
             _, j = draws
             xj = sys_.X.data[:, j]
@@ -151,7 +151,7 @@ class TestExtendedKaczmarzStep:
         r = sys_.residual_ref
         solver = make_solver(SolverKind.REK, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.REK, Prng(11), 10_000):
+        for draws in reference_draws(sys_, SolverKind.REK, 11, 10_000):
             solver.step(state, draws)
         assert np.linalg.norm(state.z - r) < 1e-4
 
@@ -172,7 +172,7 @@ class TestExtendedGaussSeidelStep:
         regs = make_solver(SolverKind.REGS, sys_)
         rgs = make_solver(SolverKind.RGS, sys_)
         st_regs, st_rgs = regs.init_state(), rgs.init_state()
-        for j, i in reference_draws(sys_, SolverKind.REGS, Prng(77), 60):
+        for j, i in reference_draws(sys_, SolverKind.REGS, 77, 60):
             regs.step(st_regs, (j, i))
             rgs.step(st_rgs, (j,))
             assert np.array_equal(st_regs.beta, st_rgs.beta)
@@ -181,7 +181,7 @@ class TestExtendedGaussSeidelStep:
         sys_ = gaussian_system(8, 20, Regime.UNDERDETERMINED, seed=10)
         solver = make_solver(SolverKind.REGS, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.REGS, Prng(3), 300):
+        for draws in reference_draws(sys_, SolverKind.REGS, 3, 300):
             solver.step(state, draws)
             _, i = draws
             xi = sys_.X.data[i]
@@ -201,7 +201,7 @@ class TestExtendedGaussSeidelStep:
         beta_ln = sys_.reference
         solver = make_solver(SolverKind.REGS, sys_)
         state = solver.init_state()
-        for draws in reference_draws(sys_, SolverKind.REGS, Prng(4), 400):
+        for draws in reference_draws(sys_, SolverKind.REGS, 4, 400):
             prev_est = solver.estimate(state)
             solver.step(state, draws)
             _, i = draws
@@ -227,7 +227,7 @@ class TestPythagoreanRecursions:
             state = solver.init_state()
             prev = state.beta.copy()
             # short enough to stay above the float-noise floor
-            for draws in reference_draws(sys_, SolverKind.RK, Prng(6), 250):
+            for draws in reference_draws(sys_, SolverKind.RK, 6, 250):
                 err_before = float(np.linalg.norm(prev - ref) ** 2)
                 solver.step(state, draws)
                 err_after = float(np.linalg.norm(state.beta - ref) ** 2)
@@ -244,7 +244,7 @@ class TestPythagoreanRecursions:
             solver = make_solver(SolverKind.RGS, sys_)
             state = solver.init_state()
             prev = state.beta.copy()
-            for draws in reference_draws(sys_, SolverKind.RGS, Prng(7), 600):
+            for draws in reference_draws(sys_, SolverKind.RGS, 7, 600):
                 a = float(np.linalg.norm(X @ (prev - ref)) ** 2)
                 solver.step(state, draws)
                 b = float(np.linalg.norm(X @ (state.beta - ref)) ** 2)
@@ -262,7 +262,7 @@ class TestRowSpanInvariance:
         proj = X.T @ np.linalg.pinv(X @ X.T) @ X  # numpy oracle for P_rowspan
         solver = make_solver(kind, sys_)
         state = solver.init_state()
-        for t, draws in enumerate(reference_draws(sys_, kind, Prng(8), 800), 1):
+        for t, draws in enumerate(reference_draws(sys_, kind, 8, 800), 1):
             solver.step(state, draws)
             if t % 10 == 0:
                 off = state.beta - proj @ state.beta
@@ -377,7 +377,7 @@ class TestRunDriver:
             # rerun deterministically to the final state and compare the last record
             solver = make_solver(kind, sys_)
             state = solver.init_state()
-            for draws in reference_draws(sys_, kind, Prng(4), trace.final_iteration):
+            for draws in reference_draws(sys_, kind, 4, trace.final_iteration):
                 solver.step(state, draws)
             fresh = sys_.y - sys_.X.data @ state.beta
             assert trace.records[-1][2] == pytest.approx(float(fresh @ fresh), rel=1e-8, abs=1e-12)
@@ -403,7 +403,7 @@ class TestRunDriver:
 
 
 class TestRunDrawsReference:
-    """run's draws against the README rule, replayed one uniform() at a time."""
+    """run's draws against the README rule, replayed one reference uniform at a time."""
 
     # one step, one block of solvers.DRAW_BLOCK = 64 steps either side of its end, three blocks
     @pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 150])
@@ -422,7 +422,7 @@ class TestRunDrawsReference:
             expected.append((t, float(diff @ diff), float(state.residual @ state.residual)))
 
         record(0)
-        for t, draws in enumerate(reference_draws(sys_, kind, Prng(9), max_iter), 1):
+        for t, draws in enumerate(reference_draws(sys_, kind, 9, max_iter), 1):
             solver.step(state, draws)
             record(t)
         assert trace.final_iteration == max_iter
