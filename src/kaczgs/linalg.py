@@ -252,7 +252,11 @@ def least_squares_ref(system: LinearSystem) -> np.ndarray:
             f"least_squares_ref requires m >= n, got {X.rows}x{X.cols}"
         )
     gram = X.data.T @ X.data
-    return _spd_solve(gram, X.data.T @ system.y, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        rhs = X.data.T @ system.y
+    if not np.all(np.isfinite(rhs)):
+        raise ConfigurationError("X^T y overflows float64")
+    return _spd_solve(gram, rhs, X)
 
 
 def least_norm_ref(system: LinearSystem) -> np.ndarray:

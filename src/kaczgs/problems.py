@@ -49,6 +49,7 @@ from .linalg import (
     DenseMatrix,
     LinearSystem,
     Regime,
+    _norm,
     least_norm_ref,
     least_squares_ref,
     numeric_rank,
@@ -81,8 +82,10 @@ class GenSpec:
             raise ConfigurationError(
                 f"underdetermined generation requires m < n, got {self.m}x{self.n}"
             )
-        if self.noise_scale < 0:
-            raise ConfigurationError(f"noise_scale must be nonnegative, got {self.noise_scale}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ConfigurationError(
+                f"noise_scale must be finite and nonnegative, got {self.noise_scale}"
+            )
         if self.regime is Regime.OVER_INCONSISTENT and self.noise_scale == 0:
             raise ConfigurationError("inconsistent generation requires noise_scale > 0")
 
@@ -152,11 +155,13 @@ def _finish_gaussian(
     w = rng.gaussians(spec.m)
     fit = LinearSystem(X, w, Regime.OVER_CONSISTENT, seed=seed)
     w_col = X.data @ least_squares_ref(fit)
-    r = spec.noise_scale * (w - w_col)
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= 1e-12 * float(np.linalg.norm(w)):
+    with np.errstate(over="ignore"):  # a y that overflows is reported just below
+        r = spec.noise_scale * (w - w_col)
+        y = X.data @ beta + r
+    if not np.all(np.isfinite(y)):
+        raise ConfigurationError(f"noise_scale {spec.noise_scale!r} overflows y in float64")
+    if _norm(r) <= 1e-12 * _norm(w):
         raise SingularMatrixError("noise draw landed in the column space")
-    y = X.data @ beta + r
     provisional = LinearSystem(X, y, spec.regime, seed=seed)
     ref = least_squares_ref(provisional)
     return replace(provisional, reference=ref, residual_ref=r)
@@ -451,13 +456,23 @@ def redraw(directory, base: LinearSystem, seed: int) -> LinearSystem:
     """
     meta = load_meta(directory)
     kind = meta.get("kind")
+
+    def number(key, parse, default=None):
+        text = meta.get(key, default)
+        try:
+            return parse(text)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"{Path(directory) / 'meta.txt'}: {key} {text!r} is not a valid {parse.__name__}"
+            ) from None
+
     if kind == "gaussian":
-        noise_scale = float(meta.get("noise_scale", 1.0))
+        noise_scale = number("noise_scale", float, "1.0")
         return gen_gaussian(
             GenSpec(m=base.m, n=base.n, regime=base.regime, seed=seed, noise_scale=noise_scale)
         )
     if kind == "tomography":
-        grid_n, oversample = int(meta["grid_n"]), int(meta["oversample"])
+        grid_n, oversample = number("grid_n", int), number("oversample", int)
         return gen_tomography(TomoSpec(grid_n=grid_n, oversample=oversample, seed=seed))
     raise ConfigurationError(
         "redraw_matrix_per_trial requires generator metadata (kind gaussian|tomography) "

@@ -24,14 +24,24 @@ time, one uniform per draw from the trial's own generator, mapped to an
 index by ``WeightedIndex.sample_block``. ``step`` and ``step_batch`` only
 apply the indices they are given.
 
-``run`` drives one trial through ``step``. ``run_batch`` drives several
-trials of one solver in lockstep through ``step_batch``, on a state whose
-arrays hold one row per trial: (T, n) iterates, a (T, m) residual, and a
-(T, m) z for REK or a (T, n) z for REGS. Each trial gets the same draws and
-the same updates and residual refreshes as under ``run``, computed bit for
-bit the same way: each row's dot product is one ``np.vecdot`` row, the same
-BLAS dot that ``x @ y`` calls, and the refresh is one routine for both
-shapes. So a batched trial's errors equal those of ``run``, and so of
+``run`` drives one trial through ``step`` and stops on the exact stop
+metric, which it computes at every record, every RESIDUAL_REFRESH_EVERY-th
+step, and wherever a certificate cannot prove it still at or above tol.
+Between those steps it carries the metric forward with a
+``_RunningMetric``, in O(1) or O(n) from the scale and dot products each
+``step`` returns. The certificate is that running value less a tally of
+its rounding since the last exact value and a bound on the rounding of the
+exact computation it replaces, so ``run`` stops where a check after every
+step would stop.
+
+``run_batch`` drives several trials of one solver in lockstep through
+``step_batch``, on a state whose arrays hold one row per trial: (T, n)
+iterates, a (T, m) residual, and a (T, m) z for REK or a (T, n) z for
+REGS; it checks each trial's exact error every step. Each trial gets the
+same draws and the same updates and residual refreshes as under ``run``,
+computed bit for bit the same way: each row's dot product is one
+``np.vecdot`` row, the same BLAS dot that ``x @ y`` calls, and the refresh
+is one routine for both shapes. So a batched trial's errors equal those of ``run``, and so of
 ``kaczgs solve``, of the same trial exactly.
 
 A note on the extended Gauss-Seidel coordinate update: the per-step
@@ -42,6 +52,7 @@ sequences; only the auxiliary z sequence differs.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,7 +64,8 @@ from .errors import ConfigurationError
 from .linalg import LinearSystem, Regime
 from .sampling import Prng, WeightedIndex, col_distribution, row_distribution
 
-#: maintained residuals are recomputed from scratch this often to cap drift
+#: maintained residuals are recomputed from scratch this often to cap drift, and
+#: ``run`` computes the exact stop metric at least this often
 RESIDUAL_REFRESH_EVERY = 1000
 
 #: steps whose index draws are taken per trial in one block
@@ -153,6 +165,10 @@ class _Solver:
         self._y = system.y
         self._row_nsq = X.row_norms_sq
         self._col_nsq = X.col_norms_sq
+        # Python floats for the single-trial step: the same IEEE arithmetic, less dispatch
+        self._y_vals = self._y.tolist()
+        self._row_nsq_vals = self._row_nsq.tolist()
+        self._col_nsq_vals = self._col_nsq.tolist()
         self._row_dist = row_distribution(X) if self.needs_rows else None
         self._col_dist = col_distribution(X) if self.needs_cols else None
         # contiguous copy of the columns; column dots dominate RGS-family cost
@@ -175,8 +191,12 @@ class _Solver:
         """The distributions one step draws from, in the order it draws."""
         return [self._row_dist]
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
-        """Advance one step; draws holds one index per entry of draw_order()."""
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
+        """Advance one step; draws holds one index per entry of draw_order().
+
+        Returns the step's scale and the dot products it took, which the
+        running stop metric reads (see ``_RunningMetric``).
+        """
         raise NotImplementedError
 
     # -- lockstep batches: one row per trial, driven by run_batch ----------
@@ -203,12 +223,15 @@ class _MaintainedResidual(_Solver):
 class RandomizedKaczmarz(_Solver):
     kind = SolverKind.RK
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
+        """Returns (scale, x_i . beta before the step)."""
         (i,) = draws
         xi = self._rows_arr[i]
-        scale = (self._y[i] - xi @ state.beta) / self._row_nsq[i]
+        dot = float(xi @ state.beta)
+        scale = (self._y_vals[i] - dot) / self._row_nsq_vals[i]
         state.beta += scale * xi
         state.iteration += 1
+        return scale, dot
 
     def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
         (i,) = draws
@@ -222,14 +245,17 @@ class RandomizedGaussSeidel(_MaintainedResidual):
     kind = SolverKind.RGS
     needs_rows = False
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
+        """Returns (scale, x_j . residual before the step)."""
         (j,) = draws
         xj = self._cols_arr[j]
-        scale = (xj @ state.residual) / self._col_nsq[j]
+        dot = float(xj @ state.residual)
+        scale = dot / self._col_nsq_vals[j]
         state.beta[j] += scale
         state.residual -= scale * xj
         state.iteration += 1
         self.sync_residual(state)
+        return scale, dot
 
     def draw_order(self) -> list[WeightedIndex]:
         return [self._col_dist]
@@ -268,15 +294,18 @@ class ExtendedKaczmarz(_Solver):
         state.beta += scale[:, None] * xi
         state.iteration += 1
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
+        """Returns (scale, x_i . beta before the step)."""
         i, j = draws
         xj = self._cols_arr[j]
         z = state.z
-        z -= ((xj @ z) / self._col_nsq[j]) * xj
+        z -= (float(xj @ z) / self._col_nsq_vals[j]) * xj
         xi = self._rows_arr[i]
-        scale = (self._y[i] - z[i] - xi @ state.beta) / self._row_nsq[i]
+        dot = float(xi @ state.beta)
+        scale = (self._y_vals[i] - float(z[i]) - dot) / self._row_nsq_vals[i]
         state.beta += scale * xi
         state.iteration += 1
+        return scale, dot
 
 
 class ExtendedGaussSeidel(_MaintainedResidual):
@@ -306,18 +335,23 @@ class ExtendedGaussSeidel(_MaintainedResidual):
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
+        """Returns (scale, x_j . residual, x_i . z, z's projection coefficient)."""
         j, i = draws
         xj = self._cols_arr[j]
-        scale = (xj @ state.residual) / self._col_nsq[j]
+        dot = float(xj @ state.residual)
+        scale = dot / self._col_nsq_vals[j]
         state.beta[j] += scale
         state.residual -= scale * xj
         z = state.z
         z[j] += scale
         xi = self._rows_arr[i]
-        z -= ((xi @ z) / self._row_nsq[i]) * xi
+        zdot = float(xi @ z)
+        coef = zdot / self._row_nsq_vals[i]
+        z -= coef * xi
         state.iteration += 1
         self.sync_residual(state)
+        return scale, dot, zdot, coef
 
 
 _SOLVER_CLASSES = {
@@ -368,6 +402,337 @@ def _draw_blocks(dists: list[WeightedIndex], rngs: list[Prng], steps: int):
         steps -= block
 
 
+# ---------------------------------------------------------------------------
+# The running stop metric
+#
+# Notation: u = 2**-53 is the unit roundoff; v is the vector whose squared
+# norm the stop metric is (beta - ref, beta - z - ref, or the residual) and
+# V = ||v||^2 in exact arithmetic on the solver's current float state. The
+# bounds use the standard model fl(a op b) = (a op b)(1 + d) with |d| <= u,
+# and bound a dot product of length k, in any summation order, within
+# k u |x|.|y| to first order.
+
+#: twice the unit roundoff. Every first-order rounding bound below is
+#: evaluated with it in place of u, which leaves room for the second-order
+#: terms and for the rounding of the bound's own evaluation.
+_EPS = 2.0**-52
+#: absolute slack added to the tally each step and at each resync: it covers
+#: gradual underflow (at most 2**-1075 per operation) on systems with
+#: entries within _SCALE_LIMIT, while the certified metric is below _HUGE
+_PAD = 2.0**-900
+_SCALE_LIMIT = 2.0**50
+_HUGE = 2.0**100
+_SHRINK, _GROW = 1.0 - 8 * _EPS, 1.0 + 8 * _EPS
+
+
+class _RunningMetric:
+    """A squared stop metric carried from step to step, with a bound on its own drift.
+
+    ``value`` is the running metric R and ``tally`` a bound T on |R - V|.
+    ``resync`` sets R to an exact value and T to that computation's
+    rounding bound. ``advance`` follows one ``step``: it moves R by the
+    step's exact-arithmetic change of the metric,
+
+        ||v + t a||^2 = ||v||^2 + 2 t (a.v) + t^2 ||a||^2,
+
+    from the scale and dot products the step returns, in O(1) or O(n); and
+    it adds to T the rounding of that update, of a.v and ||a||^2, and of the
+    step's own vector update.
+
+    The exact check computes ||d||^2 for a float vector d within
+    ``a ||v|| + b`` of v, by a dot product of length k, so it returns at
+    least (1 - k u)(||v|| - a ||v|| - b)^2. ``advance`` returns whether that
+    lower bound, taken at ||v||^2 >= R - T, is >= tol: then the exact check
+    cannot stop this step, and ``run`` skips it. It also asks T <= R - T,
+    which fails only near the float floor.
+    """
+
+    a = _EPS
+    b = 0.0
+
+    def __init__(self, solver: _Solver, ref: np.ndarray | None, tol: float, k: int):
+        self.k = k
+        self.n, self.m = solver.system.n, solver.system.m
+        keep = 1.0 - (k + 8) * _EPS
+        # with T <= R - T, ||v|| <= sqrt(3 (R - T)): the a-term folds into one factor
+        self.shrink = _SHRINK - 2.0 * self.a * _GROW
+        self.root_tol = math.sqrt(tol / keep) * _GROW
+        self.value = self.tally = 0.0
+
+    def resync(self, state: SolverState, exact: float) -> None:
+        """Restart from an exact value; T bounds that computation's own rounding."""
+        bound = 2.0 * math.sqrt(exact + self.b * self.b)  # >= ||v|| and ||d||
+        self.value = exact
+        self.tally = self.k * _EPS * exact + 2.0 * (self.a * bound + self.b) * bound + _PAD
+
+    def _settle(self, value: float, tally: float) -> bool:
+        """Store R and T; whether they certify that the exact metric is >= tol."""
+        self.value, self.tally = value, tally
+        lo = value - tally
+        return (tally <= lo <= _HUGE
+                and math.sqrt(lo) * self.shrink - self.b * _GROW >= self.root_tol)
+
+    def advance(self, state: SolverState, draws: tuple[int, ...], out: tuple) -> bool:
+        """Follow one step of ``step``, whose return value is ``out``."""
+        raise NotImplementedError
+
+
+class _RowError(_RunningMetric):
+    """RK and REK on ||beta - ref||^2: beta moves by s x_i.
+
+    a.v = x_i.beta - (X ref)_i, from the step's own x_i.beta and X ref
+    taken once; ||a||^2 is the row's squared norm. fl(beta - ref) is
+    within u ||v|| of v.
+    """
+
+    def __init__(self, solver, ref, tol):
+        super().__init__(solver, ref, tol, solver.system.n)
+        self.row_nsq = solver._row_nsq_vals
+        self.row_norm = np.sqrt(solver._row_nsq).tolist()
+        self.x_ref = (solver._rows_arr @ ref).tolist()
+        self.ref_norm = math.sqrt(float(ref @ ref)) * (1.0 + self.n * _EPS)
+
+    def advance(self, state, draws, out):
+        i = draws[0]
+        s, dot = out
+        dot -= self.x_ref[i]
+        n, ref_norm, value = self.n, self.ref_norm, self.value
+        step = abs(s) * self.row_norm[i]  # ||s x_i||
+        before = math.sqrt(abs(value) + self.tally)  # >= ||v||
+        after = before + step  # >= ||v + s x_i||
+        value += s * (2.0 * dot + s * self.row_nsq[i])
+        # x_i.beta and (X ref)_i within n u ||x_i|| (||v|| + ||ref||) and n u ||x_i|| ||ref||,
+        # ||x_i||^2 within n u of itself, and the update's own rounding
+        rounding = (2 * n * step * (before + 2.0 * ref_norm) + (n + 2) * step * step
+                    + 6.0 * abs(s * dot) + abs(value))
+        # beta + s x_i rounds within u (||s x_i|| + ||beta_new||),
+        # with ||beta_new|| <= ||v_new|| + ||ref||
+        eta = _EPS * (step + after + ref_norm)
+        tally = self.tally + _EPS * rounding + eta * (2.0 * after + eta) + _PAD
+        return self._settle(value, tally)
+
+
+class _ColumnError(_RunningMetric):
+    """RGS on ||beta - ref||^2: only beta_j moves, so the change is exact to O(u).
+
+    With the new beta_j = old beta_j + s + e, |e| <= u |beta_j|, and
+    d = beta_j - ref_j, the metric moves by 2 (s + e) d - (s + e)^2, taken
+    as s (2 d - s).
+    """
+
+    def __init__(self, solver, ref, tol):
+        super().__init__(solver, ref, tol, solver.system.n)
+        self.ref = ref.tolist()
+
+    def advance(self, state, draws, out):
+        j = draws[0]
+        s = out[0]
+        beta_j = float(state.beta[j])
+        d = beta_j - self.ref[j]
+        value = self.value + s * (2.0 * d - s)
+        e = _EPS * abs(beta_j)
+        rounding = _EPS * (abs(s) * (4.0 * abs(d) + 2.0 * abs(s)) + abs(value))
+        tally = self.tally + rounding + e * (2.0 * (abs(d) + abs(s)) + e) + _PAD
+        return self._settle(value, tally)
+
+
+class _ExtendedColumnError(_RunningMetric):
+    """REGS on ||beta - z - ref||^2.
+
+    The coordinate step adds s to beta_j and to z_j, which moves the
+    estimate by rounding only. The projection of z then moves it by c x_i,
+    with a.v = x_i.beta - x_i.z - (X ref)_i: x_i.z is the step's own, and
+    x_i.beta = y_i - r_i for the exact residual r = y - X beta, read off the
+    maintained residual within ``drift``, a bound on its distance from r.
+    fl(fl(beta - z) - ref) is within u (2 ||v|| + ||ref||) of v.
+    ``beta_norm`` and ``res_norm`` bound ||beta|| and the maintained
+    ||r||, from the last resync on.
+    """
+
+    a = 2 * _EPS
+
+    def __init__(self, solver, ref, tol):
+        n = solver.system.n
+        self.ref_norm = math.sqrt(float(ref @ ref)) * (1.0 + n * _EPS)
+        self.b = _EPS * self.ref_norm
+        super().__init__(solver, ref, tol, n)
+        self.rows, self.y_arr = solver._rows_arr, solver._y
+        self.fro = math.sqrt(solver.system.X.frob_sq * (1.0 + (self.m + n) * _EPS))
+        self.y = solver._y_vals
+        self.row_nsq = solver._row_nsq_vals
+        self.row_norm = np.sqrt(solver._row_nsq).tolist()
+        self.col_norm = np.sqrt(solver._col_nsq).tolist()
+        self.x_ref = (solver._rows_arr @ ref).tolist()
+        self.ref = ref.tolist()
+        self.beta_norm = self.res_norm = self.drift = 0.0
+
+    def resync(self, state, exact):
+        super().resync(state, exact)
+        n, m = self.n, self.m
+        beta_norm = self.beta_norm = math.sqrt(float(state.beta @ state.beta)) * (1.0 + n * _EPS)
+        res = state.residual
+        self.res_norm = math.sqrt(float(res @ res)) * (1.0 + m * _EPS)
+        # one matvec: fl(y - X beta) is within u ||r|| + n u ||X||_F ||beta|| of the exact r
+        diff = (self.y_arr - self.rows @ state.beta) - res
+        gap = math.sqrt(float(diff @ diff)) * (1.0 + m * _EPS)
+        self.drift = gap + _EPS * (n * self.fro * beta_norm + self.res_norm + gap)
+
+    def advance(self, state, draws, out):
+        j, i = draws
+        s, _, zdot, c = out
+        n, ref_norm = self.n, self.ref_norm
+        beta_j = float(state.beta[j])
+        before = math.sqrt(abs(self.value) + self.tally)
+        beta_norm = self.beta_norm = (self.beta_norm + abs(s)) * (1.0 + 4 * _EPS)
+        # beta_j + s and z_j + s round within u |beta_j| and
+        # u |z_j| <= u (|beta_j| + ||v|| + |ref_j|); the maintained r - s x_j rounds within
+        # u (||s x_j|| + ||r_new||), and the exact residual moves by x_j times beta_j's rounding
+        move = abs(s) * self.col_norm[j]
+        res_norm = self.res_norm = (self.res_norm + move) * (1.0 + 4 * _EPS)
+        drift = self.drift = (self.drift
+                              + _EPS * (move + res_norm + self.col_norm[j] * abs(beta_j)))
+        e = _EPS * (2.0 * abs(beta_j) + before + abs(self.ref[j]))
+        before += e
+        tally = self.tally + e * (2.0 * before + e)
+        y_i, r_i = self.y[i], float(state.residual[i])
+        dot = ((y_i - r_i) - zdot) - self.x_ref[i]
+        step = abs(c) * self.row_norm[i]  # ||c x_i||
+        after = before + step
+        value = self.value + c * (2.0 * dot + c * self.row_nsq[i])
+        # x_i.z and (X ref)_i within n u ||x_i|| (||z|| + ||ref||),
+        # with ||z|| <= ||beta|| + ||v|| + ||ref||
+        dot_err = (drift + _EPS * (n * self.row_norm[i] * (beta_norm + before + 2.0 * ref_norm)
+                                   + 2.0 * (abs(y_i) + abs(r_i)) + abs(zdot) + abs(dot)))
+        rounding = (2.0 * abs(c) * dot_err + _EPS * ((n + 2) * step * step
+                                                     + 4.0 * abs(c * dot) + abs(value)))
+        # z - c x_i rounds within u (||c x_i|| + ||z_new||)
+        eta = _EPS * (step + beta_norm + after + ref_norm)
+        return self._settle(value, tally + rounding + eta * (2.0 * after + eta) + _PAD)
+
+
+class _RowResidual(_RunningMetric):
+    """RK and REK on ||y - X beta||^2: the residual moves by -s X x_i.
+
+    With W = X (X^T X), p = X X^T y and h_i = ||X x_i||^2 = W_i.x_i taken
+    once, the new residual r' satisfies (X x_i).r' = p_i - W_i.beta', one
+    O(n) dot on the new beta', and ||r'||^2 = ||r||^2 - 2 s (X x_i).r' -
+    s^2 h_i. fl(y - X beta) is within u ||r|| + n u ||X||_F ||beta|| of r,
+    so b follows ``beta_norm``, a bound on ||beta|| from the last resync on.
+    """
+
+    def __init__(self, solver, ref, tol):
+        super().__init__(solver, ref, tol, solver.system.m)
+        X, y = solver._rows_arr, solver._y
+        m, n = self.m, self.n
+        fro_sq = solver.system.X.frob_sq * (1.0 + (m + n) * _EPS)
+        self.fro = math.sqrt(fro_sq)  # >= ||X||_2
+        self.W = X @ (X.T @ X)
+        Xty = X.T @ y
+        p = X @ Xty
+        h = np.einsum("ij,ij->i", self.W, X)
+        row_norm = np.sqrt(solver._row_nsq)
+        w_norm = np.sqrt(np.einsum("ij,ij->i", self.W, self.W))
+        # W_i within (m + n) u ||x_i|| ||X||_F^2 and h_i within n u ||W_i|| ||x_i|| more;
+        # p_i within n u ||x_i|| ||X^T y|| + m u ||x_i|| ||X||_F ||y||
+        w_err = (m + n) * _EPS * fro_sq * row_norm
+        p_err = _EPS * row_norm * (n * math.sqrt(float(Xty @ Xty))
+                                   + m * self.fro * math.sqrt(float(y @ y)))
+        # (X x_i).r' = p_i - W_i.beta' within p_err_i + (n u ||W_i|| + w_err_i) ||beta'||
+        self.w_coef = (n * _EPS * w_norm + w_err).tolist()
+        self.p = p.tolist()
+        self.p_err = p_err.tolist()
+        self.h = h.tolist()
+        self.h_err = ((n * _EPS * w_norm + w_err) * row_norm).tolist()
+        # |s| ||X x_i|| bounds the residual's move, and ||X eta|| <= ||X||_F ||eta||
+        self.h_norm = np.sqrt(np.abs(h)).tolist()
+        self.row_norm = row_norm.tolist()
+        self.beta_norm = 0.0
+
+    def resync(self, state, exact):
+        self.beta_norm = math.sqrt(float(state.beta @ state.beta)) * (1.0 + self.n * _EPS)
+        self.b = self.n * _EPS * self.fro * self.beta_norm
+        super().resync(state, exact)
+
+    def advance(self, state, draws, out):
+        i = draws[0]
+        s = out[0]
+        wb = float(self.W[i] @ state.beta)
+        pi, h, value, fro = self.p[i], self.h[i], self.value, self.fro
+        dot = pi - wb
+        step = abs(s) * self.row_norm[i]  # ||s x_i||, beta's move
+        move = abs(s) * self.h_norm[i]  # ||s X x_i||, the residual's move
+        beta_norm = self.beta_norm = (self.beta_norm + step) * (1.0 + 4 * _EPS)
+        before = math.sqrt(abs(value) + self.tally)
+        after = before + move
+        value -= s * (2.0 * dot + s * h)
+        # beta + s x_i rounds within eta: r moves by X eta besides -s X x_i
+        eta = fro * _EPS * (step + beta_norm)
+        # dot is (X x_i).(r' + X eta) within its rounding and ||s X x_i|| ||X eta||
+        dot_err = self.p_err[i] + self.w_coef[i] * beta_norm + _EPS * (abs(pi) + abs(wb))
+        rounding = (2.0 * (abs(s) * dot_err + move * eta) + s * s * self.h_err[i]
+                    + _EPS * (4.0 * abs(s * dot) + 2.0 * s * s * h + abs(value)))
+        self.b = self.n * _EPS * fro * beta_norm
+        return self._settle(value, self.tally + rounding + eta * (2.0 * after + eta) + _PAD)
+
+
+class _ColumnResidual(_RunningMetric):
+    """RGS and REGS on the maintained ||r||^2: r moves by -s x_j, with x_j.r from the step.
+
+    The exact check reads the maintained r itself, so a = b = 0. A refresh
+    replaces r, so ``run`` resyncs at every RESIDUAL_REFRESH_EVERY-th step.
+    """
+
+    a = 0.0
+
+    def __init__(self, solver, ref, tol):
+        super().__init__(solver, ref, tol, solver.system.m)
+        self.col_nsq = solver._col_nsq_vals
+        self.col_norm = np.sqrt(solver._col_nsq).tolist()
+
+    def advance(self, state, draws, out):
+        j = draws[0]
+        s, dot = out[0], out[1]
+        m, value = self.m, self.value
+        step = abs(s) * self.col_norm[j]  # ||s x_j||
+        before = math.sqrt(abs(value) + self.tally)
+        after = before + step
+        value -= s * (2.0 * dot - s * self.col_nsq[j])
+        # x_j.r within m u ||x_j|| ||r||, ||x_j||^2 within m u of itself, the update's rounding
+        rounding = 2 * m * step * before + (m + 2) * step * step + 4.0 * abs(s * dot) + abs(value)
+        # r - s x_j rounds within u (||s x_j|| + ||r_new||)
+        eta = _EPS * (step + after)
+        return self._settle(value, self.tally + _EPS * rounding + eta * (2.0 * after + eta) + _PAD)
+
+
+_RUNNING_METRICS = {
+    (SolverKind.RK, StopMetric.ERROR_TO_REFERENCE): _RowError,
+    (SolverKind.REK, StopMetric.ERROR_TO_REFERENCE): _RowError,
+    (SolverKind.RGS, StopMetric.ERROR_TO_REFERENCE): _ColumnError,
+    (SolverKind.REGS, StopMetric.ERROR_TO_REFERENCE): _ExtendedColumnError,
+    (SolverKind.RK, StopMetric.RESIDUAL_NORM): _RowResidual,
+    (SolverKind.REK, StopMetric.RESIDUAL_NORM): _RowResidual,
+    (SolverKind.RGS, StopMetric.RESIDUAL_NORM): _ColumnResidual,
+    (SolverKind.REGS, StopMetric.RESIDUAL_NORM): _ColumnResidual,
+}
+
+
+def _running_metric(solver: _Solver, metric: StopMetric, ref, tol: float) -> _RunningMetric | None:
+    """The running metric of one run, or None where the bounds' scale assumptions fail.
+
+    They assume no overflow, and no underflow beyond _PAD: entries of X, y
+    and ref at most _SCALE_LIMIT in magnitude, and every positive row and
+    column norm, which a step scale divides by, at least 1/_SCALE_LIMIT.
+    """
+    X = solver.system.X
+    vectors = [X.data, solver.system.y] + ([] if ref is None else [ref])
+    if max(float(np.max(np.abs(v))) for v in vectors) > _SCALE_LIMIT:
+        return None
+    for nsq in (X.row_norms_sq, X.col_norms_sq):
+        if float(np.min(nsq[nsq > 0], initial=np.inf)) < _SCALE_LIMIT**-2:
+            return None
+    return _RUNNING_METRICS[solver.kind, metric](solver, ref, tol)
+
+
 def run(
     system: LinearSystem,
     kind: SolverKind,
@@ -387,6 +752,18 @@ def run(
     With ``residuals=False`` the residual is computed only as a stop
     metric, so under error stopping residual_sq is NaN and RK/REK skip the
     full matvec that each recorded residual costs them.
+
+    The exact stop metric decides every stop, but it is computed only at
+    iteration 0, at every record, at every RESIDUAL_REFRESH_EVERY-th step,
+    and at every step whose running metric (``_RunningMetric``) cannot
+    certify that the exact value is still >= tol. The certificate is the
+    running value less a tally of its rounding since the last exact value
+    and a bound on the rounding of the exact computation it replaces; so
+    ``run`` stops at the iteration, and writes the records, of a run that
+    computed the exact metric after every step. Once a certificate fails,
+    the exact metric is computed at every step, with no running update,
+    until the next record or refresh resyncs the running value; near the
+    float floor this is every step from then on.
     """
     on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     ref = _require_reference(system) if on_error else system.reference
@@ -410,17 +787,34 @@ def run(
         trace.records.append((it, err, res))
         trace.seconds.append(time.perf_counter() - start)
 
+    every, last = config.record_every, config.max_iter
+
+    def next_exact(t: int) -> int:
+        """The first step after t that records or refreshes, where the exact metric is due."""
+        return min(t - t % every + every, t - t % RESIDUAL_REFRESH_EVERY + RESIDUAL_REFRESH_EVERY,
+                   last)
+
     err = error_sq()
     res = residual_sq() if residuals or not on_error else float("nan")
     record(0, err, res)
-    if (err if on_error else res) < config.tol:
+    metric = err if on_error else res
+    if metric < config.tol:
         trace.converged = True
         return trace
 
+    running = _running_metric(solver, config.stop_metric, ref, config.tol)
+    due = next_exact(0)
+    tracking = running is not None and due > 1  # a resync pays off only before a skippable step
+    if tracking:
+        running.resync(state, metric)
     blocks = _draw_blocks(solver.draw_order(), [rng], config.max_iter)
     draws = chain.from_iterable(zip(*(b[:, 0].tolist() for b in block)) for block in blocks)
     for t, step_draws in enumerate(draws, 1):
-        solver.step(state, step_draws)
+        out = solver.step(state, step_draws)
+        if tracking and t != due:
+            if running.advance(state, step_draws, out):
+                continue
+            tracking = False  # exact at every step until the next record or refresh
         if on_error:
             err = error_sq()
             metric = err
@@ -428,7 +822,7 @@ def run(
             res = residual_sq()
             metric = res
         hit = metric < config.tol
-        if hit or t % config.record_every == 0 or t == config.max_iter:
+        if hit or t % every == 0 or t == last:
             if on_error:
                 if residuals:
                     res = residual_sq()
@@ -438,6 +832,11 @@ def run(
         if hit:
             trace.converged = True
             break
+        if t == due:
+            due = next_exact(t)
+            tracking = running is not None and due > t + 1
+            if tracking:
+                running.resync(state, metric)
 
     trace.final_iteration = state.iteration
     return trace

@@ -44,6 +44,25 @@ class TestGen:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_noise_scale_exits_2(self, scale, tmp_path, capsys):
+        out = tmp_path / "sys"
+        assert _run(["gen", "--m", "20", "--n", "4", "--regime", "over-consistent",
+                     f"--noise-scale={scale}", "--out", str(out)]) == 2
+        assert "noise_scale must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each seed overflows at a different place: y itself (0, 4) or X^T y (1-3)
+    @pytest.mark.parametrize("seed", ["0", "1", "4"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_noise_scale_exits_2_without_warnings(self, seed, tmp_path, capsys):
+        out = tmp_path / "sys"
+        assert _run(["gen", "--m", "20", "--n", "4", "--regime", "over-inconsistent",
+                     "--noise-scale", "1e308", "--seed", seed, "--out", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         import kaczgs.cli as cli_mod
 
@@ -159,6 +178,24 @@ class TestCompare:
                      "--out", str(out), "--timings-out", "-"]) == 0
         assert capsys.readouterr().out.startswith("iteration,solver,mean_cum_seconds\n")
         assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("generator, key, bad", [
+        (["gen", "--m", "20", "--n", "4", "--regime", "over-consistent"], "noise_scale", "abc"),
+        (["tomo", "--grid-n", "3", "--oversample", "2"], "grid_n", "ten"),
+        (["tomo", "--grid-n", "3", "--oversample", "2"], "oversample", "2.5"),
+    ])
+    def test_malformed_generator_metadata_exits_2(self, generator, key, bad, tmp_path, capsys):
+        directory = tmp_path / "sys"
+        assert _run(generator + ["--seed", "1", "--out", str(directory)]) == 0
+        meta = directory / "meta.txt"
+        lines = [f"{key} {bad}" if line.split()[0] == key else line
+                 for line in meta.read_text().splitlines()]
+        meta.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        assert _run(["compare", "--system", str(directory), "--trials", "2", "--redraw-per-trial",
+                     "--max-iter", "50", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{key} {bad!r}" in err
 
     def test_zero_workers_exits_2(self, system_dir, tmp_path, capsys):
         out = tmp_path / "c.csv"
