@@ -20,7 +20,6 @@ from .linalg import (
     LinearSystem,
     Regime,
     SpectralSummary,
-    apply_row_projector,
     least_norm_ref,
     least_squares_ref,
     spectral_summary,
@@ -73,7 +72,6 @@ __all__ = [
     "TheoryBound",
     "TomoSpec",
     "WeightedIndex",
-    "apply_row_projector",
     "bound_regs",
     "bound_rek",
     "bound_rk_consistent",

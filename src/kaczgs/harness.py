@@ -69,8 +69,10 @@ _KIND_ORDINAL = {kind: i for i, kind in enumerate(SolverKind)}
 _REDRAW_STREAM_BASE = 1 << 32  # generator seed streams, disjoint from solver streams
 
 #: from this many trials per solver on one shared system, trials run in lockstep.
-#: Against the per-trial loop the batch breaks even near 2 trials on 500x20 and
-#: 3-4 on 600x60 and 100x300 (a batch of one is 1.4-2.3x slower); 8 keeps a margin.
+#: Batch over per-trial compare time, median of 10 alternating pairs on the three
+#: benchmark systems with lane-drawn indices: 1.13-1.33 at 2 trials (the batch won
+#: 1 of 30 pairs), 0.64-0.80 at 4 (30 of 30), 0.38-0.52 at 8. It stays 8 while
+#: the harness tests take 4 trials as the per-trial path.
 LOCKSTEP_MIN_TRIALS = 8
 
 

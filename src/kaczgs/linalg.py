@@ -71,16 +71,6 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols}, frob_sq={self.frob_sq:.6g})"
 
 
-def apply_row_projector(matrix: DenseMatrix, i: int, w) -> np.ndarray:
-    """Apply P_i = I - (X^i)^T X^i / ||X^i||^2 to w, in O(n) without forming P_i."""
-    nsq = float(matrix.row_norms_sq[i])
-    if nsq <= 0.0:
-        raise ConfigurationError(f"cannot project onto zero row {i}")
-    xi = matrix.data[i]
-    w = np.asarray(w, dtype=float)
-    return w - ((xi @ w) / nsq) * xi
-
-
 # ---------------------------------------------------------------------------
 # Linear systems
 
@@ -271,17 +261,6 @@ def least_norm_ref(system: LinearSystem) -> np.ndarray:
     gram = X.data @ X.data.T
     alpha = _spd_solve(gram, system.y, X)
     return X.data.T @ alpha
-
-
-def project_row_span(matrix: DenseMatrix, v) -> np.ndarray:
-    """Orthogonal projection of v onto the row span, X^T (X X^T)^{-1} X v.
-
-    Reuses the least-norm machinery; requires full row rank.
-    """
-    v = np.asarray(v, dtype=float)
-    gram = matrix.data @ matrix.data.T
-    alpha = _spd_solve(gram, matrix.data @ v, matrix)
-    return matrix.data.T @ alpha
 
 
 # ---------------------------------------------------------------------------

@@ -244,17 +244,22 @@ def gen_tomography(spec: TomoSpec) -> LinearSystem:
     )
 
 
-def _uniform_stream(rng: Prng):
-    """rng's uniforms one at a time in stream order; those past the last one read go unseen."""
+def _uniform_stream(rng: Prng, refill: int):
+    """rng's uniforms one at a time in stream order, drawn `refill` at a time.
+
+    Those past the last one read go unseen.
+    """
     while True:
-        yield from rng.uniforms(256).tolist()
+        yield from rng.uniforms(refill).tolist()
 
 
 def _build_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
     n_grid = spec.grid_n
     m = n_grid * n_grid
     n = spec.oversample * m
-    draws = _uniform_stream(Prng(seed))
+    # a chord is redrawn when both ends land on one side (1 in 4), so the n lines
+    # read about 8n/3 uniforms and the phantom 12 more: one refill of 3n usually covers them
+    draws = _uniform_stream(Prng(seed), 3 * n)
     perimeter = 4.0 * n_grid
 
     data = np.zeros((m, n))

@@ -19,10 +19,12 @@ counts as one iteration.
 
 A solver's ``draw_order()`` is the one statement of what a step draws (RK:
 row; RGS: column; REK: row then column; REGS: column then row), and
-``_draw_blocks`` is the one way the draws are made: DRAW_BLOCK steps at a
-time, one uniform per draw from the trial's own generator, mapped to an
-index by ``WeightedIndex.sample_block``. ``step`` and ``step_batch`` only
-apply the indices they are given.
+``_draw_blocks`` is the one way the draws are made: one uniform per draw
+from the trial's own generator, mapped to an index by
+``WeightedIndex.sample_block``. It draws a block of steps for all trials
+in one ``batch_uniforms`` call; blocks start at 64 steps and double up to
+DRAW_BUDGET uniforms a call. ``step`` and ``step_batch`` only apply the
+indices they are given.
 
 ``run`` drives one trial through ``step`` and stops on the exact stop
 metric, which it computes at every record, every RESIDUAL_REFRESH_EVERY-th
@@ -62,14 +64,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linalg import LinearSystem, Regime
-from .sampling import Prng, WeightedIndex, col_distribution, row_distribution
+from .sampling import Prng, WeightedIndex, batch_uniforms, col_distribution, row_distribution
 
 #: maintained residuals are recomputed from scratch this often to cap drift, and
 #: ``run`` computes the exact stop metric at least this often
 RESIDUAL_REFRESH_EVERY = 1000
 
-#: steps whose index draws are taken per trial in one block
-DRAW_BLOCK = 64
+#: uniforms drawn in one call for a block of steps, across all trials of the block
+DRAW_BUDGET = 4096
 
 
 class SolverKind(Enum):
@@ -387,19 +389,25 @@ def _require_reference(system: LinearSystem) -> np.ndarray:
 def _draw_blocks(dists: list[WeightedIndex], rngs: list[Prng], steps: int):
     """Yield the index draws of `steps` steps of len(rngs) trials, block by block.
 
-    Each block covers min(DRAW_BLOCK, steps left) steps and is a list with
-    one (block steps, trials) index array per distribution of ``dists``.
-    Trial k takes one uniform per draw from rngs[k], step after step and
-    within a step in ``dists`` order, so its indices do not depend on the
-    block size or on the other trials. A consumer that stops early leaves
-    the generators advanced past the last block drawn.
+    Each block is a list with one (block steps, trials) index array per
+    distribution of ``dists``, drawn in one ``batch_uniforms`` call. Trial k
+    takes one uniform per draw from rngs[k], step after step and within a
+    step in ``dists`` order, so its indices do not depend on the block size
+    or on the other trials. The first block is 64 steps, and each next one
+    doubles, up to DRAW_BUDGET uniforms across the trials: a long run pays
+    the call's fixed cost over many draws, and one that stops early has
+    drawn at most about twice its steps. ``rngs`` is read again for each
+    block, so a caller that removes a stopped trial's generator from it
+    between blocks stops that trial's draws. A consumer that stops early
+    leaves the generators advanced past the last block drawn.
     """
+    block = 64
     while steps:
-        block = min(DRAW_BLOCK, steps)
-        u = np.array([rng.uniforms(block * len(dists)) for rng in rngs])
-        u = u.reshape(len(rngs), block, len(dists))
+        block = min(block, steps, max(1, DRAW_BUDGET // (len(dists) * len(rngs))))
+        u = batch_uniforms(rngs, block * len(dists)).reshape(len(rngs), block, len(dists))
         yield [d.sample_block(np.ascontiguousarray(u[:, :, q].T)) for q, d in enumerate(dists)]
         steps -= block
+        block *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +634,11 @@ class _RowResidual(_RunningMetric):
         m, n = self.m, self.n
         fro_sq = solver.system.X.frob_sq * (1.0 + (m + n) * _EPS)
         self.fro = math.sqrt(fro_sq)  # >= ||X||_2
-        self.W = X @ (X.T @ X)
-        Xty = X.T @ y
-        p = X @ Xty
+        # einsum (optimize=False) calls no BLAS: a multi-threaded BLAS call here would
+        # wake a thread pool that slows every later small numpy call in the process
+        self.W = np.einsum("ik,kj->ij", X, np.einsum("ki,kj->ij", X, X))
+        Xty = np.einsum("ki,k->i", X, y)
+        p = np.einsum("ij,j->i", X, Xty)
         h = np.einsum("ij,ij->i", self.W, X)
         row_norm = np.sqrt(solver._row_nsq)
         w_norm = np.sqrt(np.einsum("ij,ij->i", self.W, self.W))
@@ -869,9 +879,10 @@ def run_batch(
     Trial k makes the same draws from rngs[k] and computes the same updates
     as ``run`` would, bit for bit, so its errors equal ``run``'s and it
     stops at the same iteration. Each trial checks its own error at every
-    step and leaves the batch when it falls below tol. Draws are taken
-    DRAW_BLOCK steps at a time, so a trial that stops leaves its generator
-    advanced past its last draw.
+    step and leaves the batch when it falls below tol. One
+    ``_draw_blocks`` stream draws every block for the trials still running,
+    so a trial that stops leaves its generator advanced past its last draw
+    and is drawn for no more.
     """
     if config.stop_metric is not StopMetric.ERROR_TO_REFERENCE:
         raise ConfigurationError("lockstep trials stop on error to reference only")
@@ -888,6 +899,8 @@ def run_batch(
     latest = np.empty(trials)  # each trial's latest error, terminal once it stopped
     columns: list[np.ndarray] = []
     seconds: list[float] = []
+    live = list(rngs)  # the generators of the trials still running
+    draws = _draw_blocks(dists, live, config.max_iter)
     blocks: list[np.ndarray] = []
     used = 0
 
@@ -915,10 +928,11 @@ def run_batch(
             blocks = [b[:, keep] for b in blocks]
             if not active.size:
                 break
+            live[:] = [rngs[k] for k in active]
         if t == config.max_iter:
             break
         if not blocks or used == blocks[0].shape[0]:
-            blocks = next(_draw_blocks(dists, [rngs[k] for k in active], config.max_iter - t))
+            blocks = next(draws)
             used = 0
         solver.step_batch(state, [b[used] for b in blocks])
         used += 1

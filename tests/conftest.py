@@ -8,6 +8,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from kaczgs.errors import ConfigurationError
 from kaczgs.linalg import Regime
 from kaczgs.problems import GenSpec, gen_gaussian
 from kaczgs.solvers import SolverKind
@@ -93,6 +94,24 @@ def reference_draws(system, kind, seed, steps):
     samplers = [bisect_sampler(norms[axis].tolist()) for axis in STEP_DRAWS[kind]]
     for _ in range(steps):
         yield tuple(sample(rng.uniform()) for sample in samplers)
+
+
+# --- projectors, written out for the oracles below and the tests ------------
+
+def apply_row_projector(matrix, i: int, w) -> np.ndarray:
+    """Apply P_i = I - (X^i)^T X^i / ||X^i||^2 to w, in O(n) without forming P_i."""
+    nsq = float(matrix.row_norms_sq[i])
+    if nsq <= 0.0:
+        raise ConfigurationError(f"cannot project onto zero row {i}")
+    xi = matrix.data[i]
+    w = np.asarray(w, dtype=float)
+    return w - ((xi @ w) / nsq) * xi
+
+
+def project_row_span(matrix, v) -> np.ndarray:
+    """Orthogonal projection of v onto the row span, X^T (X X^T)^{-1} X v; needs full row rank."""
+    X = matrix.data
+    return X.T @ np.linalg.solve(X @ X.T, X @ np.asarray(v, dtype=float))
 
 
 def gaussian_system(m: int, n: int, regime: Regime, seed: int, noise_scale: float = 1.0):

@@ -15,7 +15,6 @@ from kaczgs.linalg import (
     DenseMatrix,
     LinearSystem,
     Regime,
-    apply_row_projector,
     cholesky_factor,
     cholesky_solve,
     least_norm_ref,
@@ -41,6 +40,7 @@ from kaczgs.theory import TheoryBound
 from conftest import reference_draws
 
 from conftest import (
+    apply_row_projector,
     rgs_enumerated_expected_xerror,
     rgs_one_step,
     rk_enumerated_expected_error,

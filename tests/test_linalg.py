@@ -12,17 +12,15 @@ from kaczgs.linalg import (
     DenseMatrix,
     LinearSystem,
     Regime,
-    apply_row_projector,
     cholesky_factor,
     cholesky_solve,
     least_norm_ref,
     least_squares_ref,
     numeric_rank,
-    project_row_span,
     spectral_summary,
 )
 
-from conftest import gaussian_system
+from conftest import apply_row_projector, gaussian_system, project_row_span
 
 
 class TestDenseMatrix:

@@ -2,15 +2,28 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kaczgs import sampling
 from kaczgs.errors import ConfigurationError
 from kaczgs.linalg import DenseMatrix
-from kaczgs.sampling import Prng, WeightedIndex, col_distribution, row_distribution, spawn_trial_rng, splitmix64
+from kaczgs.sampling import (
+    Prng,
+    WeightedIndex,
+    _lane_log_steps,
+    batch_uniforms,
+    col_distribution,
+    row_distribution,
+    spawn_trial_rng,
+    splitmix64,
+)
+from kaczgs.solvers import DRAW_BUDGET
 
 from conftest import M64, RefGenerator, bisect_sampler, ref_splitmix_stream
 
@@ -188,3 +201,89 @@ class TestBlockDraws:
         idx = dist.sample_block(u)
         assert idx.shape == (3, 4)
         assert idx.ravel().tolist() == dist.sample_block(u.ravel()).tolist()
+
+
+# --- lanes: block sizes on either side of the lane and block boundaries ------
+
+def _lane_edges():
+    """Block sizes at and beside L lanes of K steps: one lane of 8, 24 lanes of 8, 200 of 32.
+
+    Each triple k - 1, k, k + 1 shares its lane length K, so it straddles the
+    lane boundary it names.
+    """
+    sizes = []
+    for lanes, kappa in ((1, 3), (24, 3), (200, 5)):
+        k = lanes << kappa
+        assert [_lane_log_steps(v) for v in (k - 1, k, k + 1)] == [kappa] * 3
+        sizes += [k - 1, k, k + 1]
+    return sizes
+
+
+_EDGES = _lane_edges()
+
+
+class TestLanes:
+    @pytest.mark.parametrize(
+        "k", [1, 2, *_EDGES, DRAW_BUDGET - 1, DRAW_BUDGET, DRAW_BUDGET + 1, 73_320]
+    )
+    def test_block_and_next_draw_equal_reference(self, k):
+        ref = RefGenerator(k)
+        rng = Prng(k)
+        assert rng.uniforms(k).tolist() == [ref.uniform() for _ in range(k)]
+        assert rng.uniforms(1).tolist() == [ref.uniform()]  # the state after draw k
+
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    @pytest.mark.parametrize("k", [0, 1, 9, 256, 1000])
+    def test_batch_equals_each_generator_alone(self, count, k):
+        alone = [Prng(1000 + g) for g in range(count)]
+        batch = [Prng(1000 + g) for g in range(count)]
+        drawn = batch_uniforms(batch, k)
+        assert drawn.shape == (count, k) and drawn.dtype == np.float64
+        for g in range(count):
+            assert drawn[g].tolist() == alone[g].uniforms(k).tolist()
+        assert batch_uniforms(batch, 5).tolist() == [rng.uniforms(5).tolist() for rng in alone]
+
+    @_block_settings
+    @given(
+        st.integers(0, M64),
+        st.one_of(st.sampled_from(_EDGES), st.integers(0, 3000)),
+        st.one_of(st.sampled_from(_EDGES), st.integers(0, 3000)),
+    )
+    def test_split_across_lane_boundaries_equals_one_block(self, seed, a, b):
+        split, whole, ref = Prng(seed), Prng(seed), RefGenerator(seed)
+        drawn = split.uniforms(a).tolist() + split.uniforms(b).tolist()
+        assert drawn == whole.uniforms(a + b).tolist()
+        assert drawn == [ref.uniform() for _ in range(a + b)]
+        assert split.uniforms(3).tolist() == whole.uniforms(3).tolist()
+
+    def test_jump_equals_stepping(self):
+        # A^(2**j) applied to a state equals 2**j single steps from it
+        for j in (0, 1, 5, 9):
+            rng = Prng(77)
+            start = np.array([rng._state], dtype=np.uint64).T
+            jumped = sampling._jump(j, start)[:, 0].tolist()
+            rng.uniforms(1 << j)
+            assert jumped == list(rng._state)
+
+    def test_ladder_built_by_racing_threads_is_exact(self, monkeypatch):
+        sizes = [70_000, 9000, 300, 40_000, 5000, 20_000, 1000, 60_000]
+        expected = [Prng(s).uniforms(s).tolist() for s in sizes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                monkeypatch.setattr(sampling, "_LADDER", [])  # every thread finds levels missing
+                got = [None] * len(sizes)
+
+                def draw(i):
+                    got[i] = Prng(sizes[i]).uniforms(sizes[i]).tolist()
+
+                threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(sizes))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)

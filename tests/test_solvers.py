@@ -9,7 +9,6 @@ from kaczgs.linalg import (
     DenseMatrix,
     LinearSystem,
     Regime,
-    apply_row_projector,
     least_norm_ref,
     spectral_summary,
 )
@@ -27,6 +26,8 @@ from kaczgs.solvers import (
 )
 
 from conftest import (
+    RefGenerator,
+    apply_row_projector,
     gaussian_system,
     reference_draws,
     rgs_enumerated_expected_xerror,
@@ -405,8 +406,9 @@ class TestRunDriver:
 class TestRunDrawsReference:
     """run's draws against the README rule, replayed one reference uniform at a time."""
 
-    # one step, one block of solvers.DRAW_BLOCK = 64 steps either side of its end, three blocks
-    @pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 150])
+    # one step; either side of the end of the first block (64 steps) and of the second
+    # (128 more); and one step into the seventh, past every doubling up to 2048 steps
+    @pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 150, 191, 192, 193, 4033])
     @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
     def test_records_equal_steps_on_reference_draws(self, kind, max_iter):
         sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
@@ -427,6 +429,48 @@ class TestRunDrawsReference:
             record(t)
         assert trace.final_iteration == max_iter
         assert trace.records == expected
+
+
+class TestDrawBlocks:
+    """_draw_blocks' block sizes, and its indices against one reference uniform per draw."""
+
+    @pytest.mark.parametrize("trials, kind", [(1, SolverKind.RK), (16, SolverKind.REK), (5, SolverKind.REGS)])
+    def test_blocks_double_to_the_budget_and_equal_reference(self, trials, kind):
+        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        dists = make_solver(kind, sys_).draw_order()
+        steps = 9000 if trials == 1 else 1500
+        seeds = [100 + k for k in range(trials)]
+        blocks = list(solvers._draw_blocks(dists, [Prng(s) for s in seeds], steps))
+
+        cap = solvers.DRAW_BUDGET // (len(dists) * trials)
+        sizes, size = [], 64
+        while sum(sizes) < steps:
+            size = min(size, cap, steps - sum(sizes))
+            sizes.append(size)
+            size *= 2
+        assert [b[0].shape for b in blocks] == [(n, trials) for n in sizes]
+        assert sizes[-2] == min(cap, 4096)  # the budget is reached before the end
+        for k, seed in enumerate(seeds):
+            drawn = list(zip(*(np.concatenate([b[q][:, k] for b in blocks]).tolist()
+                               for q in range(len(dists)))))
+            assert drawn == list(reference_draws(sys_, kind, seed, steps))
+
+    def test_a_generator_removed_between_blocks_is_drawn_no_more(self):
+        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        dists = make_solver(SolverKind.RK, sys_).draw_order()
+        rngs = [Prng(1), Prng(2)]
+        live = list(rngs)
+        draws = solvers._draw_blocks(dists, live, 500)
+        first = next(draws)
+        live.remove(rngs[0])
+        second = next(draws)
+        assert first[0].shape == (64, 2) and second[0].shape == (128, 1)
+        ref = RefGenerator(1)
+        for _ in range(64):
+            ref.uniform()
+        assert rngs[0].uniforms(1).tolist() == [ref.uniform()]  # left after its first block
+        expected = list(reference_draws(sys_, SolverKind.RK, 2, 192))
+        assert [(i,) for i in np.concatenate([first[0][:, 1], second[0][:, 0]]).tolist()] == expected
 
 
 _AGREEMENT_SYSTEMS = {
