@@ -8,11 +8,11 @@ solver/regime.
 
 Every trial stops on its squared error to the system's reference, so the
 system needs one. Trials run one of two ways. With at least
-LOCKSTEP_MIN_TRIALS trials on one shared system (no per-trial redraw), all
+LOCKSTEP_MIN_TRIALS (4) trials on one shared system (no per-trial redraw), all
 trials of a solver advance together as one block (``solvers.run_batch``),
 which spreads the interpreter's per-step cost over the trials. Otherwise
-each trial is its own ``solvers.run``, which is faster for a handful of
-trials. Both paths take a trial's indices from the same block draw, and a
+each trial is its own ``solvers.run``, which is faster for two trials and
+about even at three. Both paths take a trial's indices from the same block draw, and a
 batched trial is bit for bit the ``run`` (and so the ``kaczgs solve``) of
 the same trial, so the path changes the speed only, never a CSV byte. For
 batched runs the wall-clock companion table holds the batch's time divided
@@ -71,9 +71,10 @@ _REDRAW_STREAM_BASE = 1 << 32  # generator seed streams, disjoint from solver st
 #: from this many trials per solver on one shared system, trials run in lockstep.
 #: Batch over per-trial compare time, median of 10 alternating pairs on the three
 #: benchmark systems with lane-drawn indices: 1.13-1.33 at 2 trials (the batch won
-#: 1 of 30 pairs), 0.64-0.80 at 4 (30 of 30), 0.38-0.52 at 8. It stays 8 while
-#: the harness tests take 4 trials as the per-trial path.
-LOCKSTEP_MIN_TRIALS = 8
+#: 1 of 30 pairs), 0.64-0.80 at 4 (30 of 30), 0.38-0.52 at 8. At 3 trials the
+#: batch won only 8 of 10 full-compare pairs on oi and on tomo (0.95x and 0.89x),
+#: at 4 it won 10 of 10 on oi and on oc (0.77x and 0.68x), so lockstep starts at 4.
+LOCKSTEP_MIN_TRIALS = 4
 
 
 @dataclass

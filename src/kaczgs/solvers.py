@@ -29,12 +29,13 @@ indices they are given.
 ``run`` drives one trial through ``step`` and stops on the exact stop
 metric, which it computes at every record, every RESIDUAL_REFRESH_EVERY-th
 step, and wherever a certificate cannot prove it still at or above tol.
-Between those steps it carries the metric forward with a
-``_RunningMetric``, in O(1) or O(n) from the scale and dot products each
-``step`` returns. The certificate is that running value less a tally of
+Between those steps it carries the metric forward with one of four
+``_RunningMetric`` classes, in O(1) or O(n) from the (scale, dot) pair
+every ``step`` returns. The certificate is that running value less a tally of
 its rounding since the last exact value and a bound on the rounding of the
 exact computation it replaces, so ``run`` stops where a check after every
-step would stop.
+step would stop. REGS under error stopping has no running metric, so
+``run`` computes its exact error after every step.
 
 ``run_batch`` drives several trials of one solver in lockstep through
 ``step_batch``, on a state whose arrays hold one row per trial: (T, n)
@@ -193,11 +194,12 @@ class _Solver:
         """The distributions one step draws from, in the order it draws."""
         return [self._row_dist]
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
         """Advance one step; draws holds one index per entry of draw_order().
 
-        Returns the step's scale and the dot products it took, which the
-        running stop metric reads (see ``_RunningMetric``).
+        Returns (scale, dot): the step's scale and the dot product it took
+        before moving, x_i . beta for RK and REK and x_j . residual for RGS
+        and REGS, which the running stop metric reads (``_RunningMetric``).
         """
         raise NotImplementedError
 
@@ -225,8 +227,7 @@ class _MaintainedResidual(_Solver):
 class RandomizedKaczmarz(_Solver):
     kind = SolverKind.RK
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
-        """Returns (scale, x_i . beta before the step)."""
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
         (i,) = draws
         xi = self._rows_arr[i]
         dot = float(xi @ state.beta)
@@ -247,8 +248,7 @@ class RandomizedGaussSeidel(_MaintainedResidual):
     kind = SolverKind.RGS
     needs_rows = False
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
-        """Returns (scale, x_j . residual before the step)."""
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
         (j,) = draws
         xj = self._cols_arr[j]
         dot = float(xj @ state.residual)
@@ -296,8 +296,7 @@ class ExtendedKaczmarz(_Solver):
         state.beta += scale[:, None] * xi
         state.iteration += 1
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
-        """Returns (scale, x_i . beta before the step)."""
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
         i, j = draws
         xj = self._cols_arr[j]
         z = state.z
@@ -337,8 +336,7 @@ class ExtendedGaussSeidel(_MaintainedResidual):
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple:
-        """Returns (scale, x_j . residual, x_i . z, z's projection coefficient)."""
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
         j, i = draws
         xj = self._cols_arr[j]
         dot = float(xj @ state.residual)
@@ -348,12 +346,10 @@ class ExtendedGaussSeidel(_MaintainedResidual):
         z = state.z
         z[j] += scale
         xi = self._rows_arr[i]
-        zdot = float(xi @ z)
-        coef = zdot / self._row_nsq_vals[i]
-        z -= coef * xi
+        z -= (float(xi @ z) / self._row_nsq_vals[i]) * xi
         state.iteration += 1
         self.sync_residual(state)
-        return scale, dot, zdot, coef
+        return scale, dot
 
 
 _SOLVER_CLASSES = {
@@ -414,7 +410,7 @@ def _draw_blocks(dists: list[WeightedIndex], rngs: list[Prng], steps: int):
 # The running stop metric
 #
 # Notation: u = 2**-53 is the unit roundoff; v is the vector whose squared
-# norm the stop metric is (beta - ref, beta - z - ref, or the residual) and
+# norm the stop metric is (beta - ref, or the residual) and
 # V = ||v||^2 in exact arithmetic on the solver's current float state. The
 # bounds use the standard model fl(a op b) = (a op b)(1 + d) with |d| <= u,
 # and bound a dot product of length k, in any summation order, within
@@ -443,7 +439,7 @@ class _RunningMetric:
 
         ||v + t a||^2 = ||v||^2 + 2 t (a.v) + t^2 ||a||^2,
 
-    from the scale and dot products the step returns, in O(1) or O(n); and
+    from the (scale, dot) pair the step returns, in O(1) or O(n); and
     it adds to T the rounding of that update, of a.v and ||a||^2, and of the
     step's own vector update.
 
@@ -480,7 +476,7 @@ class _RunningMetric:
         return (tally <= lo <= _HUGE
                 and math.sqrt(lo) * self.shrink - self.b * _GROW >= self.root_tol)
 
-    def advance(self, state: SolverState, draws: tuple[int, ...], out: tuple) -> bool:
+    def advance(self, state: SolverState, draws: tuple[int, ...], out: tuple[float, float]) -> bool:
         """Follow one step of ``step``, whose return value is ``out``."""
         raise NotImplementedError
 
@@ -542,80 +538,6 @@ class _ColumnError(_RunningMetric):
         rounding = _EPS * (abs(s) * (4.0 * abs(d) + 2.0 * abs(s)) + abs(value))
         tally = self.tally + rounding + e * (2.0 * (abs(d) + abs(s)) + e) + _PAD
         return self._settle(value, tally)
-
-
-class _ExtendedColumnError(_RunningMetric):
-    """REGS on ||beta - z - ref||^2.
-
-    The coordinate step adds s to beta_j and to z_j, which moves the
-    estimate by rounding only. The projection of z then moves it by c x_i,
-    with a.v = x_i.beta - x_i.z - (X ref)_i: x_i.z is the step's own, and
-    x_i.beta = y_i - r_i for the exact residual r = y - X beta, read off the
-    maintained residual within ``drift``, a bound on its distance from r.
-    fl(fl(beta - z) - ref) is within u (2 ||v|| + ||ref||) of v.
-    ``beta_norm`` and ``res_norm`` bound ||beta|| and the maintained
-    ||r||, from the last resync on.
-    """
-
-    a = 2 * _EPS
-
-    def __init__(self, solver, ref, tol):
-        n = solver.system.n
-        self.ref_norm = math.sqrt(float(ref @ ref)) * (1.0 + n * _EPS)
-        self.b = _EPS * self.ref_norm
-        super().__init__(solver, ref, tol, n)
-        self.rows, self.y_arr = solver._rows_arr, solver._y
-        self.fro = math.sqrt(solver.system.X.frob_sq * (1.0 + (self.m + n) * _EPS))
-        self.y = solver._y_vals
-        self.row_nsq = solver._row_nsq_vals
-        self.row_norm = np.sqrt(solver._row_nsq).tolist()
-        self.col_norm = np.sqrt(solver._col_nsq).tolist()
-        self.x_ref = (solver._rows_arr @ ref).tolist()
-        self.ref = ref.tolist()
-        self.beta_norm = self.res_norm = self.drift = 0.0
-
-    def resync(self, state, exact):
-        super().resync(state, exact)
-        n, m = self.n, self.m
-        beta_norm = self.beta_norm = math.sqrt(float(state.beta @ state.beta)) * (1.0 + n * _EPS)
-        res = state.residual
-        self.res_norm = math.sqrt(float(res @ res)) * (1.0 + m * _EPS)
-        # one matvec: fl(y - X beta) is within u ||r|| + n u ||X||_F ||beta|| of the exact r
-        diff = (self.y_arr - self.rows @ state.beta) - res
-        gap = math.sqrt(float(diff @ diff)) * (1.0 + m * _EPS)
-        self.drift = gap + _EPS * (n * self.fro * beta_norm + self.res_norm + gap)
-
-    def advance(self, state, draws, out):
-        j, i = draws
-        s, _, zdot, c = out
-        n, ref_norm = self.n, self.ref_norm
-        beta_j = float(state.beta[j])
-        before = math.sqrt(abs(self.value) + self.tally)
-        beta_norm = self.beta_norm = (self.beta_norm + abs(s)) * (1.0 + 4 * _EPS)
-        # beta_j + s and z_j + s round within u |beta_j| and
-        # u |z_j| <= u (|beta_j| + ||v|| + |ref_j|); the maintained r - s x_j rounds within
-        # u (||s x_j|| + ||r_new||), and the exact residual moves by x_j times beta_j's rounding
-        move = abs(s) * self.col_norm[j]
-        res_norm = self.res_norm = (self.res_norm + move) * (1.0 + 4 * _EPS)
-        drift = self.drift = (self.drift
-                              + _EPS * (move + res_norm + self.col_norm[j] * abs(beta_j)))
-        e = _EPS * (2.0 * abs(beta_j) + before + abs(self.ref[j]))
-        before += e
-        tally = self.tally + e * (2.0 * before + e)
-        y_i, r_i = self.y[i], float(state.residual[i])
-        dot = ((y_i - r_i) - zdot) - self.x_ref[i]
-        step = abs(c) * self.row_norm[i]  # ||c x_i||
-        after = before + step
-        value = self.value + c * (2.0 * dot + c * self.row_nsq[i])
-        # x_i.z and (X ref)_i within n u ||x_i|| (||z|| + ||ref||),
-        # with ||z|| <= ||beta|| + ||v|| + ||ref||
-        dot_err = (drift + _EPS * (n * self.row_norm[i] * (beta_norm + before + 2.0 * ref_norm)
-                                   + 2.0 * (abs(y_i) + abs(r_i)) + abs(zdot) + abs(dot)))
-        rounding = (2.0 * abs(c) * dot_err + _EPS * ((n + 2) * step * step
-                                                     + 4.0 * abs(c * dot) + abs(value)))
-        # z - c x_i rounds within u (||c x_i|| + ||z_new||)
-        eta = _EPS * (step + beta_norm + after + ref_norm)
-        return self._settle(value, tally + rounding + eta * (2.0 * after + eta) + _PAD)
 
 
 class _RowResidual(_RunningMetric):
@@ -701,7 +623,7 @@ class _ColumnResidual(_RunningMetric):
 
     def advance(self, state, draws, out):
         j = draws[0]
-        s, dot = out[0], out[1]
+        s, dot = out
         m, value = self.m, self.value
         step = abs(s) * self.col_norm[j]  # ||s x_j||
         before = math.sqrt(abs(value) + self.tally)
@@ -718,7 +640,6 @@ _RUNNING_METRICS = {
     (SolverKind.RK, StopMetric.ERROR_TO_REFERENCE): _RowError,
     (SolverKind.REK, StopMetric.ERROR_TO_REFERENCE): _RowError,
     (SolverKind.RGS, StopMetric.ERROR_TO_REFERENCE): _ColumnError,
-    (SolverKind.REGS, StopMetric.ERROR_TO_REFERENCE): _ExtendedColumnError,
     (SolverKind.RK, StopMetric.RESIDUAL_NORM): _RowResidual,
     (SolverKind.REK, StopMetric.RESIDUAL_NORM): _RowResidual,
     (SolverKind.RGS, StopMetric.RESIDUAL_NORM): _ColumnResidual,
@@ -727,12 +648,18 @@ _RUNNING_METRICS = {
 
 
 def _running_metric(solver: _Solver, metric: StopMetric, ref, tol: float) -> _RunningMetric | None:
-    """The running metric of one run, or None where the bounds' scale assumptions fail.
+    """The running metric of one run, or None, and then ``run`` checks exactly every step.
 
-    They assume no overflow, and no underflow beyond _PAD: entries of X, y
-    and ref at most _SCALE_LIMIT in magnitude, and every positive row and
-    column norm, which a step scale divides by, at least 1/_SCALE_LIMIT.
+    There is none for REGS under error stopping: a certificate for its
+    estimate beta - z saved no time over an exact check every step. Nor is
+    there one where the bounds' scale assumptions fail. They assume no
+    overflow, and no underflow beyond _PAD: entries of X, y and ref at most
+    _SCALE_LIMIT in magnitude, and every positive row and column norm, which
+    a step scale divides by, at least 1/_SCALE_LIMIT.
     """
+    cls = _RUNNING_METRICS.get((solver.kind, metric))
+    if cls is None:
+        return None
     X = solver.system.X
     vectors = [X.data, solver.system.y] + ([] if ref is None else [ref])
     if max(float(np.max(np.abs(v))) for v in vectors) > _SCALE_LIMIT:
@@ -740,7 +667,7 @@ def _running_metric(solver: _Solver, metric: StopMetric, ref, tol: float) -> _Ru
     for nsq in (X.row_norms_sq, X.col_norms_sq):
         if float(np.min(nsq[nsq > 0], initial=np.inf)) < _SCALE_LIMIT**-2:
             return None
-    return _RUNNING_METRICS[solver.kind, metric](solver, ref, tol)
+    return cls(solver, ref, tol)
 
 
 def run(
@@ -773,7 +700,8 @@ def run(
     computed the exact metric after every step. Once a certificate fails,
     the exact metric is computed at every step, with no running update,
     until the next record or refresh resyncs the running value; near the
-    float floor this is every step from then on.
+    float floor this is every step from then on. Where ``_running_metric``
+    gives none (REGS under error stopping), every step is checked exactly.
     """
     on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     ref = _require_reference(system) if on_error else system.reference

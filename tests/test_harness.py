@@ -78,8 +78,8 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="RK: over-consistent"):
             run_experiment(cfg)
 
-    # 4 trials run one by one, LOCKSTEP_MIN_TRIALS trials run in lockstep
-    @pytest.mark.parametrize("trials", [4, LOCKSTEP_MIN_TRIALS])
+    # LOCKSTEP_MIN_TRIALS - 1 trials run one by one, LOCKSTEP_MIN_TRIALS trials in lockstep
+    @pytest.mark.parametrize("trials", [LOCKSTEP_MIN_TRIALS - 1, LOCKSTEP_MIN_TRIALS])
     def test_forward_fill_repeats_terminal_value(self, saved_system, trials):
         # stride 1 makes the grid reach the slowest trial's final iteration,
         # so every earlier trial contributes its forward-filled terminal value
@@ -101,7 +101,7 @@ class TestRunExperiment:
             assert bounds and all(math.isfinite(b) for b in bounds)
             assert all(b2 <= b1 * (1 + 1e-12) for b1, b2 in zip(bounds, bounds[1:]))
 
-    @pytest.mark.parametrize("trials", [4, LOCKSTEP_MIN_TRIALS])
+    @pytest.mark.parametrize("trials", [LOCKSTEP_MIN_TRIALS - 1, LOCKSTEP_MIN_TRIALS])
     def test_redraw_per_trial_deterministic_and_distinct(self, saved_system, trials):
         base = dict(system_dir=saved_system, solvers=[SolverKind.RK], trials=trials,
                     max_iter=2000, record_every=50, base_seed=9)

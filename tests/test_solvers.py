@@ -424,8 +424,15 @@ class TestRunDrawsReference:
             expected.append((t, float(diff @ diff), float(state.residual @ state.residual)))
 
         record(0)
+        # every step returns (scale, dot): dot is bitwise the pre-step x_i.beta for RK
+        # and REK, and the pre-step x_j.residual for RGS and REGS (i, j the first draw)
+        on_rows = kind in (SolverKind.RK, SolverKind.REK)
+        vectors = sys_.X.data if on_rows else np.ascontiguousarray(sys_.X.data.T)
         for t, draws in enumerate(reference_draws(sys_, kind, 9, max_iter), 1):
-            solver.step(state, draws)
+            dot = float(vectors[draws[0]] @ (state.beta if on_rows else state.residual))
+            out = solver.step(state, draws)
+            assert type(out) is tuple and len(out) == 2
+            assert out[1].hex() == dot.hex()
             record(t)
         assert trace.final_iteration == max_iter
         assert trace.records == expected

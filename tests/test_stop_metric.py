@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kaczgs import cli
+from kaczgs import cli, harness
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import load_system
 from kaczgs.sampling import Prng
@@ -150,7 +150,9 @@ class TestPinnedBytes:
         pinned = {(SolverKind(s), Regime(r)) for s, r, _, _ in SOLVE_SHA256}
         assert pinned == CONVERGENT_PAIRS
 
-    def test_per_trial_compare_csv(self, system_dirs, tmp_path):
+    def test_per_trial_compare_csv(self, system_dirs, tmp_path, monkeypatch):
+        # 4 trials run one by one here, so the running metric's certificate decides the stops
+        monkeypatch.setattr(harness, "LOCKSTEP_MIN_TRIALS", 5)
         out = tmp_path / "compare.csv"
         assert cli.main(["compare", "--system", str(system_dirs / "over-consistent"),
                          "--trials", "4", "--record-every", "10", "--max-iter", "3000",
