@@ -29,13 +29,13 @@ indices they are given.
 ``run`` drives one trial through ``step`` and stops on the exact stop
 metric, which it computes at every record, every RESIDUAL_REFRESH_EVERY-th
 step, and wherever a certificate cannot prove it still at or above tol.
-Between those steps it carries the metric forward with one of four
+Between those steps it carries the metric forward with one of three
 ``_RunningMetric`` classes, in O(1) or O(n) from the (scale, dot) pair
 every ``step`` returns. The certificate is that running value less a tally of
 its rounding since the last exact value and a bound on the rounding of the
 exact computation it replaces, so ``run`` stops where a check after every
-step would stop. REGS under error stopping has no running metric, so
-``run`` computes its exact error after every step.
+step would stop. RGS and REGS under error stopping have no running metric,
+so ``run`` computes their exact error after every step.
 
 ``run_batch`` drives several trials of one solver in lockstep through
 ``step_batch``, on a state whose arrays hold one row per trial: (T, n)
@@ -516,30 +516,6 @@ class _RowError(_RunningMetric):
         return self._settle(value, tally)
 
 
-class _ColumnError(_RunningMetric):
-    """RGS on ||beta - ref||^2: only beta_j moves, so the change is exact to O(u).
-
-    With the new beta_j = old beta_j + s + e, |e| <= u |beta_j|, and
-    d = beta_j - ref_j, the metric moves by 2 (s + e) d - (s + e)^2, taken
-    as s (2 d - s).
-    """
-
-    def __init__(self, solver, ref, tol):
-        super().__init__(solver, ref, tol, solver.system.n)
-        self.ref = ref.tolist()
-
-    def advance(self, state, draws, out):
-        j = draws[0]
-        s = out[0]
-        beta_j = float(state.beta[j])
-        d = beta_j - self.ref[j]
-        value = self.value + s * (2.0 * d - s)
-        e = _EPS * abs(beta_j)
-        rounding = _EPS * (abs(s) * (4.0 * abs(d) + 2.0 * abs(s)) + abs(value))
-        tally = self.tally + rounding + e * (2.0 * (abs(d) + abs(s)) + e) + _PAD
-        return self._settle(value, tally)
-
-
 class _RowResidual(_RunningMetric):
     """RK and REK on ||y - X beta||^2: the residual moves by -s X x_i.
 
@@ -639,7 +615,6 @@ class _ColumnResidual(_RunningMetric):
 _RUNNING_METRICS = {
     (SolverKind.RK, StopMetric.ERROR_TO_REFERENCE): _RowError,
     (SolverKind.REK, StopMetric.ERROR_TO_REFERENCE): _RowError,
-    (SolverKind.RGS, StopMetric.ERROR_TO_REFERENCE): _ColumnError,
     (SolverKind.RK, StopMetric.RESIDUAL_NORM): _RowResidual,
     (SolverKind.REK, StopMetric.RESIDUAL_NORM): _RowResidual,
     (SolverKind.RGS, StopMetric.RESIDUAL_NORM): _ColumnResidual,
@@ -650,12 +625,13 @@ _RUNNING_METRICS = {
 def _running_metric(solver: _Solver, metric: StopMetric, ref, tol: float) -> _RunningMetric | None:
     """The running metric of one run, or None, and then ``run`` checks exactly every step.
 
-    There is none for REGS under error stopping: a certificate for its
-    estimate beta - z saved no time over an exact check every step. Nor is
-    there one where the bounds' scale assumptions fail. They assume no
-    overflow, and no underflow beyond _PAD: entries of X, y and ref at most
-    _SCALE_LIMIT in magnitude, and every positive row and column norm, which
-    a step scale divides by, at least 1/_SCALE_LIMIT.
+    There is none for RGS and REGS under error stopping. Their exact check
+    is an O(n) difference and one dot product, and a certificate in its
+    place made no benchmark command measurably faster. Nor is there one
+    where the bounds' scale assumptions fail. They assume no overflow, and
+    no underflow beyond _PAD: entries of X, y and ref at most _SCALE_LIMIT
+    in magnitude, and every positive row and column norm, which a step
+    scale divides by, at least 1/_SCALE_LIMIT.
     """
     cls = _RUNNING_METRICS.get((solver.kind, metric))
     if cls is None:
@@ -701,7 +677,8 @@ def run(
     the exact metric is computed at every step, with no running update,
     until the next record or refresh resyncs the running value; near the
     float floor this is every step from then on. Where ``_running_metric``
-    gives none (REGS under error stopping), every step is checked exactly.
+    gives none (RGS and REGS under error stopping), every step is checked
+    exactly.
     """
     on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     ref = _require_reference(system) if on_error else system.reference

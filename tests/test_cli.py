@@ -206,7 +206,7 @@ class TestCompare:
 
     def test_lockstep_band_is_the_band_of_solve_trials(self, system_dir, tmp_path):
         # these trials run in lockstep; each must be bit for bit the solve of that trial
-        trials = LOCKSTEP_MIN_TRIALS
+        trials = max(8, LOCKSTEP_MIN_TRIALS)
         out = tmp_path / "c.csv"
         assert _run(["compare", "--system", str(system_dir), "--solvers", "rk",
                      "--trials", str(trials), "--record-every", "1", "--seed", "4",

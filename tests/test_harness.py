@@ -184,8 +184,8 @@ class TestCompareSolvers:
         target = tmp_path / "sys"
         save_system(gen_gaussian(spec), target, spec)
         cfg = ExperimentConfig(system_dir=target, solvers=list(SolverKind),
-                               trials=LOCKSTEP_MIN_TRIALS, max_iter=30_000, record_every=7,
-                               base_seed=2)
+                               trials=max(8, LOCKSTEP_MIN_TRIALS), max_iter=30_000,
+                               record_every=7, base_seed=2)
         lockstep = compare_solvers(cfg)
         monkeypatch.setattr(harness, "LOCKSTEP_MIN_TRIALS", cfg.trials + 1)
         per_trial = compare_solvers(cfg)

@@ -502,7 +502,7 @@ class TestRunBatchAgreement:
         sys_ = gaussian_system(m, n, regime, seed=6)
         stride = 3
         cfg = SolveConfig(max_iter=20_000, tol=1e-8, record_every=stride)
-        trials = LOCKSTEP_MIN_TRIALS
+        trials = max(8, LOCKSTEP_MIN_TRIALS)
         traces = [run(sys_, kind, cfg, spawn_trial_rng(2, k), trial=k) for k in range(trials)]
         batch = run_batch(sys_, kind, cfg, [spawn_trial_rng(2, k) for k in range(trials)])
 
