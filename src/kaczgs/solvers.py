@@ -27,25 +27,27 @@ DRAW_BUDGET uniforms a call. ``step`` and ``step_batch`` only apply the
 indices they are given.
 
 ``run`` drives one trial through ``step`` and stops on the exact stop
-metric, which it computes at every record, every RESIDUAL_REFRESH_EVERY-th
-step, and wherever a certificate cannot prove it still at or above tol.
-Between those steps it carries the metric forward with one of three
-``_RunningMetric`` classes, in O(1) or O(n) from the (scale, dot) pair
-every ``step`` returns. The certificate is that running value less a tally of
-its rounding since the last exact value and a bound on the rounding of the
-exact computation it replaces, so ``run`` stops where a check after every
-step would stop. RGS and REGS under error stopping have no running metric,
-so ``run`` computes their exact error after every step.
+metric after every step. Between records it takes it in chunks:
+``_ExactChecks`` copies at each step the one vector the metric reads, one
+``np.vecdot`` takes the metrics of up to CHECK_CHUNK steps, and a stop
+inside a chunk is replayed from the state saved at its first step. For
+RK and REK under residual stopping, whose exact check is a full matvec, a
+``_RunningMetric`` carries the metric forward in O(n) from the (scale,
+dot) pair every ``step`` returns. Its certificate is that running value
+less a tally of its rounding since the last exact value and a bound on
+the rounding of the exact computation it replaces, so ``run`` skips only
+checks that cannot stop it.
 
 ``run_batch`` drives several trials of one solver in lockstep through
 ``step_batch``, on a state whose arrays hold one row per trial: (T, n)
 iterates, a (T, m) residual, and a (T, m) z for REK or a (T, n) z for
-REGS; it checks each trial's exact error every step. Each trial gets the
-same draws and the same updates and residual refreshes as under ``run``,
-computed bit for bit the same way: each row's dot product is one
-``np.vecdot`` row, the same BLAS dot that ``x @ y`` calls, and the refresh
-is one routine for both shapes. So a batched trial's errors equal those of ``run``, and so of
-``kaczgs solve``, of the same trial exactly.
+REGS; it checks each trial's exact error after every step, in the same
+chunks. Each trial gets the same draws and the same updates and residual
+refreshes as under ``run``, computed bit for bit the same way: each row's
+dot product is one ``np.vecdot`` row, the same BLAS dot that ``x @ y``
+calls, and the refresh is one routine for both shapes. So a batched
+trial's errors equal those of ``run``, and so of ``kaczgs solve``, of the
+same trial exactly.
 
 A note on the extended Gauss-Seidel coordinate update: the per-step
 increment along coordinate j is the coordinate least-squares correction
@@ -59,7 +61,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -73,6 +74,9 @@ RESIDUAL_REFRESH_EVERY = 1000
 
 #: uniforms drawn in one call for a block of steps, across all trials of the block
 DRAW_BUDGET = 4096
+
+#: the most steps whose exact stop metrics are taken in one ``np.vecdot``
+CHECK_CHUNK = 64
 
 
 class SolverKind(Enum):
@@ -108,15 +112,20 @@ class SolverState:
 
     For ``run`` the arrays are vectors; for ``run_batch`` they hold one row
     per trial. ``residual`` mirrors y - X beta. RGS/REGS maintain it step by
-    step and refresh it from scratch every RESIDUAL_REFRESH_EVERY steps;
-    RK/REK leave it stale. Either way ``sync_residual`` makes it current
-    before any read.
+    step and refresh it from scratch every RESIDUAL_REFRESH_EVERY steps, so
+    it is current after every step; RK/REK leave it stale, and their
+    ``sync_residual`` makes it current before a read.
     """
 
     beta: np.ndarray
     residual: np.ndarray
     iteration: int = 0
     z: np.ndarray | None = None
+
+    def copy(self, rows=...) -> SolverState:
+        """A copy of the state; for a batch, of the given trial rows only."""
+        z = None if self.z is None else self.z[rows].copy()
+        return SolverState(self.beta[rows].copy(), self.residual[rows].copy(), self.iteration, z)
 
 
 @dataclass(frozen=True)
@@ -409,8 +418,8 @@ def _draw_blocks(dists: list[WeightedIndex], rngs: list[Prng], steps: int):
 # ---------------------------------------------------------------------------
 # The running stop metric
 #
-# Notation: u = 2**-53 is the unit roundoff; v is the vector whose squared
-# norm the stop metric is (beta - ref, or the residual) and
+# Notation: u = 2**-53 is the unit roundoff; v is the residual, whose squared
+# norm the stop metric is, and
 # V = ||v||^2 in exact arithmetic on the solver's current float state. The
 # bounds use the standard model fl(a op b) = (a op b)(1 + d) with |d| <= u,
 # and bound a dot product of length k, in any summation order, within
@@ -439,27 +448,26 @@ class _RunningMetric:
 
         ||v + t a||^2 = ||v||^2 + 2 t (a.v) + t^2 ||a||^2,
 
-    from the (scale, dot) pair the step returns, in O(1) or O(n); and
+    from the (scale, dot) pair the step returns, in O(n); and
     it adds to T the rounding of that update, of a.v and ||a||^2, and of the
     step's own vector update.
 
     The exact check computes ||d||^2 for a float vector d within
-    ``a ||v|| + b`` of v, by a dot product of length k, so it returns at
-    least (1 - k u)(||v|| - a ||v|| - b)^2. ``advance`` returns whether that
+    ``u ||v|| + b`` of v, by a dot product of length k, so it returns at
+    least (1 - k u)(||v|| - u ||v|| - b)^2. ``advance`` returns whether that
     lower bound, taken at ||v||^2 >= R - T, is >= tol: then the exact check
     cannot stop this step, and ``run`` skips it. It also asks T <= R - T,
     which fails only near the float floor.
     """
 
-    a = _EPS
     b = 0.0
 
-    def __init__(self, solver: _Solver, ref: np.ndarray | None, tol: float, k: int):
+    def __init__(self, solver: _Solver, tol: float, k: int):
         self.k = k
         self.n, self.m = solver.system.n, solver.system.m
         keep = 1.0 - (k + 8) * _EPS
-        # with T <= R - T, ||v|| <= sqrt(3 (R - T)): the a-term folds into one factor
-        self.shrink = _SHRINK - 2.0 * self.a * _GROW
+        # with T <= R - T, ||v|| <= sqrt(3 (R - T)): the u ||v|| term folds into one factor
+        self.shrink = _SHRINK - 2.0 * _EPS * _GROW
         self.root_tol = math.sqrt(tol / keep) * _GROW
         self.value = self.tally = 0.0
 
@@ -467,7 +475,7 @@ class _RunningMetric:
         """Restart from an exact value; T bounds that computation's own rounding."""
         bound = 2.0 * math.sqrt(exact + self.b * self.b)  # >= ||v|| and ||d||
         self.value = exact
-        self.tally = self.k * _EPS * exact + 2.0 * (self.a * bound + self.b) * bound + _PAD
+        self.tally = self.k * _EPS * exact + 2.0 * (_EPS * bound + self.b) * bound + _PAD
 
     def _settle(self, value: float, tally: float) -> bool:
         """Store R and T; whether they certify that the exact metric is >= tol."""
@@ -481,41 +489,6 @@ class _RunningMetric:
         raise NotImplementedError
 
 
-class _RowError(_RunningMetric):
-    """RK and REK on ||beta - ref||^2: beta moves by s x_i.
-
-    a.v = x_i.beta - (X ref)_i, from the step's own x_i.beta and X ref
-    taken once; ||a||^2 is the row's squared norm. fl(beta - ref) is
-    within u ||v|| of v.
-    """
-
-    def __init__(self, solver, ref, tol):
-        super().__init__(solver, ref, tol, solver.system.n)
-        self.row_nsq = solver._row_nsq_vals
-        self.row_norm = np.sqrt(solver._row_nsq).tolist()
-        self.x_ref = (solver._rows_arr @ ref).tolist()
-        self.ref_norm = math.sqrt(float(ref @ ref)) * (1.0 + self.n * _EPS)
-
-    def advance(self, state, draws, out):
-        i = draws[0]
-        s, dot = out
-        dot -= self.x_ref[i]
-        n, ref_norm, value = self.n, self.ref_norm, self.value
-        step = abs(s) * self.row_norm[i]  # ||s x_i||
-        before = math.sqrt(abs(value) + self.tally)  # >= ||v||
-        after = before + step  # >= ||v + s x_i||
-        value += s * (2.0 * dot + s * self.row_nsq[i])
-        # x_i.beta and (X ref)_i within n u ||x_i|| (||v|| + ||ref||) and n u ||x_i|| ||ref||,
-        # ||x_i||^2 within n u of itself, and the update's own rounding
-        rounding = (2 * n * step * (before + 2.0 * ref_norm) + (n + 2) * step * step
-                    + 6.0 * abs(s * dot) + abs(value))
-        # beta + s x_i rounds within u (||s x_i|| + ||beta_new||),
-        # with ||beta_new|| <= ||v_new|| + ||ref||
-        eta = _EPS * (step + after + ref_norm)
-        tally = self.tally + _EPS * rounding + eta * (2.0 * after + eta) + _PAD
-        return self._settle(value, tally)
-
-
 class _RowResidual(_RunningMetric):
     """RK and REK on ||y - X beta||^2: the residual moves by -s X x_i.
 
@@ -526,8 +499,8 @@ class _RowResidual(_RunningMetric):
     so b follows ``beta_norm``, a bound on ||beta|| from the last resync on.
     """
 
-    def __init__(self, solver, ref, tol):
-        super().__init__(solver, ref, tol, solver.system.m)
+    def __init__(self, solver, tol):
+        super().__init__(solver, tol, solver.system.m)
         X, y = solver._rows_arr, solver._y
         m, n = self.m, self.n
         fro_sq = solver.system.X.frob_sq * (1.0 + (m + n) * _EPS)
@@ -583,55 +556,21 @@ class _RowResidual(_RunningMetric):
         return self._settle(value, self.tally + rounding + eta * (2.0 * after + eta) + _PAD)
 
 
-class _ColumnResidual(_RunningMetric):
-    """RGS and REGS on the maintained ||r||^2: r moves by -s x_j, with x_j.r from the step.
-
-    The exact check reads the maintained r itself, so a = b = 0. A refresh
-    replaces r, so ``run`` resyncs at every RESIDUAL_REFRESH_EVERY-th step.
-    """
-
-    a = 0.0
-
-    def __init__(self, solver, ref, tol):
-        super().__init__(solver, ref, tol, solver.system.m)
-        self.col_nsq = solver._col_nsq_vals
-        self.col_norm = np.sqrt(solver._col_nsq).tolist()
-
-    def advance(self, state, draws, out):
-        j = draws[0]
-        s, dot = out
-        m, value = self.m, self.value
-        step = abs(s) * self.col_norm[j]  # ||s x_j||
-        before = math.sqrt(abs(value) + self.tally)
-        after = before + step
-        value -= s * (2.0 * dot - s * self.col_nsq[j])
-        # x_j.r within m u ||x_j|| ||r||, ||x_j||^2 within m u of itself, the update's rounding
-        rounding = 2 * m * step * before + (m + 2) * step * step + 4.0 * abs(s * dot) + abs(value)
-        # r - s x_j rounds within u (||s x_j|| + ||r_new||)
-        eta = _EPS * (step + after)
-        return self._settle(value, self.tally + _EPS * rounding + eta * (2.0 * after + eta) + _PAD)
-
-
 _RUNNING_METRICS = {
-    (SolverKind.RK, StopMetric.ERROR_TO_REFERENCE): _RowError,
-    (SolverKind.REK, StopMetric.ERROR_TO_REFERENCE): _RowError,
     (SolverKind.RK, StopMetric.RESIDUAL_NORM): _RowResidual,
     (SolverKind.REK, StopMetric.RESIDUAL_NORM): _RowResidual,
-    (SolverKind.RGS, StopMetric.RESIDUAL_NORM): _ColumnResidual,
-    (SolverKind.REGS, StopMetric.RESIDUAL_NORM): _ColumnResidual,
 }
 
 
 def _running_metric(solver: _Solver, metric: StopMetric, ref, tol: float) -> _RunningMetric | None:
     """The running metric of one run, or None, and then ``run`` checks exactly every step.
 
-    There is none for RGS and REGS under error stopping. Their exact check
-    is an O(n) difference and one dot product, and a certificate in its
-    place made no benchmark command measurably faster. Nor is there one
-    where the bounds' scale assumptions fail. They assume no overflow, and
-    no underflow beyond _PAD: entries of X, y and ref at most _SCALE_LIMIT
-    in magnitude, and every positive row and column norm, which a step
-    scale divides by, at least 1/_SCALE_LIMIT.
+    There is one only for RK and REK under residual stopping, whose exact
+    check is a full matvec; every other one is a copy that ``_ExactChecks``
+    batches. Nor is there one where the bounds' scale assumptions fail: no
+    overflow, and no underflow beyond _PAD, so entries of X, y and ref at
+    most _SCALE_LIMIT in magnitude, and every positive row and column norm,
+    which a step scale divides by, at least 1/_SCALE_LIMIT.
     """
     cls = _RUNNING_METRICS.get((solver.kind, metric))
     if cls is None:
@@ -643,7 +582,48 @@ def _running_metric(solver: _Solver, metric: StopMetric, ref, tol: float) -> _Ru
     for nsq in (X.row_norms_sq, X.col_norms_sq):
         if float(np.min(nsq[nsq > 0], initial=np.inf)) < _SCALE_LIMIT**-2:
             return None
-    return cls(solver, ref, tol)
+    return cls(solver, tol)
+
+
+class _ExactChecks:
+    """The exact stop metrics of the steps of a chunk but its last, taken in one ``np.vecdot``.
+
+    ``write`` copies into the next row of a (steps, ...) buffer the one
+    vector the current state's metric reads: the estimate under error
+    stopping; under residual stopping the maintained residual of RGS and
+    REGS, or beta for RK and REK, whose residual ``flush`` takes as y - X beta
+    by the per-row gemv of the batched refresh. ``flush`` returns the metric
+    of every step written since the last flush, bit for bit a check's value.
+    """
+
+    def __init__(self, solver: _Solver, on_error: bool, ref, steps: int, trials: int | None = None):
+        self.solver, self.ref, self.on_error = solver, ref, on_error
+        self.from_beta = not on_error and not isinstance(solver, _MaintainedResidual)
+        width = solver.system.m if not (on_error or self.from_beta) else solver.system.n
+        self.full = np.empty((steps,) + (() if trials is None else (trials,)) + (width,))
+        self.keep(trials)
+
+    def keep(self, trials: int | None) -> None:
+        """Write the first `trials` rows of each step from now on (lockstep batches)."""
+        view = self.full if trials is None else self.full[:, :trials]
+        self.count = 0
+        self.rows = list(view)
+        self.chunks = [view[:k] for k in range(len(view) + 1)]
+
+    def write(self, state: SolverState) -> None:
+        self.rows[self.count][...] = (self.solver.estimate(state) if self.on_error
+                                      else state.beta if self.from_beta else state.residual)
+        self.count += 1
+
+    def flush(self) -> np.ndarray:
+        v = self.chunks[self.count]
+        self.count = 0
+        if self.on_error:
+            v -= self.ref
+        elif self.from_beta:
+            v = np.matmul(self.solver._rows_arr, v[..., None])[..., 0]
+            np.subtract(self.solver._y, v, out=v)
+        return np.vecdot(v, v)
 
 
 def run(
@@ -666,19 +646,15 @@ def run(
     metric, so under error stopping residual_sq is NaN and RK/REK skip the
     full matvec that each recorded residual costs them.
 
-    The exact stop metric decides every stop, but it is computed only at
-    iteration 0, at every record, at every RESIDUAL_REFRESH_EVERY-th step,
-    and at every step whose running metric (``_RunningMetric``) cannot
-    certify that the exact value is still >= tol. The certificate is the
-    running value less a tally of its rounding since the last exact value
-    and a bound on the rounding of the exact computation it replaces; so
-    ``run`` stops at the iteration, and writes the records, of a run that
-    computed the exact metric after every step. Once a certificate fails,
-    the exact metric is computed at every step, with no running update,
-    until the next record or refresh resyncs the running value; near the
-    float floor this is every step from then on. Where ``_running_metric``
-    gives none (RGS and REGS under error stopping), every step is checked
-    exactly.
+    The exact stop metric decides every stop. Records, every
+    RESIDUAL_REFRESH_EVERY-th step and max_iter compute it directly; the
+    steps between write it in chunks (``_ExactChecks``) that end after
+    CHECK_CHUNK steps, at the next such step and at the end of a draw block.
+    A stop inside a chunk is replayed from the state saved after its first
+    step, so ``run`` stops, records and draws as a check after every step
+    would. Where ``_running_metric`` gives one, steps whose exact value it
+    certifies >= tol write nothing; after a failed certificate every step
+    is checked until the next record or refresh.
     """
     on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     ref = _require_reference(system) if on_error else system.reference
@@ -686,6 +662,7 @@ def run(
     state = solver.init_state()
     trace = ConvergenceTrace(kind, trial, False, 0)
     start = time.perf_counter()
+    maintained = isinstance(solver, _MaintainedResidual)
 
     def error_sq() -> float:
         if ref is None:
@@ -694,64 +671,79 @@ def run(
         return float(diff @ diff)
 
     def residual_sq() -> float:
-        solver.sync_residual(state)
+        if not maintained:  # RGS and REGS keep it current, refreshed by their own step
+            solver.sync_residual(state)
         r = state.residual
         return float(r @ r)
 
-    def record(it: int, err: float, res: float):
-        trace.records.append((it, err, res))
+    def record(it: int, metric: float):
+        if on_error:
+            trace.records.append((it, metric, residual_sq() if residuals else float("nan")))
+        else:
+            trace.records.append((it, error_sq(), metric))
         trace.seconds.append(time.perf_counter() - start)
 
-    every, last = config.record_every, config.max_iter
+    every, last, tol = config.record_every, config.max_iter, config.tol
 
     def next_exact(t: int) -> int:
-        """The first step after t that records or refreshes, where the exact metric is due."""
+        """The first step after t that records or refreshes, where a chunk must end."""
         return min(t - t % every + every, t - t % RESIDUAL_REFRESH_EVERY + RESIDUAL_REFRESH_EVERY,
                    last)
 
-    err = error_sq()
-    res = residual_sq() if residuals or not on_error else float("nan")
-    record(0, err, res)
-    metric = err if on_error else res
-    if metric < config.tol:
+    metric = error_sq() if on_error else residual_sq()
+    record(0, metric)
+    if metric < tol:
         trace.converged = True
         return trace
 
-    running = _running_metric(solver, config.stop_metric, ref, config.tol)
+    running = _running_metric(solver, config.stop_metric, ref, tol)
     due = next_exact(0)
     tracking = running is not None and due > 1  # a resync pays off only before a skippable step
     if tracking:
         running.resync(state, metric)
-    blocks = _draw_blocks(solver.draw_order(), [rng], config.max_iter)
-    draws = chain.from_iterable(zip(*(b[:, 0].tolist() for b in block)) for block in blocks)
-    for t, step_draws in enumerate(draws, 1):
-        out = solver.step(state, step_draws)
-        if tracking and t != due:
-            if running.advance(state, step_draws, out):
-                continue
-            tracking = False  # exact at every step until the next record or refresh
-        if on_error:
-            err = error_sq()
-            metric = err
-        else:
-            res = residual_sq()
-            metric = res
-        hit = metric < config.tol
-        if hit or t % every == 0 or t == last:
-            if on_error:
-                if residuals:
-                    res = residual_sq()
-            elif ref is not None:
-                err = error_sq()
-            record(t, err, res)
-        if hit:
-            trace.converged = True
+    checks = _ExactChecks(solver, on_error, ref, min(CHECK_CHUNK, every))  # a record ends a chunk
+    t = 0
+    for block in _draw_blocks(solver.draw_order(), [rng], last):
+        indices = [b[:, 0].tolist() for b in block]  # one list per draw of a step
+        base, end = t, t + len(indices[0])
+        for step_draws in zip(*indices):
+            t += 1
+            out = solver.step(state, step_draws)
+            if t != due:
+                if tracking:
+                    if running.advance(state, step_draws, out):
+                        continue
+                    tracking = False  # exact at every step until the next record or refresh
+                if t != end and checks.count < CHECK_CHUNK - 1:
+                    if not checks.count:
+                        saved, first = state.copy(), t  # the chunk's first step, to replay from
+                    checks.write(state)
+                    continue
+            if checks.count:  # the chunk's steps before this one
+                values = checks.flush()
+                below = np.flatnonzero(values < tol)
+                if below.size:
+                    stop = first + int(below[0])
+                    state = saved
+                    for d in zip(*(i[first - base:stop - base] for i in indices)):
+                        solver.step(state, d)
+                    record(stop, float(values[below[0]]))
+                    trace.converged = True
+                    break
+            metric = error_sq() if on_error else residual_sq()
+            hit = metric < tol
+            if hit or t % every == 0 or t == last:
+                record(t, metric)
+            if hit:
+                trace.converged = True
+                break
+            if t == due:
+                due = next_exact(t)
+                tracking = running is not None and due > t + 1
+                if tracking:
+                    running.resync(state, metric)
+        if trace.converged:
             break
-        if t == due:
-            due = next_exact(t)
-            tracking = running is not None and due > t + 1
-            if tracking:
-                running.resync(state, metric)
 
     trace.final_iteration = state.iteration
     return trace
@@ -783,65 +775,74 @@ def run_batch(
 
     Trial k makes the same draws from rngs[k] and computes the same updates
     as ``run`` would, bit for bit, so its errors equal ``run``'s and it
-    stops at the same iteration. Each trial checks its own error at every
-    step and leaves the batch when it falls below tol. One
-    ``_draw_blocks`` stream draws every block for the trials still running,
-    so a trial that stops leaves its generator advanced past its last draw
-    and is drawn for no more.
+    stops at the same iteration. Every step's errors are taken in the
+    chunks of ``run``, which end at every grid point. A trial whose error
+    falls below tol inside a chunk gets that step and error as its final
+    ones, and leaves the batch at the chunk's end, before the next
+    ``_draw_blocks`` block is drawn for the trials still running; so its
+    generator ends where it ends under ``run``.
     """
     if config.stop_metric is not StopMetric.ERROR_TO_REFERENCE:
         raise ConfigurationError("lockstep trials stop on error to reference only")
     ref = _require_reference(system)
     solver = make_solver(kind, system)
-    dists = solver.draw_order()
     trials = len(rngs)
     state = solver.init_state(trials)
     start = time.perf_counter()
 
+    every, last, tol = config.record_every, config.max_iter, config.tol
     active = np.arange(trials)  # trial id of each batch row
-    final = np.full(trials, config.max_iter)
+    final = np.full(trials, last)
     converged = np.zeros(trials, dtype=bool)
     latest = np.empty(trials)  # each trial's latest error, terminal once it stopped
     columns: list[np.ndarray] = []
     seconds: list[float] = []
     live = list(rngs)  # the generators of the trials still running
-    draws = _draw_blocks(dists, live, config.max_iter)
+    draws = _draw_blocks(solver.draw_order(), live, last)
     blocks: list[np.ndarray] = []
-    used = 0
-
-    def error_sq() -> np.ndarray:
-        diff = solver.estimate(state) - ref
-        return np.vecdot(diff, diff)
-
-    err = error_sq()
+    used = size = 0  # steps taken of the current block, and its length
+    checks = _ExactChecks(solver, True, ref, min(CHECK_CHUNK, every), trials)
     t = 0
     while True:
-        latest[active] = err
-        if t % config.record_every == 0:
-            columns.append(latest.copy())
-            seconds.append(time.perf_counter() - start)
-        hit = err < config.tol
-        if hit.any():
-            final[active[hit]] = t
-            converged[active[hit]] = True
-            keep = ~hit
-            active = active[keep]
-            state.beta = state.beta[keep]
-            state.residual = state.residual[keep]
-            if state.z is not None:
-                state.z = state.z[keep]
-            blocks = [b[:, keep] for b in blocks]
-            if not active.size:
+        grid = t % every == 0
+        if grid or t == last or used == size or checks.count == CHECK_CHUNK - 1:
+            diff = solver.estimate(state) - ref
+            errors = np.vecdot(diff, diff)[None]  # (chunk steps, active trials)
+            if checks.count:
+                errors = np.concatenate((checks.flush(), errors))
+            stopped = None
+            if np.fmin.reduce(errors, axis=None) < tol:  # one reduction; fmin skips NaN
+                hit = errors < tol
+                stopped = hit.any(axis=0)
+                at = np.where(stopped, hit.argmax(axis=0), len(errors) - 1)
+                latest[active] = errors[at, np.arange(active.size)]
+                grid = grid and at.max() == len(errors) - 1  # some trial ran up to step t
+                gone = active[stopped]
+                final[gone] = t - len(errors) + 1 + at[stopped]
+                converged[gone] = True
+            else:
+                latest[active] = errors[-1]
+            if grid:
+                columns.append(latest.copy())
+                seconds.append(time.perf_counter() - start)
+            if stopped is not None:
+                keep = ~stopped
+                active = active[keep]
+                if not active.size:
+                    break
+                state = state.copy(keep)
+                blocks = [b[:, keep] for b in blocks]
+                live[:] = [rngs[k] for k in active]
+                checks.keep(active.size)
+            if t == last:
                 break
-            live[:] = [rngs[k] for k in active]
-        if t == config.max_iter:
-            break
-        if not blocks or used == blocks[0].shape[0]:
+        else:
+            checks.write(state)
+        if used == size:
             blocks = next(draws)
-            used = 0
+            used, size = 0, blocks[0].shape[0]
         solver.step_batch(state, [b[used] for b in blocks])
         used += 1
         t += 1
-        err = error_sq()
 
     return BatchTrace(np.stack(columns, axis=1), np.array(seconds) / trials, final, converged)

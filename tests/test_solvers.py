@@ -364,6 +364,27 @@ class TestRunDriver:
         if not residuals:
             assert all(np.isnan(r[2]) for r in trace.records)
 
+    @pytest.mark.parametrize("kind", [SolverKind.RGS, SolverKind.REGS], ids=lambda k: k.value)
+    def test_maintained_residual_refreshed_once_per_period(self, kind, monkeypatch):
+        """A residual-stopped run reads the maintained residual without refreshing it again."""
+        monkeypatch.setattr(solvers, "RESIDUAL_REFRESH_EVERY", 5)
+        refreshes = []
+        real_sync = solvers._MaintainedResidual.sync_residual
+
+        def counting_sync(self, state):
+            before = state.residual
+            real_sync(self, state)
+            if state.residual is not before:  # a refresh rebinds it: one m x n matvec
+                refreshes.append(state.iteration)
+
+        monkeypatch.setattr(solvers._MaintainedResidual, "sync_residual", counting_sync)
+        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        cfg = SolveConfig(max_iter=50, tol=1e-300, stop_metric=StopMetric.RESIDUAL_NORM,
+                          record_every=7)
+        trace = run(sys_, kind, cfg, Prng(1))
+        assert trace.final_iteration == 50
+        assert refreshes == list(range(5, 51, 5))
+
     def test_residuals_false_still_stops_on_the_residual(self):
         sys_ = gaussian_system(30, 6, Regime.OVER_CONSISTENT, seed=2)
         cfg = SolveConfig(max_iter=5000, record_every=7, stop_metric=StopMetric.RESIDUAL_NORM)

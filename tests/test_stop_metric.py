@@ -1,11 +1,12 @@
 """The stop check: ``run`` stops where an exact check at every step stops.
 
-``run`` decides every stop on the exact metric, but computes it only where
-its running value cannot certify that the metric is still at or above tol.
-Two kinds of tests hold it to that: sha256 pins of ``kaczgs solve`` and
-``compare`` CSVs as written by a driver that computed the exact metric after
-every step, and a property test that places tol one ulp around the metric at
-a drawn step.
+``run`` decides every stop on the exact metric, which it takes in chunks of
+steps and replays up to a stop inside a chunk, and skips only where a
+running value certifies that the metric is still at or above tol. Two kinds
+of tests hold it to that: sha256 pins of ``kaczgs solve`` and ``compare``
+CSVs as written by a driver that computed the exact metric after every
+step, and property tests that place tol one ulp around the metric at a
+drawn step, for ``run`` and for the lockstep ``run_batch``.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import load_system
 from kaczgs.sampling import Prng
 from kaczgs.solvers import (
+    CHECK_CHUNK,
     CONVERGENT_PAIRS,
     SolveConfig,
     SolverKind,
@@ -29,6 +31,7 @@ from kaczgs.solvers import (
     _running_metric,
     make_solver,
     run,
+    run_batch,
 )
 
 from conftest import gaussian_system, reference_draws
@@ -151,7 +154,7 @@ class TestPinnedBytes:
         assert pinned == CONVERGENT_PAIRS
 
     def test_per_trial_compare_csv(self, system_dirs, tmp_path, monkeypatch):
-        # 4 trials run one by one here, so the running metric's certificate decides the stops
+        # 4 trials run one by one here, so run's chunked checks decide the stops
         monkeypatch.setattr(harness, "LOCKSTEP_MIN_TRIALS", 5)
         out = tmp_path / "compare.csv"
         assert cli.main(["compare", "--system", str(system_dirs / "over-consistent"),
@@ -251,3 +254,74 @@ def test_a_system_beyond_the_scale_limit_is_checked_every_step():
                       record_every=50)
     trace = run(system, SolverKind.RK, cfg, Prng(3))
     assert (trace.converged, trace.final_iteration, trace.records) == expected
+
+
+@_crossing_settings
+@given(
+    pair=st.sampled_from(_PAIRS),
+    seed=st.integers(0, 2**64 - 3),
+    k=st.integers(0, _STEPS),
+    side=st.sampled_from(["above", "at", "below"]),
+    record_every=st.integers(CHECK_CHUNK + 1, 250),
+)
+def test_batch_stops_where_run_stops(pair, seed, k, side, record_every):
+    """tol one ulp around one trial's error at step k: the batch stops each trial where run does.
+
+    With record_every above CHECK_CHUNK, stops land inside a chunk. Each
+    generator ends where it ends under run: a trial that stops draws no
+    block more.
+    """
+    kind, regime = pair
+    system = _SYSTEMS[regime]
+    value = _metric_at(system, kind, StopMetric.ERROR_TO_REFERENCE, seed, k)
+    tol = {"above": math.nextafter(value, math.inf), "at": value,
+           "below": math.nextafter(value, 0.0)}[side]
+    if not tol > 0:
+        tol = math.nextafter(0.0, 1.0)
+    cfg = SolveConfig(max_iter=_STEPS, tol=tol, record_every=record_every)
+    seeds = [seed, seed + 1, seed + 2]
+    alone = [Prng(s) for s in seeds]
+    traces = [run(system, kind, cfg, rng) for rng in alone]
+    together = [Prng(s) for s in seeds]
+    batch = run_batch(system, kind, cfg, together)
+
+    assert batch.final_iterations.tolist() == [tr.final_iteration for tr in traces]
+    assert batch.converged.tolist() == [tr.converged for tr in traces]
+    assert [rng._state for rng in together] == [rng._state for rng in alone]
+    last = max(tr.final_iteration for tr in traces)
+    assert batch.errors.shape == (len(seeds), last // record_every + 1)
+    for errors, tr in zip(batch.errors, traces):
+        by_iter = {it: err for it, err, _res in tr.records}
+        terminal = tr.records[-1][1]
+        grid = range(0, errors.size * record_every, record_every)
+        assert errors.tolist() == [by_iter[it] if it <= tr.final_iteration else terminal
+                                   for it in grid]
+
+
+@pytest.mark.parametrize("kind, metric, scale", [
+    (SolverKind.REK, StopMetric.ERROR_TO_REFERENCE, 1.0),  # the chunk holds estimate - ref
+    (SolverKind.RGS, StopMetric.RESIDUAL_NORM, 1.0),  # the maintained residual
+    (SolverKind.RK, StopMetric.RESIDUAL_NORM, 2.0**60),  # beta: no running metric beyond 2**50
+], ids=["estimate", "maintained-residual", "beta"])
+def test_a_stop_inside_a_chunk_is_replayed(kind, metric, scale, monkeypatch):
+    """The stop falls before its chunk's end: run replays the chunk's draws up to it."""
+    base = _SYSTEMS[Regime.OVER_CONSISTENT]
+    system = LinearSystem(DenseMatrix(base.X.data * scale), base.y * scale, base.regime,
+                          reference=base.reference)
+    tol = math.nextafter(_metric_at(system, kind, metric, 3, 100), math.inf)
+    expected = exact_every_step(system, kind, metric, tol, 3, 300)
+    steps = []
+    cls = type(make_solver(kind, system))
+    real_step = cls.step
+
+    def counting_step(self, state, draws):
+        steps.append(state.iteration + 1)
+        return real_step(self, state, draws)
+
+    monkeypatch.setattr(cls, "step", counting_step)
+    cfg = SolveConfig(max_iter=_STEPS, tol=tol, stop_metric=metric, record_every=300)
+    trace = run(system, kind, cfg, Prng(3))
+    assert (trace.converged, trace.final_iteration, trace.records) == expected
+    stop = trace.final_iteration
+    assert stop % CHECK_CHUNK  # not the end of a chunk: the steps past it were run and replayed
+    assert steps[-1] == stop and max(steps) > stop
