@@ -1,7 +1,6 @@
 """The four randomized iterative kernels and two run drivers.
 
-Each solver advances a mutable :class:`SolverState` one randomized update at
-a time:
+Each solver advances a mutable :class:`SolverState` by randomized updates:
 
 * RK   — project the iterate onto the hyperplane of one sampled row.
 * RGS  — exactly minimize the least-squares objective along one sampled
@@ -23,20 +22,23 @@ row; RGS: column; REK: row then column; REGS: column then row), and
 from the trial's own generator, mapped to an index by
 ``WeightedIndex.sample_block``. It draws a block of steps for all trials
 in one ``batch_uniforms`` call; blocks start at 64 steps and double up to
-DRAW_BUDGET uniforms a call. ``step`` and ``step_batch`` only apply the
-indices they are given.
+DRAW_BUDGET uniforms a call. Each solver has two kernels, which only
+apply the indices they are given: ``steps``, a span of steps of one
+trial in one loop, and ``step_batch``, one step of many trials; ``step``
+is the span of one step.
 
-``run`` drives one trial through ``step`` and stops on the exact stop
-metric after every step. Between records it takes it in chunks:
-``_ExactChecks`` copies at each step the one vector the metric reads, one
-``np.vecdot`` takes the metrics of up to CHECK_CHUNK steps, and a stop
-inside a chunk is replayed from the state saved at its first step. For
-RK and REK under residual stopping, whose exact check is a full matvec, a
-``_RunningMetric`` carries the metric forward in O(n) from the (scale,
-dot) pair every ``step`` returns. Its certificate is that running value
-less a tally of its rounding since the last exact value and a bound on
-the rounding of the exact computation it replaces, so ``run`` skips only
-checks that cannot stop it.
+``run`` drives one trial through spans of ``steps`` and stops on the
+exact stop metric after every step. A span is at most CHECK_CHUNK steps
+and ends at every record, refresh, max_iter and draw-block end. Each of
+its steps writes the one vector its metric reads into the next row of an
+``_ExactChecks`` buffer, with ``out=`` on the update it already makes,
+one ``np.vecdot`` takes the metrics of the span, and a stop inside it is
+replayed from the state saved before it. For RK and REK under residual
+stopping, whose exact check is a full matvec, a ``_RunningMetric`` carries
+the metric forward in O(n) a step from the span's scales and beta rows.
+Its certificate is that running value less a tally of its rounding since
+the last exact value and a bound on the rounding of the exact computation
+it replaces, so ``run`` skips only checks that cannot stop it.
 
 ``run_batch`` drives several trials of one solver in lockstep through
 ``step_batch``, on a state whose arrays hold one row per trial: (T, n)
@@ -44,8 +46,8 @@ iterates, a (T, m) residual, and a (T, m) z for REK or a (T, n) z for
 REGS; it checks each trial's exact error after every step, in the same
 chunks. Each trial gets the same draws and the same updates and residual
 refreshes as under ``run``, computed bit for bit the same way: each row's
-dot product is one ``np.vecdot`` row, the same BLAS dot that ``x @ y``
-calls, and the refresh is one routine for both shapes. So a batched
+dot product is one ``np.vecdot`` row, the same BLAS dot that ``x.dot(y)``
+in ``steps`` calls, and the refresh is one routine for both shapes. So a batched
 trial's errors equal those of ``run``, and so of ``kaczgs solve``, of the
 same trial exactly.
 
@@ -61,6 +63,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -177,14 +180,17 @@ class _Solver:
         self._y = system.y
         self._row_nsq = X.row_norms_sq
         self._col_nsq = X.col_norms_sq
-        # Python floats for the single-trial step: the same IEEE arithmetic, less dispatch
-        self._y_vals = self._y.tolist()
-        self._row_nsq_vals = self._row_nsq.tolist()
-        self._col_nsq_vals = self._col_nsq.tolist()
         self._row_dist = row_distribution(X) if self.needs_rows else None
         self._col_dist = col_distribution(X) if self.needs_cols else None
         # contiguous copy of the columns; column dots dominate RGS-family cost
         self._cols_arr = np.ascontiguousarray(X.data.T) if self.needs_cols else None
+        # for ``steps``, Python floats and lists of row and column views: the same
+        # IEEE arithmetic and the same BLAS dots (``a.dot(b)`` is ``a @ b``), less dispatch
+        self._y_vals = self._y.tolist()
+        self._row_nsq_vals = self._row_nsq.tolist()
+        self._col_nsq_vals = self._col_nsq.tolist()
+        self._row_views = list(X.data) if self.needs_rows else None
+        self._col_views = list(self._cols_arr) if self.needs_cols else None
 
     def init_state(self, trials: int | None = None) -> SolverState:
         """Zero iterates and residual y: vectors, or one row per trial."""
@@ -203,14 +209,28 @@ class _Solver:
         """The distributions one step draws from, in the order it draws."""
         return [self._row_dist]
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
-        """Advance one step; draws holds one index per entry of draw_order().
+    def steps(self, state: SolverState, draws: list[list[int]], rows=(), scales=None,
+              on_error: bool = False) -> tuple[float, float]:
+        """Advance a span of steps; draws[k][q] is step q's index for entry k of draw_order().
 
-        Returns (scale, dot): the step's scale and the dot product it took
-        before moving, x_i . beta for RK and REK and x_j . residual for RGS
-        and REGS, which the running stop metric reads (``_RunningMetric``).
+        With ``rows``, one buffer row per step, step q writes into rows[q]
+        the vector its stop metric reads: beta for RK and REK; for RGS and
+        REGS the estimate under error stopping (``on_error``), else the
+        maintained residual. The state's arrays are updated from the last
+        row at the end, so none of them shares memory with a row. Without
+        rows the state is updated in place. ``scales``, if a list, gets
+        each step's scale. A span may end on a RESIDUAL_REFRESH_EVERY step
+        but not pass one.
+
+        Returns the last step's (scale, dot): the step's scale and the dot
+        product it took before moving, x_i . beta for RK and REK and
+        x_j . residual for RGS and REGS.
         """
         raise NotImplementedError
+
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
+        """Advance one step; draws holds one index per entry of draw_order()."""
+        return self.steps(state, [[d] for d in draws])
 
     # -- lockstep batches: one row per trial, driven by run_batch ----------
 
@@ -232,17 +252,35 @@ class _MaintainedResidual(_Solver):
         if state.iteration % RESIDUAL_REFRESH_EVERY == 0:
             state.residual = self._y - np.matmul(self._rows_arr, state.beta[..., None])[..., 0]
 
+    def _end_span(self, state: SolverState, k: int, r: np.ndarray) -> None:
+        """Count a span of k steps whose residual ended in r: a buffer row, or the state's own."""
+        state.iteration += k
+        own = state.residual
+        if r is not own:
+            np.copyto(own, r)
+        self.sync_residual(state)
+        if r is not own and state.residual is not own:  # refreshed: the row reads the new one
+            np.copyto(r, state.residual)
+
 
 class RandomizedKaczmarz(_Solver):
     kind = SolverKind.RK
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
-        (i,) = draws
-        xi = self._rows_arr[i]
-        dot = float(xi @ state.beta)
-        scale = (self._y_vals[i] - dot) / self._row_nsq_vals[i]
-        state.beta += scale * xi
-        state.iteration += 1
+    def steps(self, state, draws, rows=(), scales=None, on_error=False):
+        X, y, nsq = self._row_views, self._y_vals, self._row_nsq_vals
+        add = np.add
+        beta = state.beta
+        for i, out in zip(draws[0], rows or repeat(beta)):
+            xi = X[i]
+            dot = float(xi.dot(beta))
+            scale = (y[i] - dot) / nsq[i]
+            add(beta, scale * xi, out=out)
+            beta = out
+            if scales is not None:
+                scales.append(scale)
+        if beta is not state.beta:
+            np.copyto(state.beta, beta)
+        state.iteration += len(draws[0])
         return scale, dot
 
     def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
@@ -257,15 +295,24 @@ class RandomizedGaussSeidel(_MaintainedResidual):
     kind = SolverKind.RGS
     needs_rows = False
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
-        (j,) = draws
-        xj = self._cols_arr[j]
-        dot = float(xj @ state.residual)
-        scale = dot / self._col_nsq_vals[j]
-        state.beta[j] += scale
-        state.residual -= scale * xj
-        state.iteration += 1
-        self.sync_residual(state)
+    def steps(self, state, draws, rows=(), scales=None, on_error=False):
+        cols, nsq = self._col_views, self._col_nsq_vals
+        subtract, copyto = np.subtract, np.copyto
+        beta, r = state.beta, state.residual
+        to_r = rows if rows and not on_error else repeat(r)
+        to_est = rows if rows and on_error else repeat(None)
+        for j, out, est in zip(draws[0], to_r, to_est):
+            xj = cols[j]
+            dot = float(xj.dot(r))
+            scale = dot / nsq[j]
+            beta[j] += scale
+            subtract(r, scale * xj, out=out)
+            r = out
+            if est is not None:
+                copyto(est, beta)
+            if scales is not None:
+                scales.append(scale)
+        self._end_span(state, len(draws[0]), r)
         return scale, dot
 
     def draw_order(self) -> list[WeightedIndex]:
@@ -305,16 +352,24 @@ class ExtendedKaczmarz(_Solver):
         state.beta += scale[:, None] * xi
         state.iteration += 1
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
-        i, j = draws
-        xj = self._cols_arr[j]
-        z = state.z
-        z -= (float(xj @ z) / self._col_nsq_vals[j]) * xj
-        xi = self._rows_arr[i]
-        dot = float(xi @ state.beta)
-        scale = (self._y_vals[i] - float(z[i]) - dot) / self._row_nsq_vals[i]
-        state.beta += scale * xi
-        state.iteration += 1
+    def steps(self, state, draws, rows=(), scales=None, on_error=False):
+        X, cols, y = self._row_views, self._col_views, self._y_vals
+        row_nsq, col_nsq = self._row_nsq_vals, self._col_nsq_vals
+        add = np.add
+        beta, z = state.beta, state.z
+        for i, j, out in zip(*draws, rows or repeat(beta)):
+            xj = cols[j]
+            z -= (float(xj.dot(z)) / col_nsq[j]) * xj
+            xi = X[i]
+            dot = float(xi.dot(beta))
+            scale = (y[i] - z.item(i) - dot) / row_nsq[i]
+            add(beta, scale * xi, out=out)
+            beta = out
+            if scales is not None:
+                scales.append(scale)
+        if beta is not state.beta:
+            np.copyto(state.beta, beta)
+        state.iteration += len(draws[0])
         return scale, dot
 
 
@@ -345,19 +400,28 @@ class ExtendedGaussSeidel(_MaintainedResidual):
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
-        j, i = draws
-        xj = self._cols_arr[j]
-        dot = float(xj @ state.residual)
-        scale = dot / self._col_nsq_vals[j]
-        state.beta[j] += scale
-        state.residual -= scale * xj
-        z = state.z
-        z[j] += scale
-        xi = self._rows_arr[i]
-        z -= (float(xi @ z) / self._row_nsq_vals[i]) * xi
-        state.iteration += 1
-        self.sync_residual(state)
+    def steps(self, state, draws, rows=(), scales=None, on_error=False):
+        X, cols = self._row_views, self._col_views
+        row_nsq, col_nsq = self._row_nsq_vals, self._col_nsq_vals
+        subtract = np.subtract
+        beta, r, z = state.beta, state.residual, state.z
+        to_r = rows if rows and not on_error else repeat(r)
+        to_est = rows if rows and on_error else repeat(None)
+        for j, i, out, est in zip(*draws, to_r, to_est):
+            xj = cols[j]
+            dot = float(xj.dot(r))
+            scale = dot / col_nsq[j]
+            beta[j] += scale
+            subtract(r, scale * xj, out=out)
+            r = out
+            z[j] += scale
+            xi = X[i]
+            z -= (float(xi.dot(z)) / row_nsq[i]) * xi
+            if est is not None:
+                subtract(beta, z, out=est)
+            if scales is not None:
+                scales.append(scale)
+        self._end_span(state, len(draws[0]), r)
         return scale, dot
 
 
@@ -443,21 +507,22 @@ class _RunningMetric:
 
     ``value`` is the running metric R and ``tally`` a bound T on |R - V|.
     ``resync`` sets R to an exact value and T to that computation's
-    rounding bound. ``advance`` follows one ``step``: it moves R by the
-    step's exact-arithmetic change of the metric,
+    rounding bound. ``walk`` follows the steps of a span of ``steps`` in
+    order. For each it moves R by the step's exact-arithmetic change of the
+    metric,
 
         ||v + t a||^2 = ||v||^2 + 2 t (a.v) + t^2 ||a||^2,
 
-    from the (scale, dot) pair the step returns, in O(n); and
-    it adds to T the rounding of that update, of a.v and ||a||^2, and of the
-    step's own vector update.
+    from the step's scale and new beta, in O(n); and it adds to T the
+    rounding of that update, of a.v and ||a||^2, and of the step's own
+    vector update.
 
     The exact check computes ||d||^2 for a float vector d within
     ``u ||v|| + b`` of v, by a dot product of length k, so it returns at
-    least (1 - k u)(||v|| - u ||v|| - b)^2. ``advance`` returns whether that
+    least (1 - k u)(||v|| - u ||v|| - b)^2. A step is certified when that
     lower bound, taken at ||v||^2 >= R - T, is >= tol: then the exact check
-    cannot stop this step, and ``run`` skips it. It also asks T <= R - T,
-    which fails only near the float floor.
+    cannot stop it, and ``run`` skips it. It also asks T <= R - T, which
+    fails only near the float floor.
     """
 
     b = 0.0
@@ -484,8 +549,11 @@ class _RunningMetric:
         return (tally <= lo <= _HUGE
                 and math.sqrt(lo) * self.shrink - self.b * _GROW >= self.root_tol)
 
-    def advance(self, state: SolverState, draws: tuple[int, ...], out: tuple[float, float]) -> bool:
-        """Follow one step of ``step``, whose return value is ``out``."""
+    def walk(self, rows: list[int], scales: list[float], betas: np.ndarray) -> int:
+        """Follow a span's steps in order; the number certified before the first that is not.
+
+        Step q moved along row rows[q] with scale scales[q] to the beta betas[q].
+        """
         raise NotImplementedError
 
 
@@ -534,10 +602,15 @@ class _RowResidual(_RunningMetric):
         self.b = self.n * _EPS * self.fro * self.beta_norm
         super().resync(state, exact)
 
-    def advance(self, state, draws, out):
-        i = draws[0]
-        s = out[0]
-        wb = float(self.W[i] @ state.beta)
+    def walk(self, rows, scales, betas):
+        # W_i.beta' of every step in one vecdot, each row bit for bit float(W_i @ beta')
+        for q, args in enumerate(zip(rows, scales, np.vecdot(self.W[rows], betas).tolist())):
+            if not self._advance(*args):
+                return q
+        return len(rows)
+
+    def _advance(self, i: int, s: float, wb: float) -> bool:
+        """Follow one step of scale s on row i, to a beta' with W_i.beta' = wb."""
         pi, h, value, fro = self.p[i], self.h[i], self.value, self.fro
         dot = pi - wb
         step = abs(s) * self.row_norm[i]  # ||s x_i||, beta's move
@@ -586,14 +659,15 @@ def _running_metric(solver: _Solver, metric: StopMetric, ref, tol: float) -> _Ru
 
 
 class _ExactChecks:
-    """The exact stop metrics of the steps of a chunk but its last, taken in one ``np.vecdot``.
+    """The exact stop metrics of a chunk of steps, taken in one ``np.vecdot``.
 
-    ``write`` copies into the next row of a (steps, ...) buffer the one
-    vector the current state's metric reads: the estimate under error
-    stopping; under residual stopping the maintained residual of RGS and
-    REGS, or beta for RK and REK, whose residual ``flush`` takes as y - X beta
-    by the per-row gemv of the batched refresh. ``flush`` returns the metric
-    of every step written since the last flush, bit for bit a check's value.
+    Each row of a (steps, ...) buffer holds the one vector a step's metric
+    reads: the estimate under error stopping; under residual stopping the
+    maintained residual of RGS and REGS, or beta for RK and REK, whose
+    residual ``flush`` takes as y - X beta by the per-row gemv of the
+    batched refresh. ``steps`` writes the rows of ``run``'s spans and
+    ``run_batch`` the estimates of its chunks. ``flush`` returns the metric
+    of each row of a range, bit for bit a check's value.
     """
 
     def __init__(self, solver: _Solver, on_error: bool, ref, steps: int, trials: int | None = None):
@@ -604,20 +678,13 @@ class _ExactChecks:
         self.keep(trials)
 
     def keep(self, trials: int | None) -> None:
-        """Write the first `trials` rows of each step from now on (lockstep batches)."""
-        view = self.full if trials is None else self.full[:, :trials]
-        self.count = 0
-        self.rows = list(view)
-        self.chunks = [view[:k] for k in range(len(view) + 1)]
+        """Use the first `trials` rows of each step from now on (lockstep batches)."""
+        self.view = self.full if trials is None else self.full[:, :trials]
+        self.rows = list(self.view)
 
-    def write(self, state: SolverState) -> None:
-        self.rows[self.count][...] = (self.solver.estimate(state) if self.on_error
-                                      else state.beta if self.from_beta else state.residual)
-        self.count += 1
-
-    def flush(self) -> np.ndarray:
-        v = self.chunks[self.count]
-        self.count = 0
+    def flush(self, lo: int, hi: int) -> np.ndarray:
+        """The metrics of rows lo to hi - 1; under error stopping the rows are overwritten."""
+        v = self.view[lo:hi]
         if self.on_error:
             v -= self.ref
         elif self.from_beta:
@@ -646,15 +713,17 @@ def run(
     metric, so under error stopping residual_sq is NaN and RK/REK skip the
     full matvec that each recorded residual costs them.
 
-    The exact stop metric decides every stop. Records, every
-    RESIDUAL_REFRESH_EVERY-th step and max_iter compute it directly; the
-    steps between write it in chunks (``_ExactChecks``) that end after
-    CHECK_CHUNK steps, at the next such step and at the end of a draw block.
-    A stop inside a chunk is replayed from the state saved after its first
-    step, so ``run`` stops, records and draws as a check after every step
-    would. Where ``_running_metric`` gives one, steps whose exact value it
-    certifies >= tol write nothing; after a failed certificate every step
-    is checked until the next record or refresh.
+    The exact stop metric decides every stop. ``run`` advances the solver
+    in spans of at most CHECK_CHUNK steps that end at every record, every
+    RESIDUAL_REFRESH_EVERY-th step, max_iter and the end of a draw block,
+    each one ``steps`` call that writes every step's metric vector into an
+    ``_ExactChecks`` row; one ``np.vecdot`` then takes their metrics. A
+    stop inside a span is replayed from the state saved before it, so
+    ``run`` stops, records and draws as a check after every step would.
+    Where ``_running_metric`` gives one, the steps of a span whose exact
+    value it certifies >= tol, up to the first it does not, are not
+    checked; from that step on every step is checked until the next record
+    or refresh.
     """
     on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     ref = _require_reference(system) if on_error else system.reference
@@ -671,7 +740,7 @@ def run(
         return float(diff @ diff)
 
     def residual_sq() -> float:
-        if not maintained:  # RGS and REGS keep it current, refreshed by their own step
+        if not maintained:  # RGS and REGS keep it current, refreshed by their own steps
             solver.sync_residual(state)
         r = state.residual
         return float(r @ r)
@@ -686,7 +755,7 @@ def run(
     every, last, tol = config.record_every, config.max_iter, config.tol
 
     def next_exact(t: int) -> int:
-        """The first step after t that records or refreshes, where a chunk must end."""
+        """The first step after t that records or refreshes, where a span must end."""
         return min(t - t % every + every, t - t % RESIDUAL_REFRESH_EVERY + RESIDUAL_REFRESH_EVERY,
                    last)
 
@@ -701,42 +770,39 @@ def run(
     tracking = running is not None and due > 1  # a resync pays off only before a skippable step
     if tracking:
         running.resync(state, metric)
-    checks = _ExactChecks(solver, on_error, ref, min(CHECK_CHUNK, every))  # a record ends a chunk
+    checks = _ExactChecks(solver, on_error, ref, min(CHECK_CHUNK, every))  # a record ends a span
+    rows = checks.rows
     t = 0
     for block in _draw_blocks(solver.draw_order(), [rng], last):
         indices = [b[:, 0].tolist() for b in block]  # one list per draw of a step
         base, end = t, t + len(indices[0])
-        for step_draws in zip(*indices):
-            t += 1
-            out = solver.step(state, step_draws)
-            if t != due:
-                if tracking:
-                    if running.advance(state, step_draws, out):
-                        continue
-                    tracking = False  # exact at every step until the next record or refresh
-                if t != end and checks.count < CHECK_CHUNK - 1:
-                    if not checks.count:
-                        saved, first = state.copy(), t  # the chunk's first step, to replay from
-                    checks.write(state)
-                    continue
-            if checks.count:  # the chunk's steps before this one
-                values = checks.flush()
-                below = np.flatnonzero(values < tol)
-                if below.size:
-                    stop = first + int(below[0])
+        while t < end:
+            k = min(CHECK_CHUNK, due - t, end - t)
+            span = [i[t - base:t - base + k] for i in indices]
+            saved = state.copy() if k > 1 else None  # to replay a stop before the span's end
+            scales = [] if tracking else None
+            solver.steps(state, span, rows[:k], scales, on_error)
+            t += k
+            lo = 0  # the first step of the span to check exactly
+            if tracking:
+                walked = k - (t == due)  # the due step is always checked
+                lo = running.walk(span[0][:walked], scales, checks.view[:walked])
+                tracking = lo == walked  # else exact at every step until the next record or refresh
+            if lo == k:
+                continue
+            values = checks.flush(lo, k)
+            below = np.flatnonzero(values < tol)
+            if below.size:
+                stop = lo + int(below[0]) + 1  # steps of the span up to the stop
+                if stop < k:
                     state = saved
-                    for d in zip(*(i[first - base:stop - base] for i in indices)):
-                        solver.step(state, d)
-                    record(stop, float(values[below[0]]))
-                    trace.converged = True
-                    break
-            metric = error_sq() if on_error else residual_sq()
-            hit = metric < tol
-            if hit or t % every == 0 or t == last:
-                record(t, metric)
-            if hit:
+                    solver.steps(state, [i[:stop] for i in span])
+                record(t - k + stop, float(values[below[0]]))
                 trace.converged = True
                 break
+            metric = float(values[-1])
+            if t % every == 0 or t == last:
+                record(t, metric)
             if t == due:
                 due = next_exact(t)
                 tracking = running is not None and due > t + 1
@@ -802,14 +868,16 @@ def run_batch(
     blocks: list[np.ndarray] = []
     used = size = 0  # steps taken of the current block, and its length
     checks = _ExactChecks(solver, True, ref, min(CHECK_CHUNK, every), trials)
+    written = 0  # rows of the current chunk
     t = 0
     while True:
         grid = t % every == 0
-        if grid or t == last or used == size or checks.count == CHECK_CHUNK - 1:
+        if grid or t == last or used == size or written == CHECK_CHUNK - 1:
             diff = solver.estimate(state) - ref
             errors = np.vecdot(diff, diff)[None]  # (chunk steps, active trials)
-            if checks.count:
-                errors = np.concatenate((checks.flush(), errors))
+            if written:
+                errors = np.concatenate((checks.flush(0, written), errors))
+                written = 0
             stopped = None
             if np.fmin.reduce(errors, axis=None) < tol:  # one reduction; fmin skips NaN
                 hit = errors < tol
@@ -837,7 +905,8 @@ def run_batch(
             if t == last:
                 break
         else:
-            checks.write(state)
+            checks.rows[written][...] = solver.estimate(state)
+            written += 1
         if used == size:
             blocks = next(draws)
             used, size = 0, blocks[0].shape[0]

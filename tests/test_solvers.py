@@ -459,6 +459,102 @@ class TestRunDrawsReference:
         assert trace.records == expected
 
 
+def _reference_step(kind, system, beta, r, z, draws, t):
+    """Step t by the update formulas written out, on copies; (beta, r, z, scale, dot)."""
+    X, y = system.X.data, system.y
+    row_nsq, col_nsq = system.X.row_norms_sq, system.X.col_norms_sq
+    beta, r = beta.copy(), r.copy()
+    z = None if z is None else z.copy()
+    if kind in (SolverKind.RK, SolverKind.REK):
+        i = draws[0]
+        dot = float(X[i] @ beta)
+        if kind is SolverKind.RK:
+            scale = (float(y[i]) - dot) / float(row_nsq[i])
+        else:
+            xj = np.ascontiguousarray(X[:, draws[1]])  # the solver's contiguous column
+            z = z - (float(xj @ z) / float(col_nsq[draws[1]])) * xj
+            scale = (float(y[i]) - float(z[i]) - dot) / float(row_nsq[i])
+        beta = beta + scale * X[i]
+        return beta, r, z, scale, dot
+    j = draws[0]
+    xj = np.ascontiguousarray(X[:, j])
+    dot = float(xj @ r)
+    scale = dot / float(col_nsq[j])
+    beta[j] += scale
+    r = r - scale * xj
+    if kind is SolverKind.REGS:
+        i = draws[1]
+        z[j] += scale
+        z = z - (float(X[i] @ z) / float(row_nsq[i])) * X[i]
+    if t % solvers.RESIDUAL_REFRESH_EVERY == 0:
+        r = y - X @ beta
+    return beta, r, z, scale, dot
+
+
+def _hex(arr) -> list[str]:
+    return [v.hex() for v in np.ravel(arr).tolist()]
+
+
+class TestSpanKernels:
+    """``steps`` over spans of drawn lengths equals single steps, bit for bit."""
+
+    @pytest.mark.parametrize("on_error", [True, False], ids=["error", "residual"])
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
+    def test_spans_equal_single_steps(self, kind, on_error):
+        sys_ = gaussian_system(30, 6, Regime.OVER_INCONSISTENT, seed=12)
+        refresh = solvers.RESIDUAL_REFRESH_EVERY
+        total = refresh + 100  # one span ends on the refresh step
+        draws = list(reference_draws(sys_, kind, 31, total))
+
+        # the reference: one written-out step at a time, and what each step's row holds
+        solver = make_solver(kind, sys_)
+        start = solver.init_state()
+        beta, r, z = start.beta, start.residual, start.z
+        states, rows, outs = [(beta, r, z)], [], []
+        maintained = kind in (SolverKind.RGS, SolverKind.REGS)
+        for t, d in enumerate(draws, 1):
+            beta, r, z, scale, dot = _reference_step(kind, sys_, beta, r, z, d, t)
+            states.append((beta, r, z))
+            outs.append((scale, dot))
+            rows.append(r if maintained and not on_error
+                        else beta - z if kind is SolverKind.REGS else beta)
+
+        checks = solvers._ExactChecks(solver, on_error, sys_.reference, solvers.CHECK_CHUNK)
+        lengths = np.random.default_rng(4)
+        state = solver.init_state()
+        t = 0
+        ends = []
+        while t < total:
+            k = int(lengths.integers(1, solvers.CHECK_CHUNK + 1))
+            k = min(k, total - t, refresh - t % refresh)  # a span ends on, never passes, a refresh
+            span = [list(c) for c in zip(*draws[t:t + k])]
+            saved = state.copy()
+            scales = []
+            out = solver.steps(state, span, checks.rows[:k], scales, on_error)
+            t += k
+            ends.append(t)
+            beta, r, z = states[t]
+            assert state.iteration == t
+            assert _hex(state.beta) == _hex(beta)
+            assert _hex(state.residual) == _hex(r)
+            if z is not None:
+                assert _hex(state.z) == _hex(z)
+            assert [_hex(row) for row in checks.view[:k]] == [_hex(row) for row in rows[t - k:t]]
+            assert _hex(scales) == _hex([o[0] for o in outs[t - k:t]])
+            assert _hex(out) == _hex(outs[t - 1])
+            for arr in (state.beta, state.residual, state.z):
+                assert arr is None or not np.shares_memory(arr, checks.full)
+            if k > 1:  # replay part of the span from the state saved before it, with no rows
+                stop = k // 2
+                solver.steps(saved, [d[:stop] for d in span])
+                beta, r, z = states[t - k + stop]
+                assert saved.iteration == t - k + stop
+                assert _hex(saved.beta) == _hex(beta) and _hex(saved.residual) == _hex(r)
+                if z is not None:
+                    assert _hex(saved.z) == _hex(z)
+        assert refresh in ends
+
+
 class TestDrawBlocks:
     """_draw_blocks' block sizes, and its indices against one reference uniform per draw."""
 

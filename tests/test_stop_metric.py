@@ -101,6 +101,29 @@ SOLVE_SHA256 = {
     ("regs", "underdetermined", "residual", "floor"): "fee0716c2563db396450017471a61c6b06f671dfa538ab87f8f14e1f0566bd6d",  # 3000
 }
 
+#: sha256 of `kaczgs solve --tol <tol> --max-iter 3000 --record-every 100 --seed 5` on
+#: `kaczgs tomo --grid-n 4 --oversample 2 --seed 1` (16x32, underdetermined), keyed
+#: (solver, stop metric, tol); the comment is the final iteration. "mid" is 1e-4, crossed
+#: inside a span; "floor" is 1e-300, fixed work. RGS's error to the least-norm reference never falls below its start, so
+#: RGS under error stopping is pinned at fixed work only.
+TOMO_SOLVE_SHA256 = {
+    ("rk", "error", "mid"): "d3f5d609ef40fc103a94896b04c58214131611791538827e18caf837dd5285a7",  # 747
+    ("rk", "error", "floor"): "22606d41fa5ff98ec26c53eb6380141c4fc38284aa5b9e43f285c8baf8dac75e",  # 3000
+    ("rk", "residual", "mid"): "3518d2b556e751d77939e03a8daa5ce1ca766e1055023fd4f8eefe9383bff23b",  # 715
+    ("rk", "residual", "floor"): "22606d41fa5ff98ec26c53eb6380141c4fc38284aa5b9e43f285c8baf8dac75e",  # 3000
+    ("rgs", "error", "floor"): "5af75da0e4131f8453593721b789cf3e0ad83c9a4e18373c5c01d490e7a30534",  # 3000
+    ("rgs", "residual", "mid"): "d60172d4039a6785f9335d54e8c426b8acbdcd61dea1e55652ac6a87aa704302",  # 1514
+    ("rgs", "residual", "floor"): "5af75da0e4131f8453593721b789cf3e0ad83c9a4e18373c5c01d490e7a30534",  # 3000
+    ("rek", "error", "mid"): "71e3004654b19399bc923788e479a39bacec4b2366dcf93d4668d65cd85ce417",  # 2029
+    ("rek", "error", "floor"): "d8402917473a12a846d9931536b06162aa69840bba2d513d6271302016e6c073",  # 3000
+    ("rek", "residual", "mid"): "d9a5d84acaa3f59b701fb087ddb0b5435520de5d3dcbfc2c41eb4274186e9ca6",  # 1996
+    ("rek", "residual", "floor"): "d8402917473a12a846d9931536b06162aa69840bba2d513d6271302016e6c073",  # 3000
+    ("regs", "error", "mid"): "e8670ad9e0c710bb88bb4307425418923d8b0ff3f4bb14c2e0f38e1424ab32bd",  # 2135
+    ("regs", "error", "floor"): "e39e3c4b613d6467abf8d6af2c5b9e776672bd18f643a04464a279cd3e64c3f3",  # 3000
+    ("regs", "residual", "mid"): "e77dfd5f19c044f50c62b68adb9423ff91c358d0f618668d226899beacdf29fa",  # 1501
+    ("regs", "residual", "floor"): "e39e3c4b613d6467abf8d6af2c5b9e776672bd18f643a04464a279cd3e64c3f3",  # 3000
+}
+
 #: sha256 of the per-trial `kaczgs compare --trials 4 --record-every 10 --max-iter 3000
 #: --tol 1e-8 --seed 5` CSV on the over-consistent system
 COMPARE_SHA256 = "38d9463de746e205a27230d4fd9ea80f777a2c5fd01e0bda025b8e6e24348ecc"
@@ -134,6 +157,15 @@ def system_dirs(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def tomo_dir(system_dirs):
+    """The pinned tomography system; skipped with the Gaussian pins where BLAS rounds apart."""
+    out = system_dirs / "tomo"
+    assert cli.main(["tomo", "--grid-n", "4", "--oversample", "2", "--seed", "1",
+                     "--out", str(out)]) == 0
+    return out
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -148,6 +180,16 @@ class TestPinnedBytes:
                          "--stop-metric", metric, "--tol", tol, "--max-iter", "3000",
                          "--record-every", "37", "--seed", "5", "--out", str(out)]) == 0
         assert _sha256(out) == SOLVE_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(TOMO_SOLVE_SHA256), ids="-".join)
+    def test_tomography_solve_csv(self, key, tomo_dir, tmp_path):
+        solver, metric, setting = key
+        out = tmp_path / "solve.csv"
+        assert cli.main(["solve", "--system", str(tomo_dir), "--solver", solver,
+                         "--stop-metric", metric, "--tol", "1e-04" if setting == "mid" else "1e-300",
+                         "--max-iter", "3000", "--record-every", "100", "--seed", "5",
+                         "--out", str(out)]) == 0
+        assert _sha256(out) == TOMO_SOLVE_SHA256[key]
 
     def test_every_convergent_pair_is_pinned(self):
         pinned = {(SolverKind(s), Regime(r)) for s, r, _, _ in SOLVE_SHA256}
@@ -304,24 +346,24 @@ def test_batch_stops_where_run_stops(pair, seed, k, side, record_every):
     (SolverKind.RK, StopMetric.RESIDUAL_NORM, 2.0**60),  # beta: no running metric beyond 2**50
 ], ids=["estimate", "maintained-residual", "beta"])
 def test_a_stop_inside_a_chunk_is_replayed(kind, metric, scale, monkeypatch):
-    """The stop falls before its chunk's end: run replays the chunk's draws up to it."""
+    """The stop falls before its span's end: run replays the span's draws up to it."""
     base = _SYSTEMS[Regime.OVER_CONSISTENT]
     system = LinearSystem(DenseMatrix(base.X.data * scale), base.y * scale, base.regime,
                           reference=base.reference)
     tol = math.nextafter(_metric_at(system, kind, metric, 3, 100), math.inf)
     expected = exact_every_step(system, kind, metric, tol, 3, 300)
-    steps = []
+    steps = []  # the iteration each step run reaches, span after span
     cls = type(make_solver(kind, system))
-    real_step = cls.step
+    real_steps = cls.steps
 
-    def counting_step(self, state, draws):
-        steps.append(state.iteration + 1)
-        return real_step(self, state, draws)
+    def counting_steps(self, state, draws, *args):
+        steps.extend(range(state.iteration + 1, state.iteration + len(draws[0]) + 1))
+        return real_steps(self, state, draws, *args)
 
-    monkeypatch.setattr(cls, "step", counting_step)
+    monkeypatch.setattr(cls, "steps", counting_steps)
     cfg = SolveConfig(max_iter=_STEPS, tol=tol, stop_metric=metric, record_every=300)
     trace = run(system, kind, cfg, Prng(3))
     assert (trace.converged, trace.final_iteration, trace.records) == expected
     stop = trace.final_iteration
-    assert stop % CHECK_CHUNK  # not the end of a chunk: the steps past it were run and replayed
+    assert stop % CHECK_CHUNK  # not the end of a span: the steps past it were run and replayed
     assert steps[-1] == stop and max(steps) > stop
