@@ -66,6 +66,8 @@ from .theory import (
 CSV_HEADER = "iteration,solver,mean_err_sq,median_err_sq,min_err_sq,max_err_sq,bound_value"
 
 _KIND_ORDINAL = {kind: i for i, kind in enumerate(SolverKind)}
+#: from this trial on, a stream index trial * 4 + ordinal would reach 2**64
+_TRIAL_LIMIT = 2**64 // len(SolverKind)
 _REDRAW_STREAM_BASE = 1 << 32  # generator seed streams, disjoint from solver streams
 
 #: from this many trials per solver on one shared system, trials run in lockstep.
@@ -157,9 +159,15 @@ def _trial_systems(cfg: ExperimentConfig, system: LinearSystem) -> list[LinearSy
 
 
 def trial_rng(base_seed: int, kind: SolverKind, trial: int) -> Prng:
-    """The generator of one solver's trial: one stream per (trial, solver) pair."""
+    """The generator of one solver's trial: one stream per (trial, solver) pair.
+
+    The stream index is never reduced mod 2**64: trial 2**62 would silently
+    alias trial 0.
+    """
     if trial < 0:
         raise ConfigurationError(f"trial must be >= 0, got {trial}")
+    if trial >= _TRIAL_LIMIT:
+        raise ConfigurationError(f"trial must be < {_TRIAL_LIMIT}, got {trial}")
     return spawn_trial_rng(base_seed, trial * len(SolverKind) + _KIND_ORDINAL[kind])
 
 

@@ -34,11 +34,11 @@ its steps writes the one vector its metric reads into the next row of an
 ``_ExactChecks`` buffer, with ``out=`` on the update it already makes,
 one ``np.vecdot`` takes the metrics of the span, and a stop inside it is
 replayed from the state saved before it. For RK and REK under residual
-stopping, whose exact check is a full matvec, a ``_RunningMetric`` carries
-the metric forward in O(n) a step from the span's scales and beta rows.
-Its certificate is that running value less a tally of its rounding since
-the last exact value and a bound on the rounding of the exact computation
-it replaces, so ``run`` skips only checks that cannot stop it.
+stopping, whose exact check is a full matvec, on a system that stores its
+least-squares residual, ``_certified_radius_sq`` gives a radius on
+||beta|| inside which the residual cannot fall below tol, however it
+rounds; ``run`` skips the checks of a span's steps before the first whose
+beta row lies outside it.
 
 ``run_batch`` drives several trials of one solver in lockstep through
 ``step_batch``, on a state whose arrays hold one row per trial: (T, n)
@@ -60,6 +60,7 @@ sequences; only the auxiliary z sequence differs.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -209,8 +210,8 @@ class _Solver:
         """The distributions one step draws from, in the order it draws."""
         return [self._row_dist]
 
-    def steps(self, state: SolverState, draws: list[list[int]], rows=(), scales=None,
-              on_error: bool = False) -> tuple[float, float]:
+    def steps(self, state: SolverState, draws: list[list[int]], rows=(),
+              on_error: bool = False) -> None:
         """Advance a span of steps; draws[k][q] is step q's index for entry k of draw_order().
 
         With ``rows``, one buffer row per step, step q writes into rows[q]
@@ -218,19 +219,14 @@ class _Solver:
         REGS the estimate under error stopping (``on_error``), else the
         maintained residual. The state's arrays are updated from the last
         row at the end, so none of them shares memory with a row. Without
-        rows the state is updated in place. ``scales``, if a list, gets
-        each step's scale. A span may end on a RESIDUAL_REFRESH_EVERY step
-        but not pass one.
-
-        Returns the last step's (scale, dot): the step's scale and the dot
-        product it took before moving, x_i . beta for RK and REK and
-        x_j . residual for RGS and REGS.
+        rows the state is updated in place. A span may end on a
+        RESIDUAL_REFRESH_EVERY step but not pass one.
         """
         raise NotImplementedError
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> tuple[float, float]:
+    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
         """Advance one step; draws holds one index per entry of draw_order()."""
-        return self.steps(state, [[d] for d in draws])
+        self.steps(state, [[d] for d in draws])
 
     # -- lockstep batches: one row per trial, driven by run_batch ----------
 
@@ -266,22 +262,18 @@ class _MaintainedResidual(_Solver):
 class RandomizedKaczmarz(_Solver):
     kind = SolverKind.RK
 
-    def steps(self, state, draws, rows=(), scales=None, on_error=False):
+    def steps(self, state, draws, rows=(), on_error=False):
         X, y, nsq = self._row_views, self._y_vals, self._row_nsq_vals
         add = np.add
         beta = state.beta
         for i, out in zip(draws[0], rows or repeat(beta)):
             xi = X[i]
-            dot = float(xi.dot(beta))
-            scale = (y[i] - dot) / nsq[i]
+            scale = (y[i] - float(xi.dot(beta))) / nsq[i]
             add(beta, scale * xi, out=out)
             beta = out
-            if scales is not None:
-                scales.append(scale)
         if beta is not state.beta:
             np.copyto(state.beta, beta)
         state.iteration += len(draws[0])
-        return scale, dot
 
     def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
         (i,) = draws
@@ -295,7 +287,7 @@ class RandomizedGaussSeidel(_MaintainedResidual):
     kind = SolverKind.RGS
     needs_rows = False
 
-    def steps(self, state, draws, rows=(), scales=None, on_error=False):
+    def steps(self, state, draws, rows=(), on_error=False):
         cols, nsq = self._col_views, self._col_nsq_vals
         subtract, copyto = np.subtract, np.copyto
         beta, r = state.beta, state.residual
@@ -303,17 +295,13 @@ class RandomizedGaussSeidel(_MaintainedResidual):
         to_est = rows if rows and on_error else repeat(None)
         for j, out, est in zip(draws[0], to_r, to_est):
             xj = cols[j]
-            dot = float(xj.dot(r))
-            scale = dot / nsq[j]
+            scale = float(xj.dot(r)) / nsq[j]
             beta[j] += scale
             subtract(r, scale * xj, out=out)
             r = out
             if est is not None:
                 copyto(est, beta)
-            if scales is not None:
-                scales.append(scale)
         self._end_span(state, len(draws[0]), r)
-        return scale, dot
 
     def draw_order(self) -> list[WeightedIndex]:
         return [self._col_dist]
@@ -352,7 +340,7 @@ class ExtendedKaczmarz(_Solver):
         state.beta += scale[:, None] * xi
         state.iteration += 1
 
-    def steps(self, state, draws, rows=(), scales=None, on_error=False):
+    def steps(self, state, draws, rows=(), on_error=False):
         X, cols, y = self._row_views, self._col_views, self._y_vals
         row_nsq, col_nsq = self._row_nsq_vals, self._col_nsq_vals
         add = np.add
@@ -361,16 +349,12 @@ class ExtendedKaczmarz(_Solver):
             xj = cols[j]
             z -= (float(xj.dot(z)) / col_nsq[j]) * xj
             xi = X[i]
-            dot = float(xi.dot(beta))
-            scale = (y[i] - z.item(i) - dot) / row_nsq[i]
+            scale = (y[i] - z.item(i) - float(xi.dot(beta))) / row_nsq[i]
             add(beta, scale * xi, out=out)
             beta = out
-            if scales is not None:
-                scales.append(scale)
         if beta is not state.beta:
             np.copyto(state.beta, beta)
         state.iteration += len(draws[0])
-        return scale, dot
 
 
 class ExtendedGaussSeidel(_MaintainedResidual):
@@ -400,7 +384,7 @@ class ExtendedGaussSeidel(_MaintainedResidual):
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
 
-    def steps(self, state, draws, rows=(), scales=None, on_error=False):
+    def steps(self, state, draws, rows=(), on_error=False):
         X, cols = self._row_views, self._col_views
         row_nsq, col_nsq = self._row_nsq_vals, self._col_nsq_vals
         subtract = np.subtract
@@ -409,8 +393,7 @@ class ExtendedGaussSeidel(_MaintainedResidual):
         to_est = rows if rows and on_error else repeat(None)
         for j, i, out, est in zip(*draws, to_r, to_est):
             xj = cols[j]
-            dot = float(xj.dot(r))
-            scale = dot / col_nsq[j]
+            scale = float(xj.dot(r)) / col_nsq[j]
             beta[j] += scale
             subtract(r, scale * xj, out=out)
             r = out
@@ -419,10 +402,7 @@ class ExtendedGaussSeidel(_MaintainedResidual):
             z -= (float(xi.dot(z)) / row_nsq[i]) * xi
             if est is not None:
                 subtract(beta, z, out=est)
-            if scales is not None:
-                scales.append(scale)
         self._end_span(state, len(draws[0]), r)
-        return scale, dot
 
 
 _SOLVER_CLASSES = {
@@ -480,182 +460,73 @@ def _draw_blocks(dists: list[WeightedIndex], rngs: list[Prng], steps: int):
 
 
 # ---------------------------------------------------------------------------
-# The running stop metric
+# The least-squares residual floor
 #
-# Notation: u = 2**-53 is the unit roundoff; v is the residual, whose squared
-# norm the stop metric is, and
-# V = ||v||^2 in exact arithmetic on the solver's current float state. The
-# bounds use the standard model fl(a op b) = (a op b)(1 + d) with |d| <= u,
-# and bound a dot product of length k, in any summation order, within
-# k u |x|.|y| to first order.
+# u = 2**-53 is the unit roundoff. A float dot product of length k, in any
+# summation order, is within gamma_k |x|.|y| of the exact one, gamma_k = k u
+# to first order, plus an absolute 2**-1074 a term for gradual underflow.
 
 #: twice the unit roundoff. Every first-order rounding bound below is
 #: evaluated with it in place of u, which leaves room for the second-order
 #: terms and for the rounding of the bound's own evaluation.
 _EPS = 2.0**-52
-#: absolute slack added to the tally each step and at each resync: it covers
-#: gradual underflow (at most 2**-1075 per operation) on systems with
-#: entries within _SCALE_LIMIT, while the certified metric is below _HUGE
-_PAD = 2.0**-900
-_SCALE_LIMIT = 2.0**50
-_HUGE = 2.0**100
-_SHRINK, _GROW = 1.0 - 8 * _EPS, 1.0 + 8 * _EPS
+#: absolute slack on a norm that covers gradual underflow in every dot below
+_PAD = 2.0**-500
 
 
-class _RunningMetric:
-    """A squared stop metric carried from step to step, with a bound on its own drift.
+def _norm_hi(sq: float, k: int) -> float:
+    """An upper bound on ||v||, from sq, the float value of a k-term sum of squares v.v."""
+    return math.sqrt(sq * (1.0 + k * _EPS) + _PAD * _PAD) * (1.0 + 2 * _EPS)
 
-    ``value`` is the running metric R and ``tally`` a bound T on |R - V|.
-    ``resync`` sets R to an exact value and T to that computation's
-    rounding bound. ``walk`` follows the steps of a span of ``steps`` in
-    order. For each it moves R by the step's exact-arithmetic change of the
-    metric,
 
-        ||v + t a||^2 = ||v||^2 + 2 t (a.v) + t^2 ||a||^2,
+def _certified_radius_sq(solver: _Solver, metric: StopMetric, tol: float) -> float | None:
+    """A radius R such that the exact check of any beta with ||beta||^2 <= R is >= tol.
 
-    from the step's scale and new beta, in O(n); and it adds to T the
-    rounding of that update, of a.v and ||a||^2, and of the step's own
-    vector update.
+    ``run`` skips the checks of the steps whose beta it finds inside R. There
+    is an R only for RK and REK under residual stopping, whose exact check is
+    a full matvec, on a system that stores its least-squares residual w; else
+    None, and every step is checked exactly. For any beta, r = y - X beta has
+    w.r = w.y - (X^T w).beta, so
 
-    The exact check computes ||d||^2 for a float vector d within
-    ``u ||v|| + b`` of v, by a dot product of length k, so it returns at
-    least (1 - k u)(||v|| - u ||v|| - b)^2. A step is certified when that
-    lower bound, taken at ||v||^2 >= R - T, is >= tol: then the exact check
-    cannot stop it, and ``run`` skips it. It also asks T <= R - T, which
-    fails only near the float floor.
+        ||r|| ||w|| >= |w.y| - ||X^T w|| ||beta||,
+
+    which for w = r_LS and beta = 0 reads ||r|| >= ||r_LS||, the floor that no
+    beta passes, and which holds whatever w is. ``_ExactChecks.flush`` computes
+    d = fl(y - X beta), within u ||r|| + gamma_n ||X||_F ||beta|| of r, and
+    returns at least (1 - gamma_m) ||d||^2. R joins the two, with w.y, X^T w,
+    ||w|| and ||X||_F bounded from the safe side of their rounding, and with
+    room for the rounding of ``run``'s own ||beta||^2. It is None too where
+    the floor is within rounding of tol, or on overflow: then R is not a
+    finite normal number.
     """
-
-    b = 0.0
-
-    def __init__(self, solver: _Solver, tol: float, k: int):
-        self.k = k
-        self.n, self.m = solver.system.n, solver.system.m
-        keep = 1.0 - (k + 8) * _EPS
-        # with T <= R - T, ||v|| <= sqrt(3 (R - T)): the u ||v|| term folds into one factor
-        self.shrink = _SHRINK - 2.0 * _EPS * _GROW
-        self.root_tol = math.sqrt(tol / keep) * _GROW
-        self.value = self.tally = 0.0
-
-    def resync(self, state: SolverState, exact: float) -> None:
-        """Restart from an exact value; T bounds that computation's own rounding."""
-        bound = 2.0 * math.sqrt(exact + self.b * self.b)  # >= ||v|| and ||d||
-        self.value = exact
-        self.tally = self.k * _EPS * exact + 2.0 * (_EPS * bound + self.b) * bound + _PAD
-
-    def _settle(self, value: float, tally: float) -> bool:
-        """Store R and T; whether they certify that the exact metric is >= tol."""
-        self.value, self.tally = value, tally
-        lo = value - tally
-        return (tally <= lo <= _HUGE
-                and math.sqrt(lo) * self.shrink - self.b * _GROW >= self.root_tol)
-
-    def walk(self, rows: list[int], scales: list[float], betas: np.ndarray) -> int:
-        """Follow a span's steps in order; the number certified before the first that is not.
-
-        Step q moved along row rows[q] with scale scales[q] to the beta betas[q].
-        """
-        raise NotImplementedError
-
-
-class _RowResidual(_RunningMetric):
-    """RK and REK on ||y - X beta||^2: the residual moves by -s X x_i.
-
-    With W = X (X^T X), p = X X^T y and h_i = ||X x_i||^2 = W_i.x_i taken
-    once, the new residual r' satisfies (X x_i).r' = p_i - W_i.beta', one
-    O(n) dot on the new beta', and ||r'||^2 = ||r||^2 - 2 s (X x_i).r' -
-    s^2 h_i. fl(y - X beta) is within u ||r|| + n u ||X||_F ||beta|| of r,
-    so b follows ``beta_norm``, a bound on ||beta|| from the last resync on.
-    """
-
-    def __init__(self, solver, tol):
-        super().__init__(solver, tol, solver.system.m)
-        X, y = solver._rows_arr, solver._y
-        m, n = self.m, self.n
-        fro_sq = solver.system.X.frob_sq * (1.0 + (m + n) * _EPS)
-        self.fro = math.sqrt(fro_sq)  # >= ||X||_2
-        # einsum (optimize=False) calls no BLAS: a multi-threaded BLAS call here would
-        # wake a thread pool that slows every later small numpy call in the process
-        self.W = np.einsum("ik,kj->ij", X, np.einsum("ki,kj->ij", X, X))
-        Xty = np.einsum("ki,k->i", X, y)
-        p = np.einsum("ij,j->i", X, Xty)
-        h = np.einsum("ij,ij->i", self.W, X)
-        row_norm = np.sqrt(solver._row_nsq)
-        w_norm = np.sqrt(np.einsum("ij,ij->i", self.W, self.W))
-        # W_i within (m + n) u ||x_i|| ||X||_F^2 and h_i within n u ||W_i|| ||x_i|| more;
-        # p_i within n u ||x_i|| ||X^T y|| + m u ||x_i|| ||X||_F ||y||
-        w_err = (m + n) * _EPS * fro_sq * row_norm
-        p_err = _EPS * row_norm * (n * math.sqrt(float(Xty @ Xty))
-                                   + m * self.fro * math.sqrt(float(y @ y)))
-        # (X x_i).r' = p_i - W_i.beta' within p_err_i + (n u ||W_i|| + w_err_i) ||beta'||
-        self.w_coef = (n * _EPS * w_norm + w_err).tolist()
-        self.p = p.tolist()
-        self.p_err = p_err.tolist()
-        self.h = h.tolist()
-        self.h_err = ((n * _EPS * w_norm + w_err) * row_norm).tolist()
-        # |s| ||X x_i|| bounds the residual's move, and ||X eta|| <= ||X||_F ||eta||
-        self.h_norm = np.sqrt(np.abs(h)).tolist()
-        self.row_norm = row_norm.tolist()
-        self.beta_norm = 0.0
-
-    def resync(self, state, exact):
-        self.beta_norm = math.sqrt(float(state.beta @ state.beta)) * (1.0 + self.n * _EPS)
-        self.b = self.n * _EPS * self.fro * self.beta_norm
-        super().resync(state, exact)
-
-    def walk(self, rows, scales, betas):
-        # W_i.beta' of every step in one vecdot, each row bit for bit float(W_i @ beta')
-        for q, args in enumerate(zip(rows, scales, np.vecdot(self.W[rows], betas).tolist())):
-            if not self._advance(*args):
-                return q
-        return len(rows)
-
-    def _advance(self, i: int, s: float, wb: float) -> bool:
-        """Follow one step of scale s on row i, to a beta' with W_i.beta' = wb."""
-        pi, h, value, fro = self.p[i], self.h[i], self.value, self.fro
-        dot = pi - wb
-        step = abs(s) * self.row_norm[i]  # ||s x_i||, beta's move
-        move = abs(s) * self.h_norm[i]  # ||s X x_i||, the residual's move
-        beta_norm = self.beta_norm = (self.beta_norm + step) * (1.0 + 4 * _EPS)
-        before = math.sqrt(abs(value) + self.tally)
-        after = before + move
-        value -= s * (2.0 * dot + s * h)
-        # beta + s x_i rounds within eta: r moves by X eta besides -s X x_i
-        eta = fro * _EPS * (step + beta_norm)
-        # dot is (X x_i).(r' + X eta) within its rounding and ||s X x_i|| ||X eta||
-        dot_err = self.p_err[i] + self.w_coef[i] * beta_norm + _EPS * (abs(pi) + abs(wb))
-        rounding = (2.0 * (abs(s) * dot_err + move * eta) + s * s * self.h_err[i]
-                    + _EPS * (4.0 * abs(s * dot) + 2.0 * s * s * h + abs(value)))
-        self.b = self.n * _EPS * fro * beta_norm
-        return self._settle(value, self.tally + rounding + eta * (2.0 * after + eta) + _PAD)
-
-
-_RUNNING_METRICS = {
-    (SolverKind.RK, StopMetric.RESIDUAL_NORM): _RowResidual,
-    (SolverKind.REK, StopMetric.RESIDUAL_NORM): _RowResidual,
-}
-
-
-def _running_metric(solver: _Solver, metric: StopMetric, ref, tol: float) -> _RunningMetric | None:
-    """The running metric of one run, or None, and then ``run`` checks exactly every step.
-
-    There is one only for RK and REK under residual stopping, whose exact
-    check is a full matvec; every other one is a copy that ``_ExactChecks``
-    batches. Nor is there one where the bounds' scale assumptions fail: no
-    overflow, and no underflow beyond _PAD, so entries of X, y and ref at
-    most _SCALE_LIMIT in magnitude, and every positive row and column norm,
-    which a step scale divides by, at least 1/_SCALE_LIMIT.
-    """
-    cls = _RUNNING_METRICS.get((solver.kind, metric))
-    if cls is None:
+    if metric is not StopMetric.RESIDUAL_NORM or isinstance(solver, _MaintainedResidual):
         return None
-    X = solver.system.X
-    vectors = [X.data, solver.system.y] + ([] if ref is None else [ref])
-    if max(float(np.max(np.abs(v))) for v in vectors) > _SCALE_LIMIT:
+    system = solver.system
+    w = system.residual_ref
+    if w is None:
         return None
-    for nsq in (X.row_norms_sq, X.col_norms_sq):
-        if float(np.min(nsq[nsq > 0], initial=np.inf)) < _SCALE_LIMIT**-2:
-            return None
-    return cls(solver, tol)
+    m, n = system.m, system.n
+    shrink, grow = 1.0 - 8 * _EPS, 1.0 + 8 * _EPS  # cover the rounding of a few operations
+    # einsum (optimize=False) calls no BLAS: a multi-threaded BLAS call here would
+    # wake a thread pool that slows every later small numpy call in the process
+    g = np.einsum("ij,i->j", solver._rows_arr, w)  # X^T w
+    wy, ww, yy, gg = (float(np.einsum("i,i->", a, b))
+                      for a, b in ((w, solver._y), (w, w), (solver._y, solver._y), (g, g)))
+    w_norm, fro = _norm_hi(ww, m), _norm_hi(system.X.frob_sq, m + n + 1)
+    # w.y is within gamma_m ||w|| ||y||, and each (X^T w)_j within gamma_m ||X_j|| ||w||
+    wy_lo = (abs(wy) - (m * _EPS * w_norm * _norm_hi(yy, m) + _PAD) * grow) * shrink
+    g_norm = (_norm_hi(gg, n) + m * _EPS * fro * w_norm + _PAD) * grow
+    # (1 - u) ||r|| - gamma_n ||X||_F ||beta|| >= sqrt(tol / (1 - gamma_m)), with the
+    # underflow of the gemv and of the squares, is the exact check's value >= tol
+    root_tol = math.sqrt(tol + _PAD * _PAD) * (1.0 + m * _EPS) * grow + _PAD
+    reach = wy_lo / w_norm * shrink - root_tol
+    if not reach > 0.0:
+        return None
+    slope = (g_norm / w_norm + n * _EPS * fro) * grow
+    radius = reach / slope * shrink
+    # run's float ||beta||^2 is within gamma_n of it, and of 2**-1074 n once R is normal
+    radius_sq = radius * radius * (1.0 - (n + 8) * _EPS)
+    return radius_sq if sys.float_info.min <= radius_sq < math.inf else None
 
 
 class _ExactChecks:
@@ -720,10 +591,10 @@ def run(
     ``_ExactChecks`` row; one ``np.vecdot`` then takes their metrics. A
     stop inside a span is replayed from the state saved before it, so
     ``run`` stops, records and draws as a check after every step would.
-    Where ``_running_metric`` gives one, the steps of a span whose exact
-    value it certifies >= tol, up to the first it does not, are not
-    checked; from that step on every step is checked until the next record
-    or refresh.
+    Where ``_certified_radius_sq`` gives a radius R, one ``np.vecdot`` of
+    the span's beta rows finds the first step with ||beta||^2 > R; the
+    steps before it, whose exact value R certifies >= tol, are not checked.
+    The step that ends at a record or refresh is always checked.
     """
     on_error = config.stop_metric is StopMetric.ERROR_TO_REFERENCE
     ref = _require_reference(system) if on_error else system.reference
@@ -765,11 +636,8 @@ def run(
         trace.converged = True
         return trace
 
-    running = _running_metric(solver, config.stop_metric, ref, tol)
+    radius_sq = _certified_radius_sq(solver, config.stop_metric, tol)
     due = next_exact(0)
-    tracking = running is not None and due > 1  # a resync pays off only before a skippable step
-    if tracking:
-        running.resync(state, metric)
     checks = _ExactChecks(solver, on_error, ref, min(CHECK_CHUNK, every))  # a record ends a span
     rows = checks.rows
     t = 0
@@ -780,14 +648,13 @@ def run(
             k = min(CHECK_CHUNK, due - t, end - t)
             span = [i[t - base:t - base + k] for i in indices]
             saved = state.copy() if k > 1 else None  # to replay a stop before the span's end
-            scales = [] if tracking else None
-            solver.steps(state, span, rows[:k], scales, on_error)
+            solver.steps(state, span, rows[:k], on_error)
             t += k
             lo = 0  # the first step of the span to check exactly
-            if tracking:
-                walked = k - (t == due)  # the due step is always checked
-                lo = running.walk(span[0][:walked], scales, checks.view[:walked])
-                tracking = lo == walked  # else exact at every step until the next record or refresh
+            if radius_sq is not None:
+                betas = checks.view[:k - (t == due)]  # the due step is always checked
+                outside = np.flatnonzero(np.vecdot(betas, betas) > radius_sq)
+                lo = int(outside[0]) if outside.size else len(betas)
             if lo == k:
                 continue
             values = checks.flush(lo, k)
@@ -805,9 +672,6 @@ def run(
                 record(t, metric)
             if t == due:
                 due = next_exact(t)
-                tracking = running is not None and due > t + 1
-                if tracking:
-                    running.resync(state, metric)
         if trace.converged:
             break
 

@@ -128,6 +128,17 @@ class TestSolve:
         assert "trial must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trial_whose_stream_would_wrap_exits_2(self, system_dir, tmp_path, capsys):
+        # trial * 4 + ordinal must stay below 2**64: trial 2**62 would alias trial 0
+        out = tmp_path / "wrap.csv"
+        args = ["solve", "--system", str(system_dir), "--solver", "rk", "--seed", "4",
+                "--max-iter", "20"]
+        assert _run(args + ["--trial", str(2**62), "--out", str(out)]) == 2
+        assert f"trial must be < {2**62}, got {2**62}" in capsys.readouterr().err
+        assert not out.exists()
+        assert _run(args + ["--trial", str(2**62 - 1), "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_no_reference_with_error_metric_exits_2(self, tmp_path, rng_numpy):
         X = DenseMatrix(rng_numpy.normal(size=(12, 3)))
         beta = rng_numpy.normal(size=3)

@@ -1,12 +1,15 @@
 """The stop check: ``run`` stops where an exact check at every step stops.
 
 ``run`` decides every stop on the exact metric, which it takes in chunks of
-steps and replays up to a stop inside a chunk, and skips only where a
-running value certifies that the metric is still at or above tol. Two kinds
-of tests hold it to that: sha256 pins of ``kaczgs solve`` and ``compare``
-CSVs as written by a driver that computed the exact metric after every
-step, and property tests that place tol one ulp around the metric at a
-drawn step, for ``run`` and for the lockstep ``run_batch``.
+steps and replays up to a stop inside a chunk, and skips only the steps of
+RK and REK under residual stopping whose ||beta||^2 lies inside the radius
+that the least-squares residual floor certifies (``_certified_radius_sq``).
+Three kinds of tests hold it to that: sha256 pins of ``kaczgs solve`` and
+``compare`` CSVs as written by a driver that computed the exact metric
+after every step; property tests that place tol one ulp around the metric
+at a drawn step, or where the radius passes through a drawn step's beta,
+for ``run`` and for the lockstep ``run_batch``; and exact checks of betas
+on the radius' sphere.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from kaczgs import cli, harness
@@ -28,7 +31,8 @@ from kaczgs.solvers import (
     SolveConfig,
     SolverKind,
     StopMetric,
-    _running_metric,
+    _certified_radius_sq,
+    _ExactChecks,
     make_solver,
     run,
     run_batch,
@@ -253,8 +257,29 @@ def _metric_at(system, kind, metric, seed, k):
     return records[k][1 if metric is StopMetric.ERROR_TO_REFERENCE else 2]
 
 
+def _beta_at(system, kind, seed, k):
+    solver = make_solver(kind, system)
+    state = solver.init_state()
+    for draws in reference_draws(system, kind, seed, k):
+        solver.step(state, draws)
+    return state.beta
+
+
+def _tol_at_radius(system, kind, radius_sq):
+    """The largest tol, to bisection, whose certified radius is at least radius_sq."""
+    solver = make_solver(kind, system)
+    lo, hi = 0.0, 2.0 * float(system.residual_ref @ system.residual_ref)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        certified = _certified_radius_sq(solver, StopMetric.RESIDUAL_NORM, mid)
+        lo, hi = (mid, hi) if certified is not None and certified >= radius_sq else (lo, mid)
+    assert lo > 0
+    return lo
+
+
 _crossing_settings = settings(max_examples=120, deadline=None, derandomize=True, database=None,
                               suppress_health_check=[HealthCheck.too_slow])
+
+_REK_INCONSISTENT = (SolverKind.REK, Regime.OVER_INCONSISTENT)
 
 
 @_crossing_settings
@@ -263,16 +288,28 @@ _crossing_settings = settings(max_examples=120, deadline=None, derandomize=True,
     metric=st.sampled_from(list(StopMetric)),
     seed=st.integers(0, 2**64 - 1),
     k=st.integers(0, _STEPS),
-    side=st.sampled_from(["above", "at", "below"]),
+    side=st.sampled_from(["above", "at", "below", "radius"]),
     record_every=st.integers(7, 150),
 )
+# the radius through beta at step k: certified spans before it, exact checks after
+@example(_REK_INCONSISTENT, StopMetric.RESIDUAL_NORM, 1, 40, "radius", 7)
+@example(_REK_INCONSISTENT, StopMetric.RESIDUAL_NORM, 2, 150, "radius", 150)
+@example(_REK_INCONSISTENT, StopMetric.RESIDUAL_NORM, 3, 300, "radius", 37)
+@example(_REK_INCONSISTENT, StopMetric.RESIDUAL_NORM, 4, 90, "radius", 64)
 def test_stop_matches_an_exact_check_at_every_step(pair, metric, seed, k, side, record_every):
-    """tol one ulp around the metric at step k: run stops where the exact loop stops."""
+    """tol one ulp around the metric at step k, or certifying R = ||beta_k||^2: run stops where
+    the exact loop stops."""
     kind, regime = pair
     system = _SYSTEMS[regime]
-    value = _metric_at(system, kind, metric, seed, k)
-    tol = {"above": math.nextafter(value, math.inf), "at": value,
-           "below": math.nextafter(value, 0.0)}[side]
+    if side == "radius":  # a tol just under the least-squares residual floor
+        assume(metric is StopMetric.RESIDUAL_NORM and system.residual_ref is not None
+               and kind in (SolverKind.RK, SolverKind.REK))
+        beta = _beta_at(system, kind, seed, k)
+        tol = _tol_at_radius(system, kind, float(beta @ beta))
+    else:
+        value = _metric_at(system, kind, metric, seed, k)
+        tol = {"above": math.nextafter(value, math.inf), "at": value,
+               "below": math.nextafter(value, 0.0)}[side]
     if not tol > 0:
         tol = math.nextafter(0.0, 1.0)
     expected = exact_every_step(system, kind, metric, tol, seed, record_every)
@@ -281,21 +318,61 @@ def test_stop_matches_an_exact_check_at_every_step(pair, metric, seed, k, side, 
     assert (trace.converged, trace.final_iteration, trace.records) == expected
 
 
-def test_a_system_beyond_the_scale_limit_is_checked_every_step():
-    """Entries above 2**50 get no running metric; run then matches the exact loop."""
-    base = _SYSTEMS[Regime.OVER_CONSISTENT]
-    scale = 2.0**60  # a power of two: the scaled system and its reference stay exact
+def test_a_scaled_system_keeps_its_certificate_and_guard():
+    """Scaled by 2**60, R is the unscaled one, and None above the floor; run matches the exact loop."""
+    base = _SYSTEMS[Regime.OVER_INCONSISTENT]
+    scale = 2.0**60  # a power of two: the scaled system, its reference and w stay exact
     system = LinearSystem(DenseMatrix(base.X.data * scale), base.y * scale, base.regime,
-                          reference=base.reference)
+                          reference=base.reference, residual_ref=base.residual_ref * scale)
+    metric = StopMetric.RESIDUAL_NORM
+    ref_sq = float(base.reference @ base.reference)
+    under = _tol_at_radius(base, SolverKind.RK, ref_sq)  # R passes through the LS solution
+    crossed = math.nextafter(_metric_at(system, SolverKind.RK, metric, 3, 120), math.inf)
+    radius = _certified_radius_sq(make_solver(SolverKind.RK, base), metric, under)
     solver = make_solver(SolverKind.RK, system)
-    assert _running_metric(solver, StopMetric.RESIDUAL_NORM, system.reference, 1.0) is None
-    tol = math.nextafter(_metric_at(system, SolverKind.RK, StopMetric.RESIDUAL_NORM, 3, 120),
-                         math.inf)
-    expected = exact_every_step(system, SolverKind.RK, StopMetric.RESIDUAL_NORM, tol, 3, 50)
-    cfg = SolveConfig(max_iter=_STEPS, tol=tol, stop_metric=StopMetric.RESIDUAL_NORM,
-                      record_every=50)
-    trace = run(system, SolverKind.RK, cfg, Prng(3))
-    assert (trace.converged, trace.final_iteration, trace.records) == expected
+    assert ref_sq <= radius == _certified_radius_sq(solver, metric, under * scale**2)
+    assert _certified_radius_sq(solver, metric, crossed) is None  # crossed: above the floor
+    for tol in (under * scale**2, crossed):
+        expected = exact_every_step(system, SolverKind.RK, metric, tol, 3, 50)
+        cfg = SolveConfig(max_iter=_STEPS, tol=tol, stop_metric=metric, record_every=50)
+        trace = run(system, SolverKind.RK, cfg, Prng(3))
+        assert (trace.converged, trace.final_iteration, trace.records) == expected
+    # w.w overflows: no certificate
+    huge = 2.0**600
+    overflow = LinearSystem(base.X, base.y * huge, base.regime, reference=base.reference * huge,
+                            residual_ref=base.residual_ref * huge)
+    assert _certified_radius_sq(make_solver(SolverKind.RK, overflow), metric, 1.0) is None
+
+
+def test_the_exact_check_on_the_certified_sphere_is_at_least_tol():
+    """tol just under ||r_LS||^2: every beta with float ||beta||^2 <= R checks >= tol.
+
+    The betas lie on the sphere ||beta||^2 = R, along X^T w (which lowers
+    w.r fastest), in random directions, and towards and around the
+    least-squares solution, where the exact check rounds about the floor
+    itself; R runs from inside the solution's norm to far beyond it.
+    """
+    system = _SYSTEMS[Regime.OVER_INCONSISTENT]
+    solver = make_solver(SolverKind.RK, system)
+    w, ref = system.residual_ref, system.reference
+    g = system.X.data.T @ w
+    noise = np.random.default_rng(5).normal(size=(560, system.n))
+    directions = np.vstack([g, -g, ref, ref + g / np.linalg.norm(g), noise[:60],
+                            ref + noise[60:] * np.geomspace(1e-10, 1e-6, 500)[:, None]])
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    floor = float(w @ w)
+    ref_sq = float(ref @ ref)
+    tols = [_tol_at_radius(system, SolverKind.RK, ref_sq * f) for f in (0.25, 1.0, 4.0)]
+    tols += [floor * (1.0 - 2.0**-e) for e in range(30, 44, 2)]
+    for tol in tols:
+        radius_sq = _certified_radius_sq(solver, StopMetric.RESIDUAL_NORM, tol)
+        assert radius_sq is not None and tol < floor
+        betas = directions * math.sqrt(radius_sq)
+        while (over := np.vecdot(betas, betas) > radius_sq).any():  # as run tests them
+            betas[over] *= 1.0 - 2.0**-52
+        checks = _ExactChecks(solver, False, None, len(betas))
+        checks.view[:] = betas
+        assert (checks.flush(0, len(betas)) >= tol).all()
 
 
 @_crossing_settings
@@ -343,7 +420,7 @@ def test_batch_stops_where_run_stops(pair, seed, k, side, record_every):
 @pytest.mark.parametrize("kind, metric, scale", [
     (SolverKind.REK, StopMetric.ERROR_TO_REFERENCE, 1.0),  # the chunk holds estimate - ref
     (SolverKind.RGS, StopMetric.RESIDUAL_NORM, 1.0),  # the maintained residual
-    (SolverKind.RK, StopMetric.RESIDUAL_NORM, 2.0**60),  # beta: no running metric beyond 2**50
+    (SolverKind.RK, StopMetric.RESIDUAL_NORM, 2.0**60),  # beta, of a system that stores no w
 ], ids=["estimate", "maintained-residual", "beta"])
 def test_a_stop_inside_a_chunk_is_replayed(kind, metric, scale, monkeypatch):
     """The stop falls before its span's end: run replays the span's draws up to it."""
