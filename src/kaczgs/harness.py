@@ -8,15 +8,18 @@ solver/regime.
 
 Every trial stops on its squared error to the system's reference, so the
 system needs one. Trials run one of two ways. With at least
-LOCKSTEP_MIN_TRIALS (4) trials on one shared system (no per-trial redraw), all
-trials of a solver advance together as one block (``solvers.run_batch``),
-which spreads the interpreter's per-step cost over the trials. Otherwise
-each trial is its own ``solvers.run``, which is faster for two trials and
-about even at three. Both paths take a trial's indices from the same block draw, and a
-batched trial is bit for bit the ``run`` (and so the ``kaczgs solve``) of
-the same trial, so the path changes the speed only, never a CSV byte. For
-batched runs the wall-clock companion table holds the batch's time divided
-by the number of trials, an amortized per-trial time. Trials run in one
+LOCKSTEP_MIN_TRIALS (3) trials on one shared system (no per-trial redraw),
+all trials of a solver advance together as one block, in spans of
+``steps_batch`` (``solvers.run_batch``), which spreads the interpreter's
+per-step cost over the trials. Otherwise each trial is its own
+``solvers.run``; at two trials lockstep is no faster on two of the three
+benchmark systems. Both paths take a trial's indices from the same
+block draw, and a batched trial is bit for bit the ``run`` (and so the
+``kaczgs solve``) of the same trial, so the path changes the speed only,
+never a CSV byte. For batched runs the wall-clock companion table holds
+the batch's time divided by the number of trials, an amortized per-trial
+time, read once a span and interpolated by step count at the grid points
+inside it (``solvers.BatchTrace``). Trials run in one
 thread. A per-trial redraw draws each trial's system once, for every
 solver, from the generator recorded in the system directory
 (``problems.redraw``); ``bound_value`` is then the mean over trials of each
@@ -71,12 +74,13 @@ _TRIAL_LIMIT = 2**64 // len(SolverKind)
 _REDRAW_STREAM_BASE = 1 << 32  # generator seed streams, disjoint from solver streams
 
 #: from this many trials per solver on one shared system, trials run in lockstep.
-#: Batch over per-trial compare time, median of 10 alternating pairs on the three
-#: benchmark systems with lane-drawn indices: 1.13-1.33 at 2 trials (the batch won
-#: 1 of 30 pairs), 0.64-0.80 at 4 (30 of 30), 0.38-0.52 at 8. At 3 trials the
-#: batch won only 8 of 10 full-compare pairs on oi and on tomo (0.95x and 0.89x),
-#: at 4 it won 10 of 10 on oi and on oc (0.77x and 0.68x), so lockstep starts at 4.
-LOCKSTEP_MIN_TRIALS = 4
+#: Lockstep over per-trial time of the full compare, median of 12 alternating
+#: in-process pairs on each of the three benchmark systems, for seeds 5 and 9, with
+#: ``steps_batch`` spans: at 2 trials 0.58-0.60 on oc, 1.01 on oi and 1.05-1.06 on
+#: tomo, where lockstep won 0-4 of 12 pairs; at 3 trials 0.45-0.48, 0.75-0.77 and
+#: 0.76-0.79, 12 of 12 pairs each; at 4 trials 0.37, 0.63 and 0.63. So lockstep
+#: starts at 3.
+LOCKSTEP_MIN_TRIALS = 3
 
 
 @dataclass

@@ -258,12 +258,15 @@ class Prng:
 def spawn_trial_rng(base_seed: int, trial: int) -> Prng:
     """Deterministic per-trial generator: seed = splitmix64(base_seed + trial).
 
-    base_seed must be a valid 64-bit seed; the sum wraps mod 2**64 like the
-    rest of the recurrence. Distinct trials get distinct streams; the same
-    (base_seed, trial) pair always yields the same stream regardless of
-    scheduling.
+    base_seed and trial must each lie in [0, 2**64), as seeds do; neither is
+    reduced mod 2**64 on entry, since trial 2**64 would silently alias trial
+    0. Their sum wraps mod 2**64 like the rest of the recurrence. Distinct
+    trials get distinct streams; the same (base_seed, trial) pair always
+    yields the same stream regardless of scheduling.
     """
     check_seed(base_seed)
+    if not 0 <= trial <= _MASK64:
+        raise ConfigurationError(f"trial must be a 64-bit unsigned integer, got {trial}")
     _, derived = splitmix64((base_seed + trial) & _MASK64)
     return Prng(derived)
 

@@ -22,10 +22,10 @@ row; RGS: column; REK: row then column; REGS: column then row), and
 from the trial's own generator, mapped to an index by
 ``WeightedIndex.sample_block``. It draws a block of steps for all trials
 in one ``batch_uniforms`` call; blocks start at 64 steps and double up to
-DRAW_BUDGET uniforms a call. Each solver has two kernels, which only
-apply the indices they are given: ``steps``, a span of steps of one
-trial in one loop, and ``step_batch``, one step of many trials; ``step``
-is the span of one step.
+DRAW_BUDGET uniforms a call. Each solver has two span kernels, which
+only apply the indices they are given: ``steps``, a span of steps of one
+trial in one loop (``step`` is the span of one step), and
+``steps_batch``, a span of steps of many trials in one loop.
 
 ``run`` drives one trial through spans of ``steps`` and stops on the
 exact stop metric after every step. A span is at most CHECK_CHUNK steps
@@ -41,15 +41,20 @@ rounds; ``run`` skips the checks of a span's steps before the first whose
 beta row lies outside it.
 
 ``run_batch`` drives several trials of one solver in lockstep through
-``step_batch``, on a state whose arrays hold one row per trial: (T, n)
-iterates, a (T, m) residual, and a (T, m) z for REK or a (T, n) z for
-REGS; it checks each trial's exact error after every step, in the same
-chunks. Each trial gets the same draws and the same updates and residual
-refreshes as under ``run``, computed bit for bit the same way: each row's
-dot product is one ``np.vecdot`` row, the same BLAS dot that ``x.dot(y)``
-in ``steps`` calls, and the refresh is one routine for both shapes. So a batched
-trial's errors equal those of ``run``, and so of ``kaczgs solve``, of the
-same trial exactly.
+spans of ``steps_batch``, on a state whose arrays hold one row per trial:
+(T, n) iterates, a (T, m) residual, and a (T, m) z for REK or a (T, n) z
+for REGS. Its spans end where ``run``'s do, except at records: every
+step writes each trial's estimate into an ``_ExactChecks`` row, one
+``flush`` takes the errors of the span, and the grid points inside it
+are filled from them. ``steps_batch`` takes the span's (steps, T) scalar
+tables and the flat indices of its one-entry updates once, and gathers
+each step's rows or columns of X into one reused (T, width) buffer. Each
+trial gets the same draws and the same updates and residual refreshes as
+under ``run``, computed bit for bit the same way: each row's dot product
+is one ``np.vecdot`` row, the same BLAS dot that ``x.dot(y)`` in
+``steps`` calls, and the refresh is one routine for both shapes. So a
+batched trial's errors equal those of ``run``, and so of ``kaczgs
+solve``, of the same trial exactly.
 
 A note on the extended Gauss-Seidel coordinate update: the per-step
 increment along coordinate j is the coordinate least-squares correction
@@ -167,6 +172,11 @@ class ConvergenceTrace:
     seconds: list[float] = field(default_factory=list)
 
 
+def _flat_index(idx: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The flat positions in a of each trial's entry: a[t, idx[q, t]] for a (trials, width) a."""
+    return idx + np.arange(0, a.size, a.shape[1])
+
+
 class _Solver:
     """Shared setup: sampling distributions are built once per system."""
 
@@ -230,8 +240,16 @@ class _Solver:
 
     # -- lockstep batches: one row per trial, driven by run_batch ----------
 
-    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
-        """Advance every trial one step; draws[k][t] is trial t's k-th index."""
+    def steps_batch(self, state: SolverState, draws: list[np.ndarray], rows) -> None:
+        """Advance every trial row through a span of steps, each trial by its own indices.
+
+        draws[k][q, t] is trial t's index at step q for entry k of
+        draw_order(). Step q writes every trial's estimate into rows[q], a
+        (trials, n) buffer row that shares no memory with the state. The
+        index tables are taken once a span, and each step gathers its rows or
+        columns of X into one reused (trials, width) buffer. A span may end
+        on a RESIDUAL_REFRESH_EVERY step but not pass one.
+        """
         raise NotImplementedError
 
 
@@ -275,12 +293,18 @@ class RandomizedKaczmarz(_Solver):
             np.copyto(state.beta, beta)
         state.iteration += len(draws[0])
 
-    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+    def steps_batch(self, state, draws, rows):
         (i,) = draws
-        xi = self._rows_arr.take(i, axis=0)
-        scale = (self._y.take(i) - np.vecdot(xi, state.beta)) / self._row_nsq.take(i)
-        state.beta += scale[:, None] * xi
-        state.iteration += 1
+        take, vecdot, add, multiply = self._rows_arr.take, np.vecdot, np.add, np.multiply
+        beta = state.beta
+        xi = np.empty_like(beta)
+        for iq, yq, nq, out in zip(i, self._y.take(i), self._row_nsq.take(i), rows):
+            take(iq, axis=0, out=xi, mode="clip")  # "clip" writes to xi without a buffer
+            scale = (yq - vecdot(xi, beta)) / nq
+            add(beta, multiply(xi, scale[:, None], out=xi), out=out)
+            beta = out
+        np.copyto(state.beta, beta)
+        state.iteration += len(i)
 
 
 class RandomizedGaussSeidel(_MaintainedResidual):
@@ -306,14 +330,19 @@ class RandomizedGaussSeidel(_MaintainedResidual):
     def draw_order(self) -> list[WeightedIndex]:
         return [self._col_dist]
 
-    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+    def steps_batch(self, state, draws, rows):
         (j,) = draws
-        xj = self._cols_arr.take(j, axis=0)
-        scale = np.vecdot(xj, state.residual) / self._col_nsq.take(j)
-        state.beta[np.arange(j.size), j] += scale
-        state.residual -= scale[:, None] * xj
-        state.iteration += 1
-        self.sync_residual(state)
+        take, vecdot, multiply, copyto = self._cols_arr.take, np.vecdot, np.multiply, np.copyto
+        beta, r = state.beta, state.residual
+        flat_beta = np.reshape(beta, -1, copy=False)  # a view: updates reach beta
+        xj = np.empty_like(r)
+        for jq, fq, nq, out in zip(j, _flat_index(j, beta), self._col_nsq.take(j), rows):
+            take(jq, axis=0, out=xj, mode="clip")
+            scale = vecdot(xj, r) / nq
+            flat_beta[fq] += scale
+            r -= multiply(xj, scale[:, None], out=xj)
+            copyto(out, beta)
+        self._end_span(state, len(j), r)
 
 
 class ExtendedKaczmarz(_Solver):
@@ -329,16 +358,24 @@ class ExtendedKaczmarz(_Solver):
     def draw_order(self) -> list[WeightedIndex]:
         return [self._row_dist, self._col_dist]
 
-    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+    def steps_batch(self, state, draws, rows):
         i, j = draws
-        xj = self._cols_arr.take(j, axis=0)
-        z = state.z
-        z -= (np.vecdot(xj, z) / self._col_nsq.take(j))[:, None] * xj
-        xi = self._rows_arr.take(i, axis=0)
-        zi = z[np.arange(i.size), i]
-        scale = (self._y.take(i) - zi - np.vecdot(xi, state.beta)) / self._row_nsq.take(i)
-        state.beta += scale[:, None] * xi
-        state.iteration += 1
+        take_row, take_col = self._rows_arr.take, self._cols_arr.take
+        vecdot, add, multiply = np.vecdot, np.add, np.multiply
+        beta, z = state.beta, state.z
+        flat_z = np.reshape(z, -1, copy=False)
+        xi, xj = np.empty_like(beta), np.empty_like(z)
+        tables = (i, j, _flat_index(i, z), self._y.take(i), self._row_nsq.take(i),
+                  self._col_nsq.take(j), rows)
+        for iq, jq, fq, yq, row_nq, col_nq, out in zip(*tables):
+            take_col(jq, axis=0, out=xj, mode="clip")
+            z -= multiply(xj, (vecdot(xj, z) / col_nq)[:, None], out=xj)
+            take_row(iq, axis=0, out=xi, mode="clip")
+            scale = (yq - flat_z.take(fq) - vecdot(xi, beta)) / row_nq
+            add(beta, multiply(xi, scale[:, None], out=xi), out=out)
+            beta = out
+        np.copyto(state.beta, beta)
+        state.iteration += len(i)
 
     def steps(self, state, draws, rows=(), on_error=False):
         X, cols, y = self._row_views, self._col_views, self._y_vals
@@ -368,18 +405,24 @@ class ExtendedGaussSeidel(_MaintainedResidual):
     def draw_order(self) -> list[WeightedIndex]:
         return [self._col_dist, self._row_dist]
 
-    def step_batch(self, state: SolverState, draws: list[np.ndarray]) -> None:
+    def steps_batch(self, state, draws, rows):
         j, i = draws
-        rows = np.arange(j.size)
-        xj = self._cols_arr.take(j, axis=0)
-        scale = np.vecdot(xj, state.residual) / self._col_nsq.take(j)
-        state.beta[rows, j] += scale
-        state.residual -= scale[:, None] * xj
-        state.z[rows, j] += scale
-        xi = self._rows_arr.take(i, axis=0)
-        state.z -= (np.vecdot(xi, state.z) / self._row_nsq.take(i))[:, None] * xi
-        state.iteration += 1
-        self.sync_residual(state)
+        take_row, take_col = self._rows_arr.take, self._cols_arr.take
+        vecdot, multiply, subtract = np.vecdot, np.multiply, np.subtract
+        beta, r, z = state.beta, state.residual, state.z
+        flat_beta, flat_z = np.reshape(beta, -1, copy=False), np.reshape(z, -1, copy=False)
+        xi, xj = np.empty_like(beta), np.empty_like(r)
+        tables = (i, j, _flat_index(j, beta), self._row_nsq.take(i), self._col_nsq.take(j), rows)
+        for iq, jq, fq, row_nq, col_nq, out in zip(*tables):
+            take_col(jq, axis=0, out=xj, mode="clip")
+            scale = vecdot(xj, r) / col_nq
+            flat_beta[fq] += scale
+            r -= multiply(xj, scale[:, None], out=xj)
+            flat_z[fq] += scale
+            take_row(iq, axis=0, out=xi, mode="clip")
+            z -= multiply(xi, (vecdot(xi, z) / row_nq)[:, None], out=xi)
+            subtract(beta, z, out=out)
+        self._end_span(state, len(j), r)
 
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
@@ -537,7 +580,7 @@ class _ExactChecks:
     maintained residual of RGS and REGS, or beta for RK and REK, whose
     residual ``flush`` takes as y - X beta by the per-row gemv of the
     batched refresh. ``steps`` writes the rows of ``run``'s spans and
-    ``run_batch`` the estimates of its chunks. ``flush`` returns the metric
+    ``steps_batch`` the estimates of ``run_batch``'s. ``flush`` returns the metric
     of each row of a range, bit for bit a check's value.
     """
 
@@ -684,9 +727,12 @@ class BatchTrace:
     """Error history of trials run in lockstep, on the grid 0, stride, 2*stride, ...
 
     ``errors[k, g]`` is trial k's squared error at iteration g * record_every,
-    or its terminal error once it has stopped. ``mean_cum_seconds[g]`` is the
-    batch's wall clock from the start to that grid point, divided by the
-    number of trials.
+    or its terminal error once it has stopped; the array is C-contiguous.
+    ``mean_cum_seconds[g]`` is the batch's wall clock from the start to that
+    grid point, divided by the number of trials. The clock is read once a
+    span, at its end, where a grid point gets that read; a grid point inside
+    a span gets the clock interpolated linearly by step count between the
+    reads at the span's start and end, so the times never decrease.
     """
 
     errors: np.ndarray
@@ -705,12 +751,19 @@ def run_batch(
 
     Trial k makes the same draws from rngs[k] and computes the same updates
     as ``run`` would, bit for bit, so its errors equal ``run``'s and it
-    stops at the same iteration. Every step's errors are taken in the
-    chunks of ``run``, which end at every grid point. A trial whose error
-    falls below tol inside a chunk gets that step and error as its final
-    ones, and leaves the batch at the chunk's end, before the next
-    ``_draw_blocks`` block is drawn for the trials still running; so its
-    generator ends where it ends under ``run``.
+    stops at the same iteration. The trials advance in spans of
+    ``steps_batch``, each at most CHECK_CHUNK steps, which end at every
+    RESIDUAL_REFRESH_EVERY-th step, max_iter and the end of a draw block,
+    but not at grid points; one ``_ExactChecks.flush`` takes every step's
+    errors of the span, and the grid points inside it are filled from them.
+    A trial whose error falls below tol inside a span gets that step and
+    error as its final ones, carries that error forward on the grid, and
+    leaves the batch at the span's end, before the next ``_draw_blocks``
+    block is drawn for the trials still running, so it draws no block past
+    the one it stopped in. Its generator ends where ``run`` leaves it while
+    the two draw blocks of the same length, that is until DRAW_BUDGET caps
+    a block across the batch's trials. The grid runs up to the last step
+    that some trial took.
     """
     if config.stop_metric is not StopMetric.ERROR_TO_REFERENCE:
         raise ConfigurationError("lockstep trials stop on error to reference only")
@@ -718,64 +771,63 @@ def run_batch(
     solver = make_solver(kind, system)
     trials = len(rngs)
     state = solver.init_state(trials)
-    start = time.perf_counter()
+    start = time.perf_counter_ns()
 
     every, last, tol = config.record_every, config.max_iter, config.tol
+    diff = solver.estimate(state) - ref
+    latest = np.vecdot(diff, diff)  # each trial's latest error, terminal once it stopped
+    columns = [latest[None].copy()]  # blocks of grid columns, (grid points, trials) each
+    clock = time.perf_counter_ns() - start
+    ticks = [np.array([clock])]  # nanoseconds from the start to each grid point
+    if latest[0] < tol:  # every trial starts from the same state, so every trial stops at 0
+        return BatchTrace(columns[0].T.copy(), ticks[0] * 1e-9 / trials,
+                          np.zeros(trials, dtype=int), np.ones(trials, dtype=bool))
+
     active = np.arange(trials)  # trial id of each batch row
+    rows = np.arange(trials)  # the batch rows
     final = np.full(trials, last)
     converged = np.zeros(trials, dtype=bool)
-    latest = np.empty(trials)  # each trial's latest error, terminal once it stopped
-    columns: list[np.ndarray] = []
-    seconds: list[float] = []
     live = list(rngs)  # the generators of the trials still running
-    draws = _draw_blocks(solver.draw_order(), live, last)
-    blocks: list[np.ndarray] = []
-    used = size = 0  # steps taken of the current block, and its length
-    checks = _ExactChecks(solver, True, ref, min(CHECK_CHUNK, every), trials)
-    written = 0  # rows of the current chunk
+    checks = _ExactChecks(solver, True, ref, min(CHECK_CHUNK, last), trials)
     t = 0
-    while True:
-        grid = t % every == 0
-        if grid or t == last or used == size or written == CHECK_CHUNK - 1:
-            diff = solver.estimate(state) - ref
-            errors = np.vecdot(diff, diff)[None]  # (chunk steps, active trials)
-            if written:
-                errors = np.concatenate((checks.flush(0, written), errors))
-                written = 0
+    for block in _draw_blocks(solver.draw_order(), live, last):
+        base, end = t, t + len(block[0])
+        while t < end:
+            k = min(CHECK_CHUNK, end - t, RESIDUAL_REFRESH_EVERY - t % RESIDUAL_REFRESH_EVERY)
+            solver.steps_batch(state, [b[t - base:t - base + k] for b in block], checks.rows)
+            errors = checks.flush(0, k)  # (span steps, active trials)
+            t0, t = t, t + k
             stopped = None
+            at = k - 1  # the span row of each trial's last step
             if np.fmin.reduce(errors, axis=None) < tol:  # one reduction; fmin skips NaN
                 hit = errors < tol
                 stopped = hit.any(axis=0)
-                at = np.where(stopped, hit.argmax(axis=0), len(errors) - 1)
-                latest[active] = errors[at, np.arange(active.size)]
-                grid = grid and at.max() == len(errors) - 1  # some trial ran up to step t
-                gone = active[stopped]
-                final[gone] = t - len(errors) + 1 + at[stopped]
-                converged[gone] = True
-            else:
-                latest[active] = errors[-1]
-            if grid:
-                columns.append(latest.copy())
-                seconds.append(time.perf_counter() - start)
+                at = np.where(stopped, hit.argmax(axis=0), k - 1)
+            # the span's grid points, as step counts from t0, up to the last step a trial took
+            points = np.arange(every - t0 % every, int(np.max(at)) + 2, every)
+            if points.size:
+                grid = np.repeat(latest[None], points.size, axis=0)
+                grid[:, active] = errors[np.minimum(points[:, None] - 1, at), rows]
+                columns.append(grid)
+            now = time.perf_counter_ns() - start
+            ticks.append(clock + (now - clock) * points // k)
+            clock = now
+            latest[active] = errors[at, rows]
             if stopped is not None:
+                gone = active[stopped]
+                final[gone] = t0 + 1 + at[stopped]
+                converged[gone] = True
                 keep = ~stopped
                 active = active[keep]
+                rows = rows[:active.size]
                 if not active.size:
                     break
                 state = state.copy(keep)
-                blocks = [b[:, keep] for b in blocks]
-                live[:] = [rngs[k] for k in active]
+                block = [b[:, keep] for b in block]
+                live[:] = [rngs[a] for a in active]
                 checks.keep(active.size)
-            if t == last:
-                break
-        else:
-            checks.rows[written][...] = solver.estimate(state)
-            written += 1
-        if used == size:
-            blocks = next(draws)
-            used, size = 0, blocks[0].shape[0]
-        solver.step_batch(state, [b[used] for b in blocks])
-        used += 1
-        t += 1
+        if not active.size:
+            break
 
-    return BatchTrace(np.stack(columns, axis=1), np.array(seconds) / trials, final, converged)
+    errors = np.ascontiguousarray(np.concatenate(columns).T)
+    return BatchTrace(errors, np.concatenate(ticks) * 1e-9 / trials, final, converged)

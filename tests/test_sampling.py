@@ -103,6 +103,12 @@ class TestSpawnTrialRng:
         with pytest.raises(ConfigurationError):
             spawn_trial_rng(2**64, 0)
 
+    @pytest.mark.parametrize("trial", [-1, 2**64])
+    def test_trial_outside_64_bits_rejected(self, trial):
+        # either would alias a trial inside the range: -1 is 2**64 - 1, 2**64 is 0
+        with pytest.raises(ConfigurationError, match="trial"):
+            spawn_trial_rng(0, trial)
+
     def test_base_plus_trial_wraps(self):
         # the base is checked; base + trial wraps mod 2**64 like the recurrence
         assert spawn_trial_rng(2**64 - 1, 1).seed == spawn_trial_rng(0, 0).seed

@@ -596,34 +596,49 @@ _AGREEMENT_SYSTEMS = {
 class TestRunBatchAgreement:
     """run is the reference: the lockstep batch must reproduce it trial by trial."""
 
-    @pytest.mark.parametrize(
-        "kind,regime",
-        sorted(CONVERGENT_PAIRS, key=lambda pair: (pair[0].value, pair[1].value)),
-        ids=lambda v: v.value,
-    )
-    def test_same_stops_and_errors_as_run(self, kind, regime, monkeypatch):
-        # refresh often enough that the periodic residual refresh runs in both paths
-        monkeypatch.setattr(solvers, "RESIDUAL_REFRESH_EVERY", 37)
-        m, n = _AGREEMENT_SYSTEMS[regime]
-        sys_ = gaussian_system(m, n, regime, seed=6)
-        stride = 3
-        cfg = SolveConfig(max_iter=20_000, tol=1e-8, record_every=stride)
-        trials = max(8, LOCKSTEP_MIN_TRIALS)
+    @staticmethod
+    def _assert_batch_is_run(sys_, kind, cfg, trials):
         traces = [run(sys_, kind, cfg, spawn_trial_rng(2, k), trial=k) for k in range(trials)]
         batch = run_batch(sys_, kind, cfg, [spawn_trial_rng(2, k) for k in range(trials)])
 
         assert batch.final_iterations.tolist() == [tr.final_iteration for tr in traces]
         assert batch.converged.tolist() == [tr.converged for tr in traces]
         assert all(tr.converged for tr in traces)
+        stride = cfg.record_every
         last = max(tr.final_iteration for tr in traces)
         assert batch.errors.shape == (trials, last // stride + 1)
+        # numpy's sums depend on memory layout, and the CSV's means are sums over trials
+        assert batch.errors.flags.c_contiguous
         assert batch.mean_cum_seconds.shape == (last // stride + 1,)
+        assert np.all(np.diff(batch.mean_cum_seconds) >= 0)  # interpolated inside spans
         for k, tr in enumerate(traces):
             by_iter = {it: err for it, err, _res in tr.records}
             terminal = tr.records[-1][1]
             for g, value in enumerate(batch.errors[k]):
                 expected = by_iter[g * stride] if g * stride <= tr.final_iteration else terminal
                 assert value == expected
+
+    # stride 1 puts many grid points in a span, 50 does not divide CHECK_CHUNK
+    @pytest.mark.parametrize("stride", [1, 3, 50])
+    @pytest.mark.parametrize(
+        "kind,regime",
+        sorted(CONVERGENT_PAIRS, key=lambda pair: (pair[0].value, pair[1].value)),
+        ids=lambda v: v.value,
+    )
+    def test_same_stops_and_errors_as_run(self, kind, regime, stride, monkeypatch):
+        # refresh often enough that the periodic residual refresh runs in both paths
+        monkeypatch.setattr(solvers, "RESIDUAL_REFRESH_EVERY", 37)
+        m, n = _AGREEMENT_SYSTEMS[regime]
+        sys_ = gaussian_system(m, n, regime, seed=6)
+        cfg = SolveConfig(max_iter=20_000, tol=1e-8, record_every=stride)
+        self._assert_batch_is_run(sys_, kind, cfg, max(8, LOCKSTEP_MIN_TRIALS))
+
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
+    def test_a_zero_reference_stops_every_trial_at_0(self, kind):
+        base = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        sys_ = _system(base.X.data, np.zeros(40), Regime.OVER_CONSISTENT, reference=np.zeros(8))
+        cfg = SolveConfig(max_iter=100, record_every=3)
+        self._assert_batch_is_run(sys_, kind, cfg, LOCKSTEP_MIN_TRIALS)
 
     @pytest.mark.parametrize("kind", [SolverKind.RGS, SolverKind.REGS], ids=lambda k: k.value)
     def test_maintained_residual_refreshed_from_scratch(self, kind, monkeypatch):
@@ -632,10 +647,11 @@ class TestRunBatchAgreement:
         solver = make_solver(kind, sys_)
         state = solver.init_state(3)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            solver.step_batch(state, [d.sample_block(rng.random(3)) for d in solver.draw_order()])
+        draws = [d.sample_block(rng.random((5, 3))) for d in solver.draw_order()]
+        solver.steps_batch(state, draws, list(np.empty((5, 3, sys_.n))))  # ends on the refresh
         # the refresh gives every trial row the bits of the per-trial refresh
         expected = np.array([sys_.y - sys_.X.data @ beta for beta in state.beta])
+        assert state.iteration == 5
         assert np.array_equal(state.residual, expected)
 
     def test_trials_left_at_the_cap_report_max_iter(self):
