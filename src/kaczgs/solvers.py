@@ -172,6 +172,12 @@ class ConvergenceTrace:
     seconds: list[float] = field(default_factory=list)
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A 1-D view of a C-contiguous array, so that writes through it reach a."""
+    assert a.flags.c_contiguous  # init_state and SolverState.copy make contiguous arrays
+    return a.reshape(-1)
+
+
 def _flat_index(idx: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The flat positions in a of each trial's entry: a[t, idx[q, t]] for a (trials, width) a."""
     return idx + np.arange(0, a.size, a.shape[1])
@@ -334,7 +340,7 @@ class RandomizedGaussSeidel(_MaintainedResidual):
         (j,) = draws
         take, vecdot, multiply, copyto = self._cols_arr.take, np.vecdot, np.multiply, np.copyto
         beta, r = state.beta, state.residual
-        flat_beta = np.reshape(beta, -1, copy=False)  # a view: updates reach beta
+        flat_beta = _flat(beta)
         xj = np.empty_like(r)
         for jq, fq, nq, out in zip(j, _flat_index(j, beta), self._col_nsq.take(j), rows):
             take(jq, axis=0, out=xj, mode="clip")
@@ -363,7 +369,7 @@ class ExtendedKaczmarz(_Solver):
         take_row, take_col = self._rows_arr.take, self._cols_arr.take
         vecdot, add, multiply = np.vecdot, np.add, np.multiply
         beta, z = state.beta, state.z
-        flat_z = np.reshape(z, -1, copy=False)
+        flat_z = _flat(z)
         xi, xj = np.empty_like(beta), np.empty_like(z)
         tables = (i, j, _flat_index(i, z), self._y.take(i), self._row_nsq.take(i),
                   self._col_nsq.take(j), rows)
@@ -410,7 +416,7 @@ class ExtendedGaussSeidel(_MaintainedResidual):
         take_row, take_col = self._rows_arr.take, self._cols_arr.take
         vecdot, multiply, subtract = np.vecdot, np.multiply, np.subtract
         beta, r, z = state.beta, state.residual, state.z
-        flat_beta, flat_z = np.reshape(beta, -1, copy=False), np.reshape(z, -1, copy=False)
+        flat_beta, flat_z = _flat(beta), _flat(z)
         xi, xj = np.empty_like(beta), np.empty_like(r)
         tables = (i, j, _flat_index(j, beta), self._row_nsq.take(i), self._col_nsq.take(j), rows)
         for iq, jq, fq, row_nq, col_nq, out in zip(*tables):
@@ -779,18 +785,17 @@ def run_batch(
     columns = [latest[None].copy()]  # blocks of grid columns, (grid points, trials) each
     clock = time.perf_counter_ns() - start
     ticks = [np.array([clock])]  # nanoseconds from the start to each grid point
-    if latest[0] < tol:  # every trial starts from the same state, so every trial stops at 0
-        return BatchTrace(columns[0].T.copy(), ticks[0] * 1e-9 / trials,
-                          np.zeros(trials, dtype=int), np.ones(trials, dtype=bool))
+    at_0 = bool(latest[0] < tol)  # every trial starts from the same state: all stop at 0 or none
+    steps = 0 if at_0 else last
 
     active = np.arange(trials)  # trial id of each batch row
     rows = np.arange(trials)  # the batch rows
-    final = np.full(trials, last)
-    converged = np.zeros(trials, dtype=bool)
+    final = np.full(trials, steps)
+    converged = np.full(trials, at_0)
     live = list(rngs)  # the generators of the trials still running
     checks = _ExactChecks(solver, True, ref, min(CHECK_CHUNK, last), trials)
     t = 0
-    for block in _draw_blocks(solver.draw_order(), live, last):
+    for block in _draw_blocks(solver.draw_order(), live, steps):
         base, end = t, t + len(block[0])
         while t < end:
             k = min(CHECK_CHUNK, end - t, RESIDUAL_REFRESH_EVERY - t % RESIDUAL_REFRESH_EVERY)
