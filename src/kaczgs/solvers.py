@@ -16,6 +16,11 @@ Each solver advances a mutable :class:`SolverState` by randomized updates:
 One combined update (row draw + column draw for the extended methods)
 counts as one iteration.
 
+Kaczmarz acts on rows and never reads y - X beta; Gauss-Seidel is
+coordinate descent on ||y - X beta||^2 / 2, whose update reads it. So only
+RGS and REGS states carry a residual, and ``residual_of`` is the one
+routine that computes y - X beta, for a vector or any stack of rows.
+
 A solver's ``draw_order()`` is the one statement of what a step draws (RK:
 row; RGS: column; REK: row then column; REGS: column then row), and
 ``_draw_blocks`` is the one way the draws are made: one uniform per draw
@@ -24,8 +29,8 @@ from the trial's own generator, mapped to an index by
 in one ``batch_uniforms`` call; blocks start at 64 steps and double up to
 DRAW_BUDGET uniforms a call. Each solver has two span kernels, which
 only apply the indices they are given: ``steps``, a span of steps of one
-trial in one loop (``step`` is the span of one step), and
-``steps_batch``, a span of steps of many trials in one loop.
+trial in one loop, and ``steps_batch``, a span of steps of many trials in
+one loop.
 
 ``run`` drives one trial through spans of ``steps`` and stops on the
 exact stop metric after every step. A span is at most CHECK_CHUNK steps
@@ -42,17 +47,17 @@ beta row lies outside it.
 
 ``run_batch`` drives several trials of one solver in lockstep through
 spans of ``steps_batch``, on a state whose arrays hold one row per trial:
-(T, n) iterates, a (T, m) residual, and a (T, m) z for REK or a (T, n) z
-for REGS. Its spans end where ``run``'s do, except at records: every
-step writes each trial's estimate into an ``_ExactChecks`` row, one
-``flush`` takes the errors of the span, and the grid points inside it
-are filled from them. ``steps_batch`` takes the span's (steps, T) scalar
+(T, n) iterates, a (T, m) residual for RGS and REGS, and a (T, m) z for
+REK or a (T, n) z for REGS. Its spans end where ``run``'s do, except at
+records: every step writes each trial's estimate into an ``_ExactChecks``
+row, one ``flush`` takes the errors of the span, and the grid points
+inside it are filled from them. ``steps_batch`` takes the span's (steps, T) scalar
 tables and the flat indices of its one-entry updates once, and gathers
 each step's rows or columns of X into one reused (T, width) buffer. Each
 trial gets the same draws and the same updates and residual refreshes as
 under ``run``, computed bit for bit the same way: each row's dot product
 is one ``np.vecdot`` row, the same BLAS dot that ``x.dot(y)`` in
-``steps`` calls, and the refresh is one routine for both shapes. So a
+``steps`` calls, and ``residual_of`` refreshes both shapes. So a
 batched trial's errors equal those of ``run``, and so of ``kaczgs
 solve``, of the same trial exactly.
 
@@ -120,21 +125,21 @@ class SolverState:
     """Mutable per-run state; single-owner, never shared across threads.
 
     For ``run`` the arrays are vectors; for ``run_batch`` they hold one row
-    per trial. ``residual`` mirrors y - X beta. RGS/REGS maintain it step by
-    step and refresh it from scratch every RESIDUAL_REFRESH_EVERY steps, so
-    it is current after every step; RK/REK leave it stale, and their
-    ``sync_residual`` makes it current before a read.
+    per trial. Only RGS and REGS carry ``residual``, y - X beta: their steps
+    update it and refresh it in place every RESIDUAL_REFRESH_EVERY steps, so
+    it is current after every step. RK and REK carry None.
     """
 
     beta: np.ndarray
-    residual: np.ndarray
+    residual: np.ndarray | None = None
     iteration: int = 0
     z: np.ndarray | None = None
 
     def copy(self, rows=...) -> SolverState:
         """A copy of the state; for a batch, of the given trial rows only."""
-        z = None if self.z is None else self.z[rows].copy()
-        return SolverState(self.beta[rows].copy(), self.residual[rows].copy(), self.iteration, z)
+        def take(a):
+            return None if a is None else a[rows].copy()
+        return SolverState(take(self.beta), take(self.residual), self.iteration, take(self.z))
 
 
 @dataclass(frozen=True)
@@ -210,17 +215,20 @@ class _Solver:
         self._col_views = list(self._cols_arr) if self.needs_cols else None
 
     def init_state(self, trials: int | None = None) -> SolverState:
-        """Zero iterates and residual y: vectors, or one row per trial."""
-        rows = () if trials is None else (trials,)
-        return SolverState(beta=np.zeros(rows + (self.system.n,)),
-                           residual=np.broadcast_to(self._y, rows + (self.system.m,)).copy())
+        """Zero iterates: vectors, or one row per trial."""
+        return SolverState(np.zeros((() if trials is None else (trials,)) + (self.system.n,)))
 
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta
 
-    def sync_residual(self, state: SolverState) -> None:
-        """Make state.residual equal y - X beta exactly (up to one matvec)."""
-        state.residual = self._y - self._rows_arr @ state.beta
+    def residual_of(self, beta: np.ndarray) -> np.ndarray:
+        """A new y - X beta for a vector or any stack of rows, bit for bit ``y - X @ row``."""
+        r = np.matmul(self._rows_arr, beta[..., None])[..., 0]
+        return np.subtract(self._y, r, out=r)
+
+    def residual(self, state: SolverState) -> np.ndarray:
+        """The state's y - X beta: computed here; RGS and REGS read the one they maintain."""
+        return self.residual_of(state.beta)
 
     def draw_order(self) -> list[WeightedIndex]:
         """The distributions one step draws from, in the order it draws."""
@@ -240,10 +248,6 @@ class _Solver:
         """
         raise NotImplementedError
 
-    def step(self, state: SolverState, draws: tuple[int, ...]) -> None:
-        """Advance one step; draws holds one index per entry of draw_order()."""
-        self.steps(state, [[d] for d in draws])
-
     # -- lockstep batches: one row per trial, driven by run_batch ----------
 
     def steps_batch(self, state: SolverState, draws: list[np.ndarray], rows) -> None:
@@ -260,27 +264,25 @@ class _Solver:
 
 
 class _MaintainedResidual(_Solver):
-    """RGS and REGS: the residual is updated by every step, so it is current."""
+    """RGS and REGS: the state carries y - X beta, and every step updates it."""
 
     needs_cols = True
 
-    def sync_residual(self, state: SolverState) -> None:
-        """Refresh the residual from scratch every RESIDUAL_REFRESH_EVERY steps.
+    def init_state(self, trials: int | None = None) -> SolverState:
+        state = super().init_state(trials)
+        state.residual = np.tile(self._y, state.beta.shape[:-1] + (1,))  # y - X beta at beta = 0
+        return state
 
-        One matvec per trial row, each bit for bit ``X @ beta`` of that row.
-        """
-        if state.iteration % RESIDUAL_REFRESH_EVERY == 0:
-            state.residual = self._y - np.matmul(self._rows_arr, state.beta[..., None])[..., 0]
+    def residual(self, state: SolverState) -> np.ndarray:
+        return state.residual
 
     def _end_span(self, state: SolverState, k: int, r: np.ndarray) -> None:
-        """Count a span of k steps whose residual ended in r: a buffer row, or the state's own."""
+        """Count a span of k steps whose residual ended in r, a buffer row or the state's own."""
         state.iteration += k
-        own = state.residual
-        if r is not own:
-            np.copyto(own, r)
-        self.sync_residual(state)
-        if r is not own and state.residual is not own:  # refreshed: the row reads the new one
-            np.copyto(r, state.residual)
+        if state.iteration % RESIDUAL_REFRESH_EVERY == 0:
+            r[...] = self.residual_of(state.beta)
+        if r is not state.residual:
+            np.copyto(state.residual, r)
 
 
 class RandomizedKaczmarz(_Solver):
@@ -358,7 +360,7 @@ class ExtendedKaczmarz(_Solver):
 
     def init_state(self, trials: int | None = None) -> SolverState:
         state = super().init_state(trials)
-        state.z = state.residual.copy()  # z starts at y
+        state.z = np.tile(self._y, state.beta.shape[:-1] + (1,))  # z starts at y
         return state
 
     def draw_order(self) -> list[WeightedIndex]:
@@ -584,10 +586,10 @@ class _ExactChecks:
     Each row of a (steps, ...) buffer holds the one vector a step's metric
     reads: the estimate under error stopping; under residual stopping the
     maintained residual of RGS and REGS, or beta for RK and REK, whose
-    residual ``flush`` takes as y - X beta by the per-row gemv of the
-    batched refresh. ``steps`` writes the rows of ``run``'s spans and
-    ``steps_batch`` the estimates of ``run_batch``'s. ``flush`` returns the metric
-    of each row of a range, bit for bit a check's value.
+    residual ``flush`` takes by ``residual_of``. ``steps`` writes the rows
+    of ``run``'s spans and ``steps_batch`` the estimates of ``run_batch``'s.
+    ``flush`` returns the metric of each row of a range, bit for bit a
+    check's value.
     """
 
     def __init__(self, solver: _Solver, on_error: bool, ref, steps: int, trials: int | None = None):
@@ -608,8 +610,7 @@ class _ExactChecks:
         if self.on_error:
             v -= self.ref
         elif self.from_beta:
-            v = np.matmul(self.solver._rows_arr, v[..., None])[..., 0]
-            np.subtract(self.solver._y, v, out=v)
+            v = self.solver.residual_of(v)
         return np.vecdot(v, v)
 
 
@@ -651,7 +652,6 @@ def run(
     state = solver.init_state()
     trace = ConvergenceTrace(kind, trial, False, 0)
     start = time.perf_counter()
-    maintained = isinstance(solver, _MaintainedResidual)
 
     def error_sq() -> float:
         if ref is None:
@@ -660,9 +660,7 @@ def run(
         return float(diff @ diff)
 
     def residual_sq() -> float:
-        if not maintained:  # RGS and REGS keep it current, refreshed by their own steps
-            solver.sync_residual(state)
-        r = state.residual
+        r = solver.residual(state)
         return float(r @ r)
 
     def record(it: int, metric: float):

@@ -96,6 +96,11 @@ def reference_draws(system, kind, seed, steps):
         yield tuple(sample(rng.uniform()) for sample in samplers)
 
 
+def step(solver, state, draws):
+    """Advance one step: a span of one, with one index per entry of draw_order()."""
+    solver.steps(state, [[d] for d in draws])
+
+
 # --- projectors, written out for the oracles below and the tests ------------
 
 def apply_row_projector(matrix, i: int, w) -> np.ndarray:

@@ -37,13 +37,13 @@ from kaczgs.solvers import (
 )
 from kaczgs.theory import TheoryBound
 
-from conftest import reference_draws
-
 from conftest import (
     apply_row_projector,
+    reference_draws,
     rgs_enumerated_expected_xerror,
     rgs_one_step,
     rk_enumerated_expected_error,
+    step,
 )
 
 TOL = 1e-6
@@ -236,7 +236,7 @@ def test_criterion_4_per_step_invariants():
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.RK, seed, 5000):
-            solver.step(state, draws)
+            step(solver, state, draws)
             (i,) = draws
             xi = sys_.X.data[i]
             gap = abs(xi @ state.beta - sys_.y[i])
@@ -252,7 +252,7 @@ def test_criterion_4_per_step_invariants():
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.RGS, seed, 5000):
-            solver.step(state, draws)
+            step(solver, state, draws)
             (j,) = draws
             xj = sys_.X.data[:, j]
             fresh = sys_.y - sys_.X.data @ state.beta
@@ -274,7 +274,7 @@ def test_criterion_4_per_step_invariants():
         prev = state.beta.copy()
         for draws in reference_draws(sys_, SolverKind.RK, seed, steps):
             before = float(np.linalg.norm(prev - ref) ** 2)
-            solver.step(state, draws)
+            step(solver, state, draws)
             after = float(np.linalg.norm(state.beta - ref) ** 2)
             step_sq = float(np.linalg.norm(state.beta - prev) ** 2)
             counts["pythagorean"] += 1
@@ -295,7 +295,7 @@ def test_criterion_4_per_step_invariants():
         prev = state.beta.copy()
         for draws in reference_draws(sys_, SolverKind.RGS, seed, steps):
             before = float(np.linalg.norm(X @ (prev - ref)) ** 2)
-            solver.step(state, draws)
+            step(solver, state, draws)
             after = float(np.linalg.norm(X @ (state.beta - ref)) ** 2)
             step_sq = float(np.linalg.norm(X @ (state.beta - prev)) ** 2)
             counts["pythagorean"] += 1
@@ -317,7 +317,7 @@ def test_criterion_4_per_step_invariants():
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.REGS, seed, steps):
             prev_est = solver.estimate(state)
-            solver.step(state, draws)
+            step(solver, state, draws)
             _, i = draws
             xi = sys_.X.data[i]
             term_a = apply_row_projector(sys_.X, i, prev_est - ref)
@@ -337,7 +337,7 @@ def test_criterion_4_per_step_invariants():
         solver = make_solver(kind, sys_)
         state = solver.init_state()
         for t, draws in enumerate(reference_draws(sys_, kind, seed, 2500), 1):
-            solver.step(state, draws)
+            step(solver, state, draws)
             if t % 5 == 0:
                 counts["rowspan"] += 1
                 off = state.beta - proj @ state.beta

@@ -32,6 +32,7 @@ from conftest import (
     reference_draws,
     rgs_enumerated_expected_xerror,
     rk_enumerated_expected_error,
+    step,
 )
 
 
@@ -47,11 +48,40 @@ DIAG_SYS = _system([[1.0, 0.0], [0.0, 2.0]], [1.0, 2.0], Regime.OVER_CONSISTENT,
                    reference=[1.0, 1.0])
 
 
+class TestResidualProtocol:
+    """One routine computes y - X beta; only the Gauss-Seidel states carry a residual."""
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["vector", "trials", "steps-trials"])
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
+    def test_residual_of_is_y_minus_x_at_each_row(self, kind, shape):
+        sys_ = gaussian_system(40, 8, Regime.OVER_INCONSISTENT, seed=6)
+        solver = make_solver(kind, sys_)
+        beta = np.random.default_rng(3).standard_normal(shape + (sys_.n,))
+        got = solver.residual_of(beta)
+        assert got.shape == shape + (sys_.m,)
+        for index in np.ndindex(shape):
+            assert _hex(got[index]) == _hex(sys_.y - sys_.X.data @ beta[index])
+
+    @pytest.mark.parametrize("trials", [None, 3])
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
+    def test_only_gauss_seidel_states_carry_a_residual(self, kind, trials):
+        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        solver = make_solver(kind, sys_)
+        state = solver.init_state(trials)
+        rows = () if trials is None else (trials,)
+        if kind in (SolverKind.RK, SolverKind.REK):
+            assert state.residual is None
+            assert state.copy().residual is None
+        else:  # y - X beta at beta = 0, as the state's own array
+            assert np.array_equal(state.residual, np.broadcast_to(sys_.y, rows + (sys_.m,)))
+            assert solver.residual(state) is state.residual
+
+
 class TestRandomizedKaczmarzStep:
     def test_identity_projects_coordinate(self):
         solver = make_solver(SolverKind.RK, IDENTITY_SYS)
         state = solver.init_state()
-        solver.step(state, (0,))  # row 0
+        step(solver, state, (0,))  # row 0
         assert state.beta == pytest.approx([2.0, 0.0])
         assert state.iteration == 1
 
@@ -59,7 +89,7 @@ class TestRandomizedKaczmarzStep:
         sys_ = _system([[1.0, 1.0]], [2.0], Regime.UNDERDETERMINED, reference=[1.0, 1.0])
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
-        solver.step(state, (0,))
+        step(solver, state, (0,))
         assert state.beta == pytest.approx([1.0, 1.0])
 
     def test_row_equation_satisfied_after_step(self):
@@ -67,7 +97,7 @@ class TestRandomizedKaczmarzStep:
         solver = make_solver(SolverKind.RK, sys_)
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.RK, 0, 200):
-            solver.step(state, draws)
+            step(solver, state, draws)
             (i,) = draws
             xi = sys_.X.data[i]
             scale = max(abs(sys_.y[i]), np.linalg.norm(xi) * np.linalg.norm(state.beta))
@@ -89,7 +119,7 @@ class TestRandomizedGaussSeidelStep:
     def test_identity_coordinate_update(self):
         solver = make_solver(SolverKind.RGS, IDENTITY_SYS)
         state = solver.init_state()
-        solver.step(state, (0,))  # column 0
+        step(solver, state, (0,))  # column 0
         assert state.beta == pytest.approx([2.0, 0.0])
         assert state.residual == pytest.approx([0.0, 3.0])
 
@@ -98,7 +128,7 @@ class TestRandomizedGaussSeidelStep:
                        reference=[2.0], residual_ref=[-1.0, 1.0])
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
-        solver.step(state, (0,))
+        step(solver, state, (0,))
         assert state.beta == pytest.approx([2.0])
 
     def test_coordinate_optimality_after_step(self):
@@ -106,7 +136,7 @@ class TestRandomizedGaussSeidelStep:
         solver = make_solver(SolverKind.RGS, sys_)
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.RGS, 1, 300):
-            solver.step(state, draws)
+            step(solver, state, draws)
             (j,) = draws
             xj = sys_.X.data[:, j]
             fresh = sys_.y - sys_.X.data @ state.beta
@@ -132,7 +162,7 @@ class TestExtendedKaczmarzStep:
         solver = make_solver(SolverKind.REK, sys_)
         state = solver.init_state()
         assert state.z == pytest.approx([1.0, 1.0])  # z0 = y
-        solver.step(state, (0, 0))  # row 0, column 0
+        step(solver, state, (0, 0))  # row 0, column 0
         assert state.z == pytest.approx([0.0, 1.0])
 
     def test_z_orthogonal_to_chosen_column(self):
@@ -140,7 +170,7 @@ class TestExtendedKaczmarzStep:
         solver = make_solver(SolverKind.REK, sys_)
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.REK, 2, 200):
-            solver.step(state, draws)
+            step(solver, state, draws)
             _, j = draws
             xj = sys_.X.data[:, j]
             assert abs(xj @ state.z) <= 1e-10 * np.linalg.norm(xj) * max(
@@ -153,7 +183,7 @@ class TestExtendedKaczmarzStep:
         solver = make_solver(SolverKind.REK, sys_)
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.REK, 11, 10_000):
-            solver.step(state, draws)
+            step(solver, state, draws)
         assert np.linalg.norm(state.z - r) < 1e-4
 
 
@@ -162,7 +192,7 @@ class TestExtendedGaussSeidelStep:
         solver = make_solver(SolverKind.REGS, IDENTITY_SYS)
         state = solver.init_state()
         assert state.z == pytest.approx([0.0, 0.0])
-        solver.step(state, (0, 0))  # column 0, then row 0
+        step(solver, state, (0, 0))  # column 0, then row 0
         # gamma_1 = (2, 0); beta_1 = (2, 0); z_1 = P_0 (2, 0) = (0, 0)
         assert state.beta == pytest.approx([2.0, 0.0])
         assert state.z == pytest.approx([0.0, 0.0], abs=1e-15)
@@ -174,8 +204,8 @@ class TestExtendedGaussSeidelStep:
         rgs = make_solver(SolverKind.RGS, sys_)
         st_regs, st_rgs = regs.init_state(), rgs.init_state()
         for j, i in reference_draws(sys_, SolverKind.REGS, 77, 60):
-            regs.step(st_regs, (j, i))
-            rgs.step(st_rgs, (j,))
+            step(regs, st_regs, (j, i))
+            step(rgs, st_rgs, (j,))
             assert np.array_equal(st_regs.beta, st_rgs.beta)
 
     def test_z_orthogonal_to_chosen_row(self):
@@ -183,7 +213,7 @@ class TestExtendedGaussSeidelStep:
         solver = make_solver(SolverKind.REGS, sys_)
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.REGS, 3, 300):
-            solver.step(state, draws)
+            step(solver, state, draws)
             _, i = draws
             xi = sys_.X.data[i]
             assert abs(xi @ state.z) <= 1e-10 * np.linalg.norm(xi) * max(
@@ -204,7 +234,7 @@ class TestExtendedGaussSeidelStep:
         state = solver.init_state()
         for draws in reference_draws(sys_, SolverKind.REGS, 4, 400):
             prev_est = solver.estimate(state)
-            solver.step(state, draws)
+            step(solver, state, draws)
             _, i = draws
             term_a = apply_row_projector(sys_.X, i, prev_est - beta_ln)
             v = state.beta - beta_ln
@@ -230,7 +260,7 @@ class TestPythagoreanRecursions:
             # short enough to stay above the float-noise floor
             for draws in reference_draws(sys_, SolverKind.RK, 6, 250):
                 err_before = float(np.linalg.norm(prev - ref) ** 2)
-                solver.step(state, draws)
+                step(solver, state, draws)
                 err_after = float(np.linalg.norm(state.beta - ref) ** 2)
                 step_sq = float(np.linalg.norm(state.beta - prev) ** 2)
                 assert err_after == pytest.approx(err_before - step_sq, rel=1e-8, abs=1e-18)
@@ -247,7 +277,7 @@ class TestPythagoreanRecursions:
             prev = state.beta.copy()
             for draws in reference_draws(sys_, SolverKind.RGS, 7, 600):
                 a = float(np.linalg.norm(X @ (prev - ref)) ** 2)
-                solver.step(state, draws)
+                step(solver, state, draws)
                 b = float(np.linalg.norm(X @ (state.beta - ref)) ** 2)
                 s = float(np.linalg.norm(X @ (state.beta - prev)) ** 2)
                 assert b == pytest.approx(a - s, rel=1e-8, abs=1e-18)
@@ -264,7 +294,7 @@ class TestRowSpanInvariance:
         solver = make_solver(kind, sys_)
         state = solver.init_state()
         for t, draws in enumerate(reference_draws(sys_, kind, 8, 800), 1):
-            solver.step(state, draws)
+            step(solver, state, draws)
             if t % 10 == 0:
                 off = state.beta - proj @ state.beta
                 assert np.linalg.norm(off) <= 1e-8 * max(np.linalg.norm(state.beta), 1e-30)
@@ -349,13 +379,13 @@ class TestRunDriver:
         sys_ = gaussian_system(30, 6, Regime.OVER_CONSISTENT, seed=2)
         cfg = SolveConfig(max_iter=5000, record_every=7)
         calls = []
-        real_sync = solvers.RandomizedKaczmarz.sync_residual
+        real_residual_of = solvers._Solver.residual_of
 
-        def counting_sync(self, state):
-            calls.append(state.iteration)
-            real_sync(self, state)
+        def counting_residual_of(self, beta):
+            calls.append(beta.shape)
+            return real_residual_of(self, beta)
 
-        monkeypatch.setattr(solvers.RandomizedKaczmarz, "sync_residual", counting_sync)
+        monkeypatch.setattr(solvers._Solver, "residual_of", counting_residual_of)
         trace = run(sys_, SolverKind.RK, cfg, Prng(1), residuals=residuals)
         monkeypatch.undo()
         full = run(sys_, SolverKind.RK, cfg, Prng(1))
@@ -369,15 +399,20 @@ class TestRunDriver:
         """A residual-stopped run reads the maintained residual without refreshing it again."""
         monkeypatch.setattr(solvers, "RESIDUAL_REFRESH_EVERY", 5)
         refreshes = []
-        real_sync = solvers._MaintainedResidual.sync_residual
+        spanned = []  # the state of the latest span
+        cls = solvers._SOLVER_CLASSES[kind]
+        real_steps, real_residual_of = cls.steps, solvers._Solver.residual_of
 
-        def counting_sync(self, state):
-            before = state.residual
-            real_sync(self, state)
-            if state.residual is not before:  # a refresh rebinds it: one m x n matvec
-                refreshes.append(state.iteration)
+        def tracking_steps(self, state, *args):
+            spanned[:] = [state]
+            real_steps(self, state, *args)
 
-        monkeypatch.setattr(solvers._MaintainedResidual, "sync_residual", counting_sync)
+        def counting_residual_of(self, beta):  # one m x n matvec per row
+            refreshes.append(spanned[0].iteration)
+            return real_residual_of(self, beta)
+
+        monkeypatch.setattr(cls, "steps", tracking_steps)
+        monkeypatch.setattr(solvers._Solver, "residual_of", counting_residual_of)
         sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
         cfg = SolveConfig(max_iter=50, tol=1e-300, stop_metric=StopMetric.RESIDUAL_NORM,
                           record_every=7)
@@ -400,7 +435,7 @@ class TestRunDriver:
             solver = make_solver(kind, sys_)
             state = solver.init_state()
             for draws in reference_draws(sys_, kind, 4, trace.final_iteration):
-                solver.step(state, draws)
+                step(solver, state, draws)
             fresh = sys_.y - sys_.X.data @ state.beta
             assert trace.records[-1][2] == pytest.approx(float(fresh @ fresh), rel=1e-8, abs=1e-12)
 
@@ -441,12 +476,12 @@ class TestRunDrawsReference:
 
         def record(t):
             diff = solver.estimate(state) - sys_.reference
-            solver.sync_residual(state)
-            expected.append((t, float(diff @ diff), float(state.residual @ state.residual)))
+            r = solver.residual(state)
+            expected.append((t, float(diff @ diff), float(r @ r)))
 
         record(0)
         for t, draws in enumerate(reference_draws(sys_, kind, 9, max_iter), 1):
-            solver.step(state, draws)
+            step(solver, state, draws)
             record(t)
         assert trace.final_iteration == max_iter
         assert trace.records == expected
@@ -456,7 +491,7 @@ def _reference_step(kind, system, beta, r, z, draws, t):
     """Step t by the update formulas written out, on copies; (beta, r, z)."""
     X, y = system.X.data, system.y
     row_nsq, col_nsq = system.X.row_norms_sq, system.X.col_norms_sq
-    beta, r = beta.copy(), r.copy()
+    beta = beta.copy()  # r is never written in place; RK and REK carry none
     z = None if z is None else z.copy()
     if kind in (SolverKind.RK, SolverKind.REK):
         i = draws[0]
@@ -484,8 +519,8 @@ def _reference_step(kind, system, beta, r, z, draws, t):
     return beta, r, z
 
 
-def _hex(arr) -> list[str]:
-    return [v.hex() for v in np.ravel(arr).tolist()]
+def _hex(arr) -> list[str] | None:
+    return None if arr is None else [v.hex() for v in np.ravel(arr).tolist()]
 
 
 class TestSpanKernels:
@@ -527,9 +562,8 @@ class TestSpanKernels:
             beta, r, z = states[t]
             assert state.iteration == t
             assert _hex(state.beta) == _hex(beta)
-            assert _hex(state.residual) == _hex(r)
-            if z is not None:
-                assert _hex(state.z) == _hex(z)
+            assert _hex(state.residual) == _hex(r)  # None for RK and REK
+            assert _hex(state.z) == _hex(z)
             assert [_hex(row) for row in checks.view[:k]] == [_hex(row) for row in rows[t - k:t]]
             for arr in (state.beta, state.residual, state.z):
                 assert arr is None or not np.shares_memory(arr, checks.full)
@@ -539,8 +573,7 @@ class TestSpanKernels:
                 beta, r, z = states[t - k + stop]
                 assert saved.iteration == t - k + stop
                 assert _hex(saved.beta) == _hex(beta) and _hex(saved.residual) == _hex(r)
-                if z is not None:
-                    assert _hex(saved.z) == _hex(z)
+                assert _hex(saved.z) == _hex(z)
         assert refresh in ends
 
 

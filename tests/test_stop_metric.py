@@ -38,7 +38,7 @@ from kaczgs.solvers import (
     run_batch,
 )
 
-from conftest import gaussian_system, reference_draws
+from conftest import gaussian_system, reference_draws, step
 
 #: one small system per regime, all from `kaczgs gen --seed 3`
 SHAPES = {
@@ -227,22 +227,22 @@ def exact_every_step(system, kind, metric, tol, seed, record_every):
     """(converged, final_iteration, records) of a run that computes both metrics every step.
 
     The draws come from the test's own generator and sampler; the solver's
-    ``step`` applies them.
+    ``steps`` applies them one at a time.
     """
     solver = make_solver(kind, system)
     state = solver.init_state()
 
     def record(t):
         diff = solver.estimate(state) - system.reference
-        solver.sync_residual(state)
-        return (t, float(diff @ diff), float(state.residual @ state.residual))
+        r = solver.residual(state)
+        return (t, float(diff @ diff), float(r @ r))
 
     column = 1 if metric is StopMetric.ERROR_TO_REFERENCE else 2
     records = [record(0)]
     if records[0][column] < tol:
         return True, 0, records
     for t, draws in enumerate(reference_draws(system, kind, seed, _STEPS), 1):
-        solver.step(state, draws)
+        step(solver, state, draws)
         rec = record(t)
         hit = rec[column] < tol
         if hit or t % record_every == 0 or t == _STEPS:
@@ -261,7 +261,7 @@ def _beta_at(system, kind, seed, k):
     solver = make_solver(kind, system)
     state = solver.init_state()
     for draws in reference_draws(system, kind, seed, k):
-        solver.step(state, draws)
+        step(solver, state, draws)
     return state.beta
 
 
