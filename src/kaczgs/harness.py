@@ -135,7 +135,7 @@ def _bound_evaluator(system: LinearSystem, kind: SolverKind, tb: TheoryBound | N
     if kind is SolverKind.RGS:
         if regime is Regime.UNDERDETERMINED:
             return lambda t: float("nan")  # wrong-limit pair: no valid envelope
-        return lambda t: bound_rk_consistent(tb, t, ref_sq)
+        return lambda t: bound_rk_consistent(tb, t, tb.rgs_init)
     if kind is SolverKind.REK:
         return lambda t: bound_rek(tb, t, ref_sq)
     return lambda t: bound_regs(tb, t, ref_sq)

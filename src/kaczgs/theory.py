@@ -13,6 +13,16 @@ bound for the least-norm setting is
 and plain Kaczmarz on an inconsistent system carries the additive
 convergence horizon ||r||^2 / sigma_min^2 below which it cannot descend.
 
+Randomized Gauss-Seidel contracts the objective gap, E||X(beta_t - ref)||^2
+<= alpha^t ||X ref||^2 (Leventhal & Lewis, Math. Oper. Res. 2010), not the
+Euclidean error. With ||e||^2 <= ||X e||^2 / lambda_min its error bound is
+
+    alpha^t ||X ref||^2 / lambda_min,
+
+which is never below alpha^t ||ref||^2. That smaller form is not a bound:
+on a 4x3 system with column scales 1, 10 and 0.1 the exact E||e_1||^2 is
+1.34 times it.
+
 The extended-Kaczmarz bound is Zouzias & Freris's ("Randomized extended
 Kaczmarz for solving least squares", SIMAX 2013)
 
@@ -38,12 +48,15 @@ class TheoryBound:
 
     alpha: contraction factor 1 - sigma_min^2 / ||X||_F^2, in [0, 1).
     B: ||X ref||^2 / ||X||_F^2 (the extended-method forcing term).
+    rgs_init: ||X ref||^2 / lambda_min, and never below ||ref||^2 where it
+        rounds there: the RGS error bound at t = 0.
     kappa_sq_term: 1 + 2 kappa^2 with kappa the condition number.
     horizon: ||r||^2 / sigma_min^2 for inconsistent systems, else exactly 0.
     """
 
     alpha: float
     B: float
+    rgs_init: float
     kappa_sq_term: float
     horizon: float
 
@@ -56,8 +69,9 @@ class TheoryBound:
         # rank one leaves lambda_min = ||X||_F^2 up to rounding, which can push alpha
         # below 0, and a negative alpha^t alternates in sign
         alpha = max(0.0, 1.0 - summary.lambda_min / frob_sq)
-        xref = system.X.data @ system.reference
-        b_term = float(xref @ xref) / frob_sq
+        ref = system.reference
+        xref = system.X.data @ ref
+        xref_sq = float(xref @ xref)
         if system.regime is Regime.OVER_INCONSISTENT:
             if system.residual_ref is None:
                 raise ConfigurationError(
@@ -69,7 +83,8 @@ class TheoryBound:
             horizon = 0.0
         return cls(
             alpha=alpha,
-            B=b_term,
+            B=xref_sq / frob_sq,
+            rgs_init=max(xref_sq / summary.lambda_min, float(ref @ ref)),
             kappa_sq_term=1.0 + 2.0 * summary.kappa**2,
             horizon=horizon,
         )
@@ -83,8 +98,7 @@ def _check_iteration(t: int):
 def bound_rk_consistent(bound: TheoryBound, t: int, init_err_sq: float) -> float:
     """alpha^t * init_err_sq — consistent-regime expected-error envelope.
 
-    Also the envelope used for plain Gauss-Seidel with init_err_sq equal to
-    the squared norm of the regime's reference (beta_0 = 0).
+    Also the plain Gauss-Seidel bound, with init_err_sq = ``rgs_init``.
     """
     _check_iteration(t)
     return bound.alpha**t * init_err_sq

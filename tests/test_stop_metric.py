@@ -129,8 +129,9 @@ TOMO_SOLVE_SHA256 = {
 }
 
 #: sha256 of the per-trial `kaczgs compare --trials 4 --record-every 10 --max-iter 3000
-#: --tol 1e-8 --seed 5` CSV on the over-consistent system
-COMPARE_SHA256 = "38d9463de746e205a27230d4fd9ea80f777a2c5fd01e0bda025b8e6e24348ecc"
+#: --tol 1e-8 --seed 5` CSV on the over-consistent system; its RGS rows carry the
+#: bound alpha^t ||X ref||^2 / lambda_min
+COMPARE_SHA256 = "f6089091c817ed5dde2dc5290d2a96483f31eddb5cf2340e0859fbeb544c222c"
 
 #: sha256 of the pinned systems' arrays and of the BLAS dots and matvecs a solve
 #: takes on them. The CSV digests above hold where these round as they did when

@@ -21,7 +21,7 @@ from kaczgs.theory import (
     bound_rk_inconsistent,
 )
 
-from conftest import gaussian_system
+from conftest import gaussian_system, rgs_one_step
 
 
 def _bound_for(data) -> TheoryBound:
@@ -57,7 +57,7 @@ class TestEvaluatorArithmetic:
             )
 
     def test_rk_inconsistent_limit_is_horizon(self):
-        tb = TheoryBound(alpha=0.8, B=1.0, kappa_sq_term=9.0, horizon=3.25)
+        tb = TheoryBound(alpha=0.8, B=1.0, rgs_init=1.0, kappa_sq_term=9.0, horizon=3.25)
         assert bound_rk_inconsistent(tb, 10_000, 5.0) == pytest.approx(3.25)
 
     def test_rek_t0_with_zero_reference_norm(self):
@@ -78,16 +78,16 @@ class TestEvaluatorArithmetic:
         assert bound_rek(DIAG_BOUND, 0, 1.0) == pytest.approx(9.0)
 
     def test_regs_t0_substitution(self):
-        tb = TheoryBound(alpha=0.5, B=2.0, kappa_sq_term=3.0, horizon=0.0)
+        tb = TheoryBound(alpha=0.5, B=2.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0)
         assert bound_regs(tb, 0, 4.0) == pytest.approx(4.0 + 2.0 * 2.0 / 0.5)
 
     def test_regs_zero_system(self):
-        tb = TheoryBound(alpha=0.5, B=0.0, kappa_sq_term=3.0, horizon=0.0)
+        tb = TheoryBound(alpha=0.5, B=0.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0)
         for t in (0, 1, 5, 50):
             assert bound_regs(tb, t, 0.0) == 0.0
 
     def test_regs_vacuous_alpha_rejected(self):
-        tb = TheoryBound(alpha=1.0, B=1.0, kappa_sq_term=3.0, horizon=0.0)
+        tb = TheoryBound(alpha=1.0, B=1.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0)
         with pytest.raises(NumericalError):
             bound_regs(tb, 1, 1.0)
 
@@ -120,9 +120,34 @@ class TestTheoryBoundConstruction:
         )
 
 
+class TestRgsBound:
+    """RGS's bound is on the Euclidean error, not only on the objective gap."""
+
+    def test_one_step_counterexample(self):
+        # alpha^t ||ref||^2, Leventhal-Lewis's objective-gap envelope, is 1.2616 at t = 1
+        rng = np.random.default_rng(120)
+        X = rng.standard_normal((4, 3)) * [1.0, 10.0, 0.1]
+        beta = rng.standard_normal(3)
+        sys_ = LinearSystem(DenseMatrix(X), X @ beta, Regime.OVER_CONSISTENT, reference=beta)
+        probs = sys_.X.col_norms_sq / sys_.X.frob_sq
+        errors = [rgs_one_step(sys_, np.zeros(3), j) - beta for j in range(3)]
+        exact = sum(p * float(e @ e) for p, e in zip(probs, errors))
+        assert exact == pytest.approx(1.6845, abs=1e-4)
+        bound = _bound_evaluator(sys_, SolverKind.RGS, TheoryBound.from_system(sys_))
+        assert bound(1) >= exact
+
+    def test_rgs_init_is_x_ref_over_lambda_min(self):
+        sys_ = gaussian_system(20, 5, Regime.OVER_INCONSISTENT, seed=11)
+        tb = TheoryBound.from_system(sys_)
+        xref = sys_.X.data @ sys_.reference
+        lambda_min = np.linalg.svd(sys_.X.data, compute_uv=False)[-1] ** 2
+        assert tb.rgs_init == pytest.approx(float(xref @ xref) / lambda_min, rel=1e-10)
+        assert _bound_evaluator(sys_, SolverKind.RGS, tb)(7) == tb.alpha**7 * tb.rgs_init
+
+
 class TestMonotonicity:
     def test_all_evaluators_non_increasing(self):
-        tb = TheoryBound(alpha=0.93, B=1.7, kappa_sq_term=11.0, horizon=0.4)
+        tb = TheoryBound(alpha=0.93, B=1.7, rgs_init=1.0, kappa_sq_term=11.0, horizon=0.4)
         evals = [
             lambda t: bound_rk_consistent(tb, t, 3.0),
             lambda t: bound_rk_inconsistent(tb, t, 3.0),
