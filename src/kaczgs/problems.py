@@ -155,11 +155,13 @@ def _finish_gaussian(
     w = rng.gaussians(spec.m)
     fit = LinearSystem(X, w, Regime.OVER_CONSISTENT, seed=seed)
     w_col = X.data @ least_squares_ref(fit)
-    with np.errstate(over="ignore"):  # a y that overflows is reported just below
+    with np.errstate(over="ignore"):  # a y or ||r||^2 that overflows is reported just below
         r = spec.noise_scale * (w - w_col)
         y = X.data @ beta + r
-    if not np.all(np.isfinite(y)):
-        raise ConfigurationError(f"noise_scale {spec.noise_scale!r} overflows y in float64")
+        r_sq = float(r @ r)
+    if not (np.all(np.isfinite(y)) and math.isfinite(r_sq)):
+        raise ConfigurationError(f"noise_scale {spec.noise_scale!r} overflows y or ||r||^2 "
+                                 "in float64")
     if _norm(r) <= 1e-12 * _norm(w):
         raise SingularMatrixError("noise draw landed in the column space")
     provisional = LinearSystem(X, y, spec.regime, seed=seed)

@@ -78,7 +78,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .linalg import LinearSystem, Regime
 from .sampling import Prng, WeightedIndex, batch_uniforms, col_distribution, row_distribution
 
@@ -486,6 +486,12 @@ def _require_reference(system: LinearSystem) -> np.ndarray:
     return system.reference
 
 
+def _check_start(values) -> None:
+    """Reject a run whose squared error or residual at t = 0, ||ref||^2 or ||y||^2, is inf."""
+    if any(map(math.isinf, values)):
+        raise NumericalError(f"a squared norm at iteration 0 overflows float64: {values}")
+
+
 def _draw_blocks(dists: list[WeightedIndex], rngs: list[Prng], steps: int):
     """Yield the index draws of `steps` steps of len(rngs) trials, block by block.
 
@@ -677,8 +683,10 @@ def run(
         return min(t - t % every + every, t - t % RESIDUAL_REFRESH_EVERY + RESIDUAL_REFRESH_EVERY,
                    last)
 
-    metric = error_sq() if on_error else residual_sq()
-    record(0, metric)
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        metric = error_sq() if on_error else residual_sq()
+        record(0, metric)
+    _check_start(trace.records[0][1:])
     if metric < tol:
         trace.converged = True
         return trace
@@ -779,7 +787,9 @@ def run_batch(
 
     every, last, tol = config.record_every, config.max_iter, config.tol
     diff = solver.estimate(state) - ref
-    latest = np.vecdot(diff, diff)  # each trial's latest error, terminal once it stopped
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        latest = np.vecdot(diff, diff)  # each trial's latest error, terminal once it stopped
+    _check_start(latest[:1].tolist())
     columns = [latest[None].copy()]  # blocks of grid columns, (grid points, trials) each
     clock = time.perf_counter_ns() - start
     ticks = [np.array([clock])]  # nanoseconds from the start to each grid point

@@ -36,7 +36,10 @@ error 47.3, so it is not a bound and is not offered.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .linalg import LinearSystem, Regime, spectral_summary
@@ -69,25 +72,26 @@ class TheoryBound:
         # rank one leaves lambda_min = ||X||_F^2 up to rounding, which can push alpha
         # below 0, and a negative alpha^t alternates in sign
         alpha = max(0.0, 1.0 - summary.lambda_min / frob_sq)
-        ref = system.reference
-        xref = system.X.data @ ref
-        xref_sq = float(xref @ xref)
-        if system.regime is Regime.OVER_INCONSISTENT:
-            if system.residual_ref is None:
-                raise ConfigurationError(
-                    "inconsistent system needs residual_ref for the horizon term"
-                )
-            r = system.residual_ref
-            horizon = float(r @ r) / summary.lambda_min
-        else:
-            horizon = 0.0
-        return cls(
+        inconsistent = system.regime is Regime.OVER_INCONSISTENT
+        if inconsistent and system.residual_ref is None:
+            raise ConfigurationError("inconsistent system needs residual_ref for the horizon term")
+        ref, r = system.reference, system.residual_ref
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            xref = system.X.data @ ref
+            xref_sq, ref_sq = float(xref @ xref), float(ref @ ref)
+            r_sq = float(r @ r) if inconsistent else 0.0
+        bound = cls(
             alpha=alpha,
             B=xref_sq / frob_sq,
-            rgs_init=max(xref_sq / summary.lambda_min, float(ref @ ref)),
+            rgs_init=max(xref_sq / summary.lambda_min, ref_sq),
             kappa_sq_term=1.0 + 2.0 * summary.kappa**2,
-            horizon=horizon,
+            horizon=r_sq / summary.lambda_min,
         )
+        # an inf here would print inf bounds, and NaN once alpha^t underflows to 0
+        if not all(map(math.isfinite, (ref_sq, bound.B, bound.rgs_init, bound.kappa_sq_term,
+                                       bound.horizon))):
+            raise NumericalError(f"the bound constants overflow float64: {bound}")
+        return bound
 
 
 def _check_iteration(t: int):

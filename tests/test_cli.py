@@ -313,6 +313,52 @@ class TestSeedRange:
         assert load_system(out).seed == 2**64 - 1
 
 
+_SMALL_X = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+class TestOverflowingNorms:
+    """A finite system whose squared norms overflow exits 2 or 3 and writes nothing.
+
+    Without the checks, solve, compare and bounds exit 0 with inf rows, and a
+    long bounds curve ends in NaN once alpha^t underflows to 0.
+    """
+
+    @pytest.fixture(params=["reference", "residual"])
+    def overflow_dir(self, request, tmp_path):
+        X = np.array(_SMALL_X)
+        if request.param == "reference":  # ||ref||^2 = 5e320
+            ref, r, regime = np.array([1e160, 2e160]), None, Regime.OVER_CONSISTENT
+        else:  # ||r||^2 = 3e320, r orthogonal to the columns of X
+            ref, r, regime = np.zeros(2), np.array([1e160, 1e160, -1e160]), Regime.OVER_INCONSISTENT
+        y = X @ ref if r is None else X @ ref + r
+        target = tmp_path / "overflow"
+        save_system(LinearSystem(DenseMatrix(X), y, regime, reference=ref, residual_ref=r), target)
+        return target
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "rk"],
+        ["solve", "--solver", "rgs", "--stop-metric", "residual"],
+        ["compare", "--trials", "1"],
+        ["compare", "--trials", "4", "--solvers", "rek,regs"],
+        ["bounds", "--solver", "rk"],
+        ["bounds", "--solver", "regs", "--max-iter", "3000", "--record-every", "500"],
+    ], ids=lambda a: "-".join(a[:1] + a[2:3] + a[-1:]))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exits_3_and_writes_nothing(self, overflow_dir, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert _run(argv + ["--system", str(overflow_dir), "--out", str(out)]) == 3
+        assert "float64" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gen_noise_overflowing_the_residual_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sys"  # y stays finite, but ||r||^2 does not
+        assert _run(["gen", "--m", "30", "--n", "3", "--regime", "over-inconsistent",
+                     "--noise-scale", "1e160", "--seed", "1", "--out", str(out)]) == 2
+        assert "overflows y or ||r||^2" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEigensolveFailure:
     """A system whose squared norms overflow exits 3 from every command that loads it."""
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kaczgs.errors import ConfigurationError
+from kaczgs.errors import ConfigurationError, NumericalError
 from kaczgs.linalg import (
     DenseMatrix,
     LinearSystem,
@@ -419,6 +419,18 @@ class TestRunDriver:
         trace = run(sys_, kind, cfg, Prng(1))
         assert trace.final_iteration == 50
         assert refreshes == list(range(5, 51, 5))
+
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_start_is_rejected(self, kind):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        ref = np.array([1e160, 2e160])  # ||ref||^2 and ||y||^2 overflow
+        sys_ = _system(X, X @ ref, Regime.OVER_CONSISTENT, reference=ref)
+        for metric in StopMetric:
+            with pytest.raises(NumericalError, match="float64"):
+                run(sys_, kind, SolveConfig(max_iter=10, stop_metric=metric), Prng(0))
+        with pytest.raises(NumericalError, match="float64"):
+            run_batch(sys_, kind, SolveConfig(max_iter=10), [Prng(k) for k in range(3)])
 
     def test_residuals_false_still_stops_on_the_residual(self):
         sys_ = gaussian_system(30, 6, Regime.OVER_CONSISTENT, seed=2)

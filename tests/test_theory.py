@@ -120,6 +120,22 @@ class TestTheoryBoundConstruction:
         )
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("case", ["reference", "residual"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constants_that_overflow_are_rejected(self, case):
+        X = DenseMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        if case == "reference":  # ||ref||^2 and B overflow
+            ref = np.array([1e160, 2e160])
+            sys_ = LinearSystem(X, X.data @ ref, Regime.OVER_CONSISTENT, reference=ref)
+        else:  # the horizon ||r||^2 / lambda_min overflows
+            r = np.array([1e160, 1e160, -1e160])
+            sys_ = LinearSystem(X, r, Regime.OVER_INCONSISTENT, reference=np.zeros(2),
+                                residual_ref=r)
+        with pytest.raises(NumericalError, match="overflow float64"):
+            TheoryBound.from_system(sys_)
+
+
 class TestRgsBound:
     """RGS's bound is on the Euclidean error, not only on the objective gap."""
 
