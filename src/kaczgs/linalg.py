@@ -289,7 +289,6 @@ class SpectralSummary:
     sigma_max: float
     kappa: float = field(init=False)
     lambda_min: float = field(init=False)
-    trace_sigma: float = 0.0  # Tr(X^T X) == ||X||_F^2
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", self.sigma_max / self.sigma_min)
@@ -324,8 +323,4 @@ def spectral_summary(matrix: DenseMatrix) -> SpectralSummary:
     lam_max = float(eigs.max())
     positive = eigs[eigs > RANK_RTOL * lam_max]
     lam_min = float(positive.min())
-    return SpectralSummary(
-        sigma_min=math.sqrt(lam_min),
-        sigma_max=math.sqrt(lam_max),
-        trace_sigma=matrix.frob_sq,
-    )
+    return SpectralSummary(sigma_min=math.sqrt(lam_min), sigma_max=math.sqrt(lam_max))

@@ -241,7 +241,6 @@ class TestSpectralSummary:
         assert s.sigma_min == pytest.approx(1.0)
         assert s.sigma_max == pytest.approx(2.0)
         assert s.kappa == pytest.approx(2.0)
-        assert s.trace_sigma == pytest.approx(5.0)
 
     def test_identity(self):
         s = spectral_summary(DenseMatrix(np.eye(3)))
@@ -254,7 +253,6 @@ class TestSpectralSummary:
         s = spectral_summary(DenseMatrix([[3.0, 4.0], [0.0, 0.0]]))
         assert s.sigma_min == pytest.approx(5.0, rel=1e-12)
         assert s.sigma_max == pytest.approx(5.0, rel=1e-12)
-        assert s.trace_sigma == pytest.approx(25.0)
         assert s.lambda_min == pytest.approx(25.0, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (9, 9)])
@@ -341,7 +339,6 @@ def _assert_summary_matches(a):
     # O(eps * sigma_max^2), so sigma_min^2 is compared on that absolute scale
     assert s.sigma_max == pytest.approx(smax, rel=1e-12)
     assert abs(s.sigma_min**2 - smin**2) <= 1e-12 * smax**2
-    assert s.trace_sigma == pytest.approx(float((a * a).sum()), rel=1e-12)
     assert numeric_rank(X) == rank
     return rank
 
