@@ -51,15 +51,15 @@ spans of ``steps_batch``, on a state whose arrays hold one row per trial:
 REK or a (T, n) z for REGS. Its spans end where ``run``'s do, except at
 records: every step writes each trial's estimate into an ``_ExactChecks``
 row, one ``flush`` takes the errors of the span, and the grid points
-inside it are filled from them. ``steps_batch`` takes the span's (steps, T) scalar
-tables and the flat indices of its one-entry updates once, and gathers
-each step's rows or columns of X into one reused (T, width) buffer. Each
-trial gets the same draws and the same updates and residual refreshes as
-under ``run``, computed bit for bit the same way: each row's dot product
-is one ``np.vecdot`` row, the same BLAS dot that ``x.dot(y)`` in
-``steps`` calls, and ``residual_of`` refreshes both shapes. So a
-batched trial's errors equal those of ``run``, and so of ``kaczgs
-solve``, of the same trial exactly.
+inside it are filled from them. ``steps_batch`` takes the span's
+(steps, T) scalar tables and the flat indices of its one-entry updates
+once, and gathers each step's rows or columns of X into one reused
+(T, width) buffer. Each trial gets the same draws and the same updates
+and residual refreshes as under ``run``, computed bit for bit the same
+way: each row's dot product is one ``np.vecdot`` row, the same BLAS dot
+that ``x.dot(y)`` in ``steps`` calls, and ``residual_of`` refreshes both
+shapes. So a batched trial's errors equal those of ``run``, and so of
+``kaczgs solve``, of the same trial exactly.
 
 A note on the extended Gauss-Seidel coordinate update: the per-step
 increment along coordinate j is the coordinate least-squares correction
