@@ -52,10 +52,9 @@ class TestResidualProtocol:
     """One routine computes y - X beta; only the Gauss-Seidel states carry a residual."""
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["vector", "trials", "steps-trials"])
-    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
-    def test_residual_of_is_y_minus_x_at_each_row(self, kind, shape):
+    def test_residual_of_is_y_minus_x_at_each_row(self, shape):
         sys_ = gaussian_system(40, 8, Regime.OVER_INCONSISTENT, seed=6)
-        solver = make_solver(kind, sys_)
+        solver = make_solver(SolverKind.REGS, sys_)  # all four share the one routine
         beta = np.random.default_rng(3).standard_normal(shape + (sys_.n,))
         got = solver.residual_of(beta)
         assert got.shape == shape + (sys_.m,)
