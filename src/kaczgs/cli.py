@@ -176,9 +176,7 @@ def _parse_solver_list(text: str) -> list[SolverKind]:
             raise ConfigurationError(
                 f"unknown solver {name!r}; choose from rk,rgs,rek,regs"
             ) from None
-    if not kinds:
-        raise ConfigurationError("empty solver list")
-    return kinds
+    return kinds  # ExperimentConfig rejects an empty or repeated list
 
 
 def _cmd_compare(args) -> int:

@@ -100,6 +100,9 @@ class ExperimentConfig:
         check_seed(self.base_seed)
         if not self.solvers:
             raise ConfigurationError("at least one solver is required")
+        if len(set(self.solvers)) < len(self.solvers):
+            names = ",".join(k.value for k in self.solvers)
+            raise ConfigurationError(f"each solver may be given once, got {names}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         self.solve_config()  # checks max_iter, tol and record_every before any work

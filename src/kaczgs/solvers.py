@@ -26,11 +26,11 @@ row; RGS: column; REK: row then column; REGS: column then row), and
 ``_draw_blocks`` is the one way the draws are made: one uniform per draw
 from the trial's own generator, mapped to an index by
 ``WeightedIndex.sample_block``. It draws a block of steps for all trials
-in one ``batch_uniforms`` call; blocks start at 64 steps and double up to
-DRAW_BUDGET uniforms a call. Each solver has two span kernels, which
-only apply the indices they are given: ``steps``, a span of steps of one
-trial in one loop, and ``steps_batch``, a span of steps of many trials in
-one loop.
+in one ``batch_uniforms`` call: as many steps as DRAW_BUDGET uniforms
+hold, or the steps left. Each solver has two span kernels, which only
+apply the indices they are given: ``steps``, a span of steps of one trial
+in one loop, and ``steps_batch``, a span of steps of many trials in one
+loop.
 
 ``run`` drives one trial through spans of ``steps`` and stops on the
 exact stop metric after every step. A span is at most CHECK_CHUNK steps
@@ -86,7 +86,7 @@ from .sampling import Prng, WeightedIndex, batch_uniforms, col_distribution, row
 #: ``run`` computes the exact stop metric at least this often
 RESIDUAL_REFRESH_EVERY = 1000
 
-#: uniforms drawn in one call for a block of steps, across all trials of the block
+#: the most uniforms drawn in one call for a block of steps, across its trials
 DRAW_BUDGET = 4096
 
 #: the most steps whose exact stop metrics are taken in one ``np.vecdot``
@@ -499,21 +499,18 @@ def _draw_blocks(dists: list[WeightedIndex], rngs: list[Prng], steps: int):
     distribution of ``dists``, drawn in one ``batch_uniforms`` call. Trial k
     takes one uniform per draw from rngs[k], step after step and within a
     step in ``dists`` order, so its indices do not depend on the block size
-    or on the other trials. The first block is 64 steps, and each next one
-    doubles, up to DRAW_BUDGET uniforms across the trials: a long run pays
-    the call's fixed cost over many draws, and one that stops early has
-    drawn at most about twice its steps. ``rngs`` is read again for each
-    block, so a caller that removes a stopped trial's generator from it
-    between blocks stops that trial's draws. A consumer that stops early
-    leaves the generators advanced past the last block drawn.
+    or on the other trials. Each block is as many steps as DRAW_BUDGET
+    uniforms across the trials hold, or the steps left, so a run pays the
+    call's fixed cost once per DRAW_BUDGET draws. ``rngs`` is read again
+    for each block, so a caller that removes a stopped trial's generator
+    from it between blocks stops that trial's draws. A consumer that stops
+    early leaves the generators advanced past the last block drawn.
     """
-    block = 64
     while steps:
-        block = min(block, steps, max(1, DRAW_BUDGET // (len(dists) * len(rngs))))
+        block = min(steps, max(1, DRAW_BUDGET // (len(dists) * len(rngs))))
         u = batch_uniforms(rngs, block * len(dists)).reshape(len(rngs), block, len(dists))
         yield [d.sample_block(np.ascontiguousarray(u[:, :, q].T)) for q, d in enumerate(dists)]
         steps -= block
-        block *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +769,11 @@ def run_batch(
     error as its final ones, carries that error forward on the grid, and
     leaves the batch at the span's end, before the next ``_draw_blocks``
     block is drawn for the trials still running, so it draws no block past
-    the one it stopped in. Its generator ends where ``run`` leaves it while
-    the two draw blocks of the same length, that is until DRAW_BUDGET caps
-    a block across the batch's trials. The grid runs up to the last step
-    that some trial took.
+    the one it stopped in. Its generator ends where ``run`` leaves it when
+    the trial runs to max_iter or max_iter fits in one batch block; else
+    the two may stop at different block ends, since a batch block shares
+    DRAW_BUDGET among the trials. The grid runs up to the last step that
+    some trial took.
     """
     if config.stop_metric is not StopMetric.ERROR_TO_REFERENCE:
         raise ConfigurationError("lockstep trials stop on error to reference only")

@@ -174,6 +174,18 @@ class TestCompare:
         assert _run(["compare", "--system", str(system_dir), "--solvers", "bogus",
                      "--out", "-"]) == 2
 
+    @pytest.mark.parametrize("solvers, message", [
+        ("rk,rgs,rk", "each solver may be given once, got rk,rgs,rk"),
+        (" , ", "at least one solver is required"),
+    ], ids=["repeated", "empty"])
+    def test_repeated_or_no_solver_exits_2_and_writes_nothing(self, system_dir, tmp_path, capsys,
+                                                              solvers, message):
+        out = tmp_path / "cmp.csv"
+        assert _run(["compare", "--system", str(system_dir), "--solvers", solvers,
+                     "--trials", "2", "--max-iter", "100", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_timings_out(self, system_dir, tmp_path):
         out, tout = tmp_path / "c.csv", tmp_path / "t.csv"
         assert _run(["compare", "--system", str(system_dir), "--solvers", "rk",

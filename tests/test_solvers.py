@@ -470,15 +470,25 @@ class TestRunDriver:
         assert rek.converged
 
 
+_BUDGET = solvers.DRAW_BUDGET
+_THREE_BLOCKS = 2 * _BUDGET + 1  # steps, at one draw a step
+
+
 class TestRunDrawsReference:
     """run's draws against the README rule, replayed one reference uniform at a time."""
 
-    # one step; either side of the end of the first block (64 steps) and of the second
-    # (128 more); and one step into the seventh, past every doubling up to 2048 steps
-    @pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 150, 191, 192, 193, 4033])
+    # one step and spans of several lengths; either side of the end of the first block,
+    # DRAW_BUDGET // d steps for d = 2 and d = 1 draws a step; and three blocks or more
+    @pytest.mark.parametrize("max_iter", [
+        1, 63, 64, 65, 150, 191, 192, 193, 4033,
+        _BUDGET // 2 - 1, _BUDGET // 2, _BUDGET // 2 + 1, _BUDGET - 1, _BUDGET, _BUDGET + 1,
+        _THREE_BLOCKS,
+    ])
     @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
     def test_records_equal_steps_on_reference_draws(self, kind, max_iter):
-        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        # on 40x8 some errors reach exactly 0, and the run stops, before 8193 steps
+        m, n = (80, 20) if max_iter == _THREE_BLOCKS else (40, 8)
+        sys_ = gaussian_system(m, n, Regime.OVER_CONSISTENT, seed=6)
         trace = run(sys_, kind, SolveConfig(max_iter=max_iter, tol=1e-300), Prng(9))
 
         solver = make_solver(kind, sys_)
@@ -589,24 +599,22 @@ class TestSpanKernels:
 
 
 class TestDrawBlocks:
-    """_draw_blocks' block sizes, and its indices against one reference uniform per draw."""
+    """_draw_blocks' block sizes and calls, and its indices against one reference uniform per draw."""
 
-    @pytest.mark.parametrize("trials, kind", [(1, SolverKind.RK), (16, SolverKind.REK), (5, SolverKind.REGS)])
-    def test_blocks_double_to_the_budget_and_equal_reference(self, trials, kind):
+    # blocks of DRAW_BUDGET // (draws per step * trials) steps, then the steps left
+    @pytest.mark.parametrize("trials, kind, steps, sizes", [
+        (1, SolverKind.RK, 9000, [4096, 4096, 808]),
+        (16, SolverKind.REK, 1500, [128] * 11 + [92]),
+        (5, SolverKind.REGS, 1500, [409] * 3 + [273]),
+    ], ids=["rk-1", "rek-16", "regs-5"])
+    def test_blocks_fill_the_budget_and_equal_reference(self, trials, kind, steps, sizes):
         sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
         dists = make_solver(kind, sys_).draw_order()
-        steps = 9000 if trials == 1 else 1500
         seeds = [100 + k for k in range(trials)]
         blocks = list(solvers._draw_blocks(dists, [Prng(s) for s in seeds], steps))
 
-        cap = solvers.DRAW_BUDGET // (len(dists) * trials)
-        sizes, size = [], 64
-        while sum(sizes) < steps:
-            size = min(size, cap, steps - sum(sizes))
-            sizes.append(size)
-            size *= 2
+        assert sizes[0] == solvers.DRAW_BUDGET // (len(dists) * trials)
         assert [b[0].shape for b in blocks] == [(n, trials) for n in sizes]
-        assert sizes[-2] == min(cap, 4096)  # the budget is reached before the end
         for k, seed in enumerate(seeds):
             drawn = list(zip(*(np.concatenate([b[q][:, k] for b in blocks]).tolist()
                                for q in range(len(dists)))))
@@ -617,17 +625,55 @@ class TestDrawBlocks:
         dists = make_solver(SolverKind.RK, sys_).draw_order()
         rngs = [Prng(1), Prng(2)]
         live = list(rngs)
-        draws = solvers._draw_blocks(dists, live, 500)
+        draws = solvers._draw_blocks(dists, live, 2500)
         first = next(draws)
         live.remove(rngs[0])
         second = next(draws)
-        assert first[0].shape == (64, 2) and second[0].shape == (128, 1)
+        assert first[0].shape == (2048, 2) and second[0].shape == (452, 1)
         ref = RefGenerator(1)
-        for _ in range(64):
+        for _ in range(2048):
             ref.uniform()
         assert rngs[0].uniforms(1).tolist() == [ref.uniform()]  # left after its first block
-        expected = list(reference_draws(sys_, SolverKind.RK, 2, 192))
+        expected = list(reference_draws(sys_, SolverKind.RK, 2, 2500))
         assert [(i,) for i in np.concatenate([first[0][:, 1], second[0][:, 0]]).tolist()] == expected
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list[int]:
+        """Record the k of each solvers.batch_uniforms call in the returned list."""
+        calls, draw = [], solvers.batch_uniforms
+
+        def counted(rngs, k):
+            calls.append(k)
+            return draw(rngs, k)
+
+        monkeypatch.setattr(solvers, "batch_uniforms", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, max_iter, expected", [
+        (SolverKind.REK, 2000, 1),  # 4000 uniforms fit in one call
+        (SolverKind.RGS, 20_000, 5),  # ceil(20000 / 4096)
+    ], ids=["rek", "rgs"])
+    def test_run_makes_one_call_per_budget(self, kind, max_iter, expected, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        sys_ = gaussian_system(80, 20, Regime.OVER_CONSISTENT, seed=6)  # never at error 0
+        cfg = SolveConfig(max_iter=max_iter, tol=1e-300, record_every=max_iter)
+        assert run(sys_, kind, cfg, Prng(3)).final_iteration == max_iter
+        assert len(calls) == expected
+        assert sum(calls) == max_iter * len(make_solver(kind, sys_).draw_order())  # k per generator
+
+    # ceil(steps * draws per step * 3 / 4096) calls for three trials
+    @pytest.mark.parametrize("kind, max_iter, expected", [
+        (SolverKind.RK, 4000, 3),
+        (SolverKind.REK, 3000, 5),
+    ], ids=["rk", "rek"])
+    def test_run_batch_makes_one_call_per_budget(self, kind, max_iter, expected, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        sys_ = gaussian_system(80, 20, Regime.OVER_CONSISTENT, seed=6)  # never at error 0
+        cfg = SolveConfig(max_iter=max_iter, tol=1e-300, record_every=max_iter)
+        batch = run_batch(sys_, kind, cfg, [Prng(k) for k in range(3)])
+        assert batch.final_iterations.tolist() == [max_iter] * 3
+        assert len(calls) == expected
+        assert sum(calls) == max_iter * len(make_solver(kind, sys_).draw_order())  # k per generator
 
 
 _AGREEMENT_SYSTEMS = {
