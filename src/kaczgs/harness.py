@@ -7,23 +7,19 @@ terminal value forward), and attaches the matching theory bound per
 solver/regime.
 
 Every trial stops on its squared error to the system's reference, so the
-system needs one. Trials run one of two ways. With at least
-LOCKSTEP_MIN_TRIALS (3) trials on one shared system (no per-trial redraw),
-all trials of a solver advance together as one block, in spans of
-``steps_batch`` (``solvers.run_batch``), which spreads the interpreter's
-per-step cost over the trials. Otherwise each trial is its own
-``solvers.run``; at two trials lockstep is no faster on two of the three
-benchmark systems. Both paths take a trial's indices from the same
-block draw, and a batched trial is bit for bit the ``run`` (and so the
-``kaczgs solve``) of the same trial, so the path changes the speed only,
-never a CSV byte. For batched runs the wall-clock companion table holds
-the batch's time divided by the number of trials, an amortized per-trial
-time, read once a span and interpolated by step count at the grid points
-inside it (``solvers.BatchTrace``). Trials run in one
-thread. A per-trial redraw draws each trial's system once, for every
-solver, from the generator recorded in the system directory
-(``problems.redraw``); ``bound_value`` is then the mean over trials of each
-redrawn system's own bound, so it bounds the mean error where they do.
+system needs one. All trials of a solver on one shared system are one
+``solvers.run_batch``, which runs them in lockstep from
+``solvers.LOCKSTEP_MIN_TRIALS`` trials. A batched trial is bit for bit the
+``run`` (and so the ``kaczgs solve``) of the same trial, so the lockstep
+threshold changes the speed only, never a CSV byte. The wall-clock
+companion table holds the batch's time divided by the number of trials,
+an amortized per-trial time, read once a span and interpolated by step
+count at the grid points inside it (``solvers.BatchTrace``). Trials run
+in one thread. A per-trial redraw draws each trial's system once, for
+every solver, from the generator recorded in the system directory
+(``problems.redraw``), and runs each trial as a batch of one on its
+system; ``bound_value`` is then the mean over trials of each redrawn
+system's own bound, so it bounds the mean error where they do.
 
 The four CSV writers each take an open text file and write LF line
 endings and full-precision (repr) decimals:
@@ -55,7 +51,6 @@ from .solvers import (
     SolveConfig,
     SolverKind,
     _pairs_help,
-    run,
     run_batch,
 )
 from .theory import (
@@ -72,15 +67,6 @@ _KIND_ORDINAL = {kind: i for i, kind in enumerate(SolverKind)}
 #: from this trial on, a stream index trial * 4 + ordinal would reach 2**64
 _TRIAL_LIMIT = 2**64 // len(SolverKind)
 _REDRAW_STREAM_BASE = 1 << 32  # generator seed streams, disjoint from solver streams
-
-#: from this many trials per solver on one shared system, trials run in lockstep.
-#: Lockstep over per-trial time of the full compare, median of 12 alternating
-#: in-process pairs on each of the three benchmark systems, for seeds 5 and 9, with
-#: ``steps_batch`` spans: at 2 trials 0.58-0.60 on oc, 1.01 on oi and 1.05-1.06 on
-#: tomo, where lockstep won 0-4 of 12 pairs; at 3 trials 0.45-0.48, 0.75-0.77 and
-#: 0.76-0.79, 12 of 12 pairs each; at 4 trials 0.37, 0.63 and 0.63. So lockstep
-#: starts at 3.
-LOCKSTEP_MIN_TRIALS = 3
 
 
 @dataclass
@@ -178,40 +164,27 @@ def trial_rng(base_seed: int, kind: SolverKind, trial: int) -> Prng:
     return spawn_trial_rng(base_seed, trial * len(SolverKind) + _KIND_ORDINAL[kind])
 
 
-def _lockstep(cfg: ExperimentConfig) -> bool:
-    return cfg.trials >= LOCKSTEP_MIN_TRIALS and not cfg.redraw_matrix_per_trial
-
-
-def _values_on_grid(iterations: list[int], values: list[float], grid: list[int]) -> list[float]:
-    by_iter = dict(zip(iterations, values))
-    # past the last record (the run converged early) the terminal value repeats forward
-    return [by_iter.get(g, values[-1]) for g in grid]
-
-
 def _trials_on_grid(
     cfg: ExperimentConfig, systems: list[LinearSystem], kind: SolverKind
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """(grid, errors of shape (trials, grid), mean cumulative seconds per grid point)."""
-    stride = cfg.record_every
+    """(grid, errors of shape (trials, grid), mean cumulative seconds per grid point).
+
+    Under a per-trial redraw each trial is a batch of one, whose grid is
+    padded forward with its terminal error and its clock with its last read.
+    """
     solve_cfg = cfg.solve_config()
-    if _lockstep(cfg):
-        rngs = [trial_rng(cfg.base_seed, kind, trial) for trial in range(cfg.trials)]
+    rngs = [trial_rng(cfg.base_seed, kind, trial) for trial in range(cfg.trials)]
+    if cfg.redraw_matrix_per_trial:
+        batches = [run_batch(s, kind, solve_cfg, [rng]) for s, rng in zip(systems, rngs)]
+        width = max(b.errors.shape[1] for b in batches)
+        errs = np.array([np.pad(b.errors[0], (0, width - b.errors.shape[1]),
+                                constant_values=b.final_errors[0]) for b in batches])
+        secs = np.mean([np.pad(b.mean_cum_seconds, (0, width - b.errors.shape[1]), mode="edge")
+                        for b in batches], axis=0)
+    else:
         batch = run_batch(systems[0], kind, solve_cfg, rngs)
-        grid = list(range(0, batch.errors.shape[1] * stride, stride))
-        return grid, batch.errors, batch.mean_cum_seconds
-    traces = [
-        run(system, kind, solve_cfg, trial_rng(cfg.base_seed, kind, trial),
-            trial=trial, residuals=False)
-        for trial, system in enumerate(systems)
-    ]
-    max_final = max(tr.final_iteration for tr in traces)
-    grid = list(range(0, max_final - max_final % stride + 1, stride))
-    errs, secs = [], []
-    for tr in traces:
-        its = [rec[0] for rec in tr.records]
-        errs.append(_values_on_grid(its, [rec[1] for rec in tr.records], grid))
-        secs.append(_values_on_grid(its, tr.seconds, grid))
-    return grid, np.array(errs), np.array(secs).mean(axis=0)
+        errs, secs = batch.errors, batch.mean_cum_seconds
+    return list(range(0, errs.shape[1] * cfg.record_every, cfg.record_every)), errs, secs
 
 
 def run_experiment(cfg: ExperimentConfig, system: LinearSystem | None = None) -> AggregateTrace:

@@ -447,6 +447,12 @@ def load_meta(directory) -> dict:
             parts = line.split(maxsplit=1)
             if len(parts) != 2:
                 raise ParseError(path, lineno, f"expected 'key value', got {line!r}")
+            if parts[0] == "seed" and parts[1] != "none":
+                try:
+                    check_seed(int(parts[1]))
+                except (ValueError, ConfigurationError):
+                    raise ParseError(path, lineno, f"seed {parts[1]!r} is not none or an "
+                                     "integer in [0, 2**64)") from None
             meta[parts[0]] = parts[1]
     if "regime" not in meta:
         raise ParseError(path, 1, "meta.txt is missing the regime entry")

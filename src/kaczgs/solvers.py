@@ -32,34 +32,36 @@ apply the indices they are given: ``steps``, a span of steps of one trial
 in one loop, and ``steps_batch``, a span of steps of many trials in one
 loop.
 
-``run`` drives one trial through spans of ``steps`` and stops on the
-exact stop metric after every step. A span is at most CHECK_CHUNK steps
-and ends at every record, refresh, max_iter and draw-block end. Each of
-its steps writes the one vector its metric reads into the next row of an
-``_ExactChecks`` buffer, with ``out=`` on the update it already makes,
-one ``np.vecdot`` takes the metrics of the span, and a stop inside it is
-replayed from the state saved before it. For RK and REK under residual
-stopping, whose exact check is a full matvec, on a system that stores its
-least-squares residual, ``_certified_radius_sq`` gives a radius on
-||beta|| inside which the residual cannot fall below tol, however it
-rounds; ``run`` skips the checks of a span's steps before the first whose
-beta row lies outside it.
+``run`` (``kaczgs solve``) drives one trial through spans of ``steps``
+and stops on the exact stop metric after every step. A span is at most
+CHECK_CHUNK steps and ends at every record, refresh, max_iter and
+draw-block end. Each of its steps writes the one vector its metric reads
+into the next row of an ``_ExactChecks`` buffer, with ``out=`` on the
+update it already makes, one ``np.vecdot`` takes the metrics of the
+span, and a stop inside it is replayed from the state saved before it.
+For RK and REK under residual stopping, whose exact check is a full
+matvec, on a system that stores its least-squares residual,
+``_certified_radius_sq`` gives a radius on ||beta|| inside which the
+residual cannot fall below tol, however it rounds; ``run`` skips the
+checks of a span's steps before the first whose beta row lies outside it.
 
-``run_batch`` drives several trials of one solver in lockstep through
-spans of ``steps_batch``, on a state whose arrays hold one row per trial:
-(T, n) iterates, a (T, m) residual for RGS and REGS, and a (T, m) z for
-REK or a (T, n) z for REGS. Its spans end where ``run``'s do, except at
-records: every step writes each trial's estimate into an ``_ExactChecks``
-row, one ``flush`` takes the errors of the span, and the grid points
-inside it are filled from them. ``steps_batch`` takes the span's
-(steps, T) scalar tables and the flat indices of its one-entry updates
-once, and gathers each step's rows or columns of X into one reused
-(T, width) buffer. Each trial gets the same draws and the same updates
-and residual refreshes as under ``run``, computed bit for bit the same
-way: each row's dot product is one ``np.vecdot`` row, the same BLAS dot
-that ``x.dot(y)`` in ``steps`` calls, and ``residual_of`` refreshes both
-shapes. So a batched trial's errors equal those of ``run``, and so of
-``kaczgs solve``, of the same trial exactly.
+``run_batch`` (every ``kaczgs compare`` trial) drives trials of one
+solver together, on a state whose arrays hold one row per trial: (T, n)
+iterates, a (T, m) residual for RGS and REGS, and a (T, m) z for REK or
+a (T, n) z for REGS. Its spans end where ``run``'s do, except at
+records. Each is one ``steps_batch`` call in lockstep, else one
+``steps`` call per trial row; every step writes each trial's estimate
+into an ``_ExactChecks`` row, one ``flush`` takes the errors of the
+span, and the grid points inside it are filled from them.
+``steps_batch`` takes the span's (steps, T) scalar tables and the flat
+indices of its one-entry updates once, and gathers each step's rows or
+columns of X into one reused (T, width) buffer. Each trial gets the same
+draws and the same updates and residual refreshes as under ``run``,
+computed bit for bit the same way: each row's dot product is one
+``np.vecdot`` row, the same BLAS dot that ``x.dot(y)`` in ``steps``
+calls, and ``residual_of`` refreshes both shapes. So a batched trial's
+errors equal those of ``run``, and so of ``kaczgs solve``, of the same
+trial exactly.
 
 A note on the extended Gauss-Seidel coordinate update: the per-step
 increment along coordinate j is the coordinate least-squares correction
@@ -91,6 +93,14 @@ DRAW_BUDGET = 4096
 
 #: the most steps whose exact stop metrics are taken in one ``np.vecdot``
 CHECK_CHUNK = 64
+
+#: from this many trials, ``run_batch`` runs them in lockstep. Lockstep over one-by-one
+#: time of the full compare, when one by one was a ``run`` per trial, median of 12
+#: alternating in-process pairs on each of the three benchmark systems, for seeds 5 and
+#: 9, with ``steps_batch`` spans: at 2 trials 0.58-0.60 on oc, 1.01 on oi and 1.05-1.06
+#: on tomo, where lockstep won 0-4 of 12 pairs; at 3 trials 0.45-0.48, 0.75-0.77 and
+#: 0.76-0.79, 12 of 12 pairs each; at 4 trials 0.37, 0.63 and 0.63. So it starts at 3.
+LOCKSTEP_MIN_TRIALS = 3
 
 
 class SolverKind(Enum):
@@ -141,6 +151,12 @@ class SolverState:
             return None if a is None else a[rows].copy()
         return SolverState(take(self.beta), take(self.residual), self.iteration, take(self.z))
 
+    def trial(self, k: int) -> SolverState:
+        """Row k of a batch state, as a vector state whose arrays are views into it."""
+        def row(a):
+            return None if a is None else a[k]
+        return SolverState(row(self.beta), row(self.residual), self.iteration, row(self.z))
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -173,8 +189,6 @@ class ConvergenceTrace:
     converged: bool
     final_iteration: int
     records: list[tuple[int, float, float]] = field(default_factory=list)
-    #: wall clock from the start of the run to each record, in seconds
-    seconds: list[float] = field(default_factory=list)
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -590,7 +604,8 @@ class _ExactChecks:
     reads: the estimate under error stopping; under residual stopping the
     maintained residual of RGS and REGS, or beta for RK and REK, whose
     residual ``flush`` takes by ``residual_of``. ``steps`` writes the rows
-    of ``run``'s spans and ``steps_batch`` the estimates of ``run_batch``'s.
+    of ``run``'s spans; ``steps_batch``, or ``steps`` on one trial's rows,
+    the estimates of ``run_batch``'s.
     ``flush`` returns the metric of each row of a range, bit for bit a
     check's value.
     """
@@ -603,7 +618,7 @@ class _ExactChecks:
         self.keep(trials)
 
     def keep(self, trials: int | None) -> None:
-        """Use the first `trials` rows of each step from now on (lockstep batches)."""
+        """Use the first `trials` rows of each step from now on (batches)."""
         self.view = self.full if trials is None else self.full[:, :trials]
         self.rows = list(self.view)
 
@@ -623,19 +638,14 @@ def run(
     config: SolveConfig,
     rng: Prng,
     trial: int = 0,
-    *,
-    residuals: bool = True,
 ) -> ConvergenceTrace:
     """Iterate one solver until the stop metric falls below tol or max_iter.
 
     Records (iteration, error_sq, residual_sq) at iteration 0, every
-    record_every iterations, and at termination, with the wall clock from
-    the start at each record. error_sq measures the solver's reported
-    estimate (beta, or beta - z for REGS) against the system reference; it
-    is NaN when no reference is available under residual-norm stopping.
-    With ``residuals=False`` the residual is computed only as a stop
-    metric, so under error stopping residual_sq is NaN and RK/REK skip the
-    full matvec that each recorded residual costs them.
+    record_every iterations, and at termination. error_sq measures the
+    solver's reported estimate (beta, or beta - z for REGS) against the
+    system reference; it is NaN when no reference is available under
+    residual-norm stopping.
 
     The exact stop metric decides every stop. ``run`` advances the solver
     in spans of at most CHECK_CHUNK steps that end at every record, every
@@ -654,7 +664,6 @@ def run(
     solver = make_solver(kind, system)
     state = solver.init_state()
     trace = ConvergenceTrace(kind, trial, False, 0)
-    start = time.perf_counter()
 
     def error_sq() -> float:
         if ref is None:
@@ -667,11 +676,7 @@ def run(
         return float(r @ r)
 
     def record(it: int, metric: float):
-        if on_error:
-            trace.records.append((it, metric, residual_sq() if residuals else float("nan")))
-        else:
-            trace.records.append((it, error_sq(), metric))
-        trace.seconds.append(time.perf_counter() - start)
+        trace.records.append((it, metric, residual_sq()) if on_error else (it, error_sq(), metric))
 
     every, last, tol = config.record_every, config.max_iter, config.tol
 
@@ -733,10 +738,10 @@ def run(
 
 @dataclass
 class BatchTrace:
-    """Error history of trials run in lockstep, on the grid 0, stride, 2*stride, ...
+    """Error history of trials run together, on the grid 0, stride, 2*stride, ...
 
     ``errors[k, g]`` is trial k's squared error at iteration g * record_every,
-    or its terminal error once it has stopped; the array is C-contiguous.
+    or its terminal error ``final_errors[k]`` once it has stopped; C-contiguous.
     ``mean_cum_seconds[g]`` is the batch's wall clock from the start to that
     grid point, divided by the number of trials. The clock is read once a
     span, at its end, where a grid point gets that read; a grid point inside
@@ -747,6 +752,7 @@ class BatchTrace:
     errors: np.ndarray
     mean_cum_seconds: np.ndarray
     final_iterations: np.ndarray
+    final_errors: np.ndarray
     converged: np.ndarray
 
 
@@ -760,26 +766,29 @@ def run_batch(
 
     Trial k makes the same draws from rngs[k] and computes the same updates
     as ``run`` would, bit for bit, so its errors equal ``run``'s and it
-    stops at the same iteration. The trials advance in spans of
-    ``steps_batch``, each at most CHECK_CHUNK steps, which end at every
-    RESIDUAL_REFRESH_EVERY-th step, max_iter and the end of a draw block,
-    but not at grid points; one ``_ExactChecks.flush`` takes every step's
-    errors of the span, and the grid points inside it are filled from them.
-    A trial whose error falls below tol inside a span gets that step and
-    error as its final ones, carries that error forward on the grid, and
-    leaves the batch at the span's end, before the next ``_draw_blocks``
-    block is drawn for the trials still running, so it draws no block past
-    the one it stopped in. Its generator ends where ``run`` leaves it when
-    the trial runs to max_iter or max_iter fits in one batch block; else
-    the two may stop at different block ends, since a batch block shares
-    DRAW_BUDGET among the trials. The grid runs up to the last step that
-    some trial took.
+    stops at the same iteration. The trials advance together in spans, each
+    at most CHECK_CHUNK steps, which end at every RESIDUAL_REFRESH_EVERY-th
+    step, max_iter and the end of a draw block, but not at grid points. From
+    LOCKSTEP_MIN_TRIALS trials on, a span of two or more running trials is
+    one ``steps_batch`` call (lockstep); else each running trial's span is
+    its own ``steps`` call on a view of its row. One ``_ExactChecks.flush``
+    takes every step's errors of the span, and the grid points inside it are
+    filled from them. A trial whose error falls below tol inside a span gets
+    that step and error as its final ones, carries that error forward on the
+    grid, and leaves the batch at the span's end, before the next
+    ``_draw_blocks`` block is drawn for the trials still running, so it
+    draws no block past the one it stopped in. Its generator ends where
+    ``run`` leaves it when the trial runs to max_iter or max_iter fits in
+    one batch block; else the two may stop at different block ends, since a
+    batch block shares DRAW_BUDGET among the trials. The grid runs up to the
+    last step that some trial took.
     """
     if config.stop_metric is not StopMetric.ERROR_TO_REFERENCE:
-        raise ConfigurationError("lockstep trials stop on error to reference only")
+        raise ConfigurationError("batched trials stop on error to reference only")
     ref = _require_reference(system)
     solver = make_solver(kind, system)
     trials = len(rngs)
+    lockstep = trials >= LOCKSTEP_MIN_TRIALS
     state = solver.init_state(trials)
     start = time.perf_counter_ns()
 
@@ -800,28 +809,38 @@ def run_batch(
     converged = np.full(trials, at_0)
     live = list(rngs)  # the generators of the trials still running
     checks = _ExactChecks(solver, True, ref, min(CHECK_CHUNK, last), trials)
+    # each batch row's buffer rows for ``steps``; a lockstep batch's last trial is row 0
+    trial_rows = [list(checks.full[:, row]) for row in range(1 if lockstep else trials)]
     t = 0
     for block in _draw_blocks(solver.draw_order(), live, steps):
         base, end = t, t + len(block[0])
         while t < end:
             k = min(CHECK_CHUNK, end - t, RESIDUAL_REFRESH_EVERY - t % RESIDUAL_REFRESH_EVERY)
-            solver.steps_batch(state, [b[t - base:t - base + k] for b in block], checks.rows)
+            span = [b[t - base:t - base + k] for b in block]
+            if lockstep and active.size > 1:
+                solver.steps_batch(state, span, checks.rows)
+            else:
+                for row in range(active.size):
+                    solver.steps(state.trial(row), [d[:, row].tolist() for d in span],
+                                 trial_rows[row][:k], True)
+                state.iteration += k
             errors = checks.flush(0, k)  # (span steps, active trials)
             t0, t = t, t + k
             stopped = None
             at = k - 1  # the span row of each trial's last step
+            reach = k  # the steps of the span up to the last step a trial took
             if np.fmin.reduce(errors, axis=None) < tol:  # one reduction; fmin skips NaN
                 hit = errors < tol
                 stopped = hit.any(axis=0)
                 at = np.where(stopped, hit.argmax(axis=0), k - 1)
-            # the span's grid points, as step counts from t0, up to the last step a trial took
-            points = np.arange(every - t0 % every, int(np.max(at)) + 2, every)
-            if points.size:
+                reach = int(at.max()) + 1
+            now = time.perf_counter_ns() - start
+            if every - t0 % every <= reach:  # the span's grid points, as step counts from t0
+                points = np.arange(every - t0 % every, reach + 1, every)
                 grid = np.repeat(latest[None], points.size, axis=0)
                 grid[:, active] = errors[np.minimum(points[:, None] - 1, at), rows]
                 columns.append(grid)
-            now = time.perf_counter_ns() - start
-            ticks.append(clock + (now - clock) * points // k)
+                ticks.append(clock + (now - clock) * points // k)
             clock = now
             latest[active] = errors[at, rows]
             if stopped is not None:
@@ -841,4 +860,4 @@ def run_batch(
             break
 
     errors = np.ascontiguousarray(np.concatenate(columns).T)
-    return BatchTrace(errors, np.concatenate(ticks) * 1e-9 / trials, final, converged)
+    return BatchTrace(errors, np.concatenate(ticks) * 1e-9 / trials, final, latest, converged)

@@ -6,9 +6,9 @@ import pytest
 
 from kaczgs import cli
 from kaczgs.errors import NumericalError
-from kaczgs.harness import LOCKSTEP_MIN_TRIALS
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import load_system, save_system, write_matrix, write_vector
+from kaczgs.solvers import LOCKSTEP_MIN_TRIALS
 from kaczgs.theory import TheoryBound
 
 
@@ -316,6 +316,21 @@ class TestSeedRange:
             _run(argv + ["--seed", seed, "--out", str(out)])
         assert exc.value.code == 2
         assert "64-bit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "-7"])
+    @pytest.mark.parametrize("command", ["solve", "compare", "bounds"])
+    def test_malformed_meta_seed_exits_2(self, command, seed, system_dir, tmp_path, capsys):
+        meta = system_dir / "meta.txt"
+        meta.write_text(meta.read_text().replace("seed 3\n", f"seed {seed}\n"))
+        out = tmp_path / "out"
+        argv = {
+            "solve": ["solve", "--system", str(system_dir), "--solver", "rk"],
+            "compare": ["compare", "--system", str(system_dir), "--trials", "1"],
+            "bounds": ["bounds", "--system", str(system_dir), "--solver", "rk"],
+        }[command]
+        assert _run(argv + ["--out", str(out)]) == 2
+        assert f"{meta}:2: seed '{seed}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_largest_seed_accepted(self, tmp_path):

@@ -6,11 +6,10 @@ import math
 
 import pytest
 
-from kaczgs import harness
+from kaczgs import harness, solvers
 from kaczgs.errors import ConfigurationError
 from kaczgs.harness import (
     CSV_HEADER,
-    LOCKSTEP_MIN_TRIALS,
     AggregateTrace,
     ExperimentConfig,
     compare_solvers,
@@ -27,7 +26,7 @@ from kaczgs.problems import (
     load_system,
     save_system,
 )
-from kaczgs.solvers import SolverKind
+from kaczgs.solvers import LOCKSTEP_MIN_TRIALS, SolverKind, run
 
 
 @pytest.fixture
@@ -78,17 +77,33 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="RK: over-consistent"):
             run_experiment(cfg)
 
-    # LOCKSTEP_MIN_TRIALS - 1 trials run one by one, LOCKSTEP_MIN_TRIALS trials in lockstep
+    # LOCKSTEP_MIN_TRIALS - 1 trials run one by one, LOCKSTEP_MIN_TRIALS trials in lockstep;
+    # a redraw runs each trial on its own system, as a batch of one
+    @pytest.mark.parametrize("redraw", [False, True], ids=["shared", "redraw"])
+    @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("trials", [LOCKSTEP_MIN_TRIALS - 1, LOCKSTEP_MIN_TRIALS])
-    def test_forward_fill_repeats_terminal_value(self, saved_system, trials):
-        # stride 1 makes the grid reach the slowest trial's final iteration,
-        # so every earlier trial contributes its forward-filled terminal value
+    def test_forward_fill_repeats_terminal_value(self, saved_system, trials, stride, redraw):
+        # past its stop, a trial contributes its terminal error to every grid point; at
+        # stride 7 a stop lies between grid points, so that is not its last grid value
         cfg = ExperimentConfig(system_dir=saved_system, solvers=[SolverKind.RK],
-                               trials=trials, max_iter=30_000, record_every=1, base_seed=5)
+                               trials=trials, max_iter=30_000, record_every=stride,
+                               base_seed=5, redraw_matrix_per_trial=redraw)
         trace = run_experiment(cfg)
-        rows = [r for r in trace.rows if r[1] is SolverKind.RK]
-        tail = rows[-1]
-        assert tail[5] < 1e-6  # max error at the last shared grid point
+        systems = harness._trial_systems(cfg, load_system(saved_system))
+        traces = [run(s, SolverKind.RK, cfg.solve_config(), harness.trial_rng(5, SolverKind.RK, k))
+                  for k, s in enumerate(systems)]
+        last = max(tr.final_iteration for tr in traces)
+        assert [r[0] for r in trace.rows] == list(range(0, last + 1, stride))
+        errors = []
+        for tr in traces:
+            assert tr.converged
+            by_iter = {it: err for it, err, _res in tr.records}
+            errors.append([by_iter[r[0]] if r[0] <= tr.final_iteration else tr.records[-1][1]
+                           for r in trace.rows])
+        assert [r[4:6] for r in trace.rows] == [(min(e), max(e)) for e in zip(*errors)]
+        if stride > 1:  # some trial stops between grid points, before the last one
+            assert any(tr.final_iteration % stride and tr.final_iteration < last - stride
+                       for tr in traces)
 
     def test_bound_column_present_for_each_solver(self, saved_system):
         cfg = ExperimentConfig(system_dir=saved_system,
@@ -187,7 +202,7 @@ class TestCompareSolvers:
                                trials=max(8, LOCKSTEP_MIN_TRIALS), max_iter=30_000,
                                record_every=7, base_seed=2)
         lockstep = compare_solvers(cfg)
-        monkeypatch.setattr(harness, "LOCKSTEP_MIN_TRIALS", cfg.trials + 1)
+        monkeypatch.setattr(solvers, "LOCKSTEP_MIN_TRIALS", cfg.trials + 1)
         per_trial = compare_solvers(cfg)
         assert _csv_bytes(lockstep) == _csv_bytes(per_trial)
 

@@ -289,6 +289,16 @@ class TestSystemDirectories:
         with pytest.raises(ParseError, match="regime"):
             load_system(tmp_path / "sys")
 
+    # a seed that is not an integer, or lies outside [0, 2**64), is named with its line
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "-7", str(2**64)])
+    def test_malformed_or_out_of_range_meta_seed(self, tmp_path, seed):
+        sys_ = gen_gaussian(GenSpec(m=5, n=2, regime=Regime.OVER_CONSISTENT, seed=3))
+        save_system(sys_, tmp_path / "sys")
+        meta = tmp_path / "sys" / "meta.txt"
+        meta.write_text(meta.read_text().replace("seed 3\n", f"seed {seed}\n"))
+        with pytest.raises(ParseError, match=f"meta.txt:2: seed '{seed}'"):
+            load_system(tmp_path / "sys")
+
     @pytest.mark.parametrize("spec, meta", [
         (GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3, noise_scale=0.5),
          "regime over-inconsistent\nseed 3\nkind gaussian\nnoise_scale 0.5\n"),

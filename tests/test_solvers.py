@@ -14,9 +14,9 @@ from kaczgs.linalg import (
 )
 from kaczgs.sampling import Prng, spawn_trial_rng
 from kaczgs import solvers
-from kaczgs.harness import LOCKSTEP_MIN_TRIALS
 from kaczgs.solvers import (
     CONVERGENT_PAIRS,
+    LOCKSTEP_MIN_TRIALS,
     SolveConfig,
     SolverKind,
     StopMetric,
@@ -365,34 +365,6 @@ class TestRunDriver:
         assert [r[0] for r in trace.records] == [0, 10, 20, 30, 40, 50]
         assert not trace.converged
 
-    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
-    def test_seconds_one_cumulative_entry_per_record(self, kind):
-        sys_ = gaussian_system(30, 6, Regime.OVER_CONSISTENT, seed=2)
-        trace = run(sys_, kind, SolveConfig(max_iter=5000, record_every=7), Prng(1))
-        assert len(trace.seconds) == len(trace.records)
-        assert trace.seconds[0] >= 0
-        assert all(b >= a for a, b in zip(trace.seconds, trace.seconds[1:]))
-
-    @pytest.mark.parametrize("residuals", [True, False])
-    def test_residuals_false_skips_the_record_sync(self, monkeypatch, residuals):
-        sys_ = gaussian_system(30, 6, Regime.OVER_CONSISTENT, seed=2)
-        cfg = SolveConfig(max_iter=5000, record_every=7)
-        calls = []
-        real_residual_of = solvers._Solver.residual_of
-
-        def counting_residual_of(self, beta):
-            calls.append(beta.shape)
-            return real_residual_of(self, beta)
-
-        monkeypatch.setattr(solvers._Solver, "residual_of", counting_residual_of)
-        trace = run(sys_, SolverKind.RK, cfg, Prng(1), residuals=residuals)
-        monkeypatch.undo()
-        full = run(sys_, SolverKind.RK, cfg, Prng(1))
-        assert len(calls) == (len(trace.records) if residuals else 0)
-        assert [r[:2] for r in trace.records] == [r[:2] for r in full.records]
-        if not residuals:
-            assert all(np.isnan(r[2]) for r in trace.records)
-
     @pytest.mark.parametrize("kind", [SolverKind.RGS, SolverKind.REGS], ids=lambda k: k.value)
     def test_maintained_residual_refreshed_once_per_period(self, kind, monkeypatch):
         """A residual-stopped run reads the maintained residual without refreshing it again."""
@@ -430,12 +402,6 @@ class TestRunDriver:
                 run(sys_, kind, SolveConfig(max_iter=10, stop_metric=metric), Prng(0))
         with pytest.raises(NumericalError, match="float64"):
             run_batch(sys_, kind, SolveConfig(max_iter=10), [Prng(k) for k in range(3)])
-
-    def test_residuals_false_still_stops_on_the_residual(self):
-        sys_ = gaussian_system(30, 6, Regime.OVER_CONSISTENT, seed=2)
-        cfg = SolveConfig(max_iter=5000, record_every=7, stop_metric=StopMetric.RESIDUAL_NORM)
-        full = run(sys_, SolverKind.RK, cfg, Prng(1))
-        assert run(sys_, SolverKind.RK, cfg, Prng(1), residuals=False).records == full.records
 
     def test_residual_matches_fresh_computation_at_records(self):
         sys_ = gaussian_system(25, 5, Regime.OVER_CONSISTENT, seed=3)
@@ -684,7 +650,7 @@ _AGREEMENT_SYSTEMS = {
 
 
 class TestRunBatchAgreement:
-    """run is the reference: the lockstep batch must reproduce it trial by trial."""
+    """run is the reference: a batch, in lockstep or not, must reproduce it trial by trial."""
 
     @staticmethod
     def _assert_batch_is_run(sys_, kind, cfg, trials):
@@ -707,6 +673,7 @@ class TestRunBatchAgreement:
             for g, value in enumerate(batch.errors[k]):
                 expected = by_iter[g * stride] if g * stride <= tr.final_iteration else terminal
                 assert value == expected
+            assert batch.final_errors[k] == terminal
 
     # stride 1 puts many grid points in a span, 50 does not divide CHECK_CHUNK
     @pytest.mark.parametrize("stride", [1, 3, 50])
@@ -722,6 +689,25 @@ class TestRunBatchAgreement:
         sys_ = gaussian_system(m, n, regime, seed=6)
         cfg = SolveConfig(max_iter=20_000, tol=1e-8, record_every=stride)
         self._assert_batch_is_run(sys_, kind, cfg, max(8, LOCKSTEP_MIN_TRIALS))
+
+    # below LOCKSTEP_MIN_TRIALS each trial's span is its own ``steps`` call
+    @pytest.mark.parametrize("trials", [1, LOCKSTEP_MIN_TRIALS - 1])
+    @pytest.mark.parametrize(
+        "kind,regime",
+        sorted(CONVERGENT_PAIRS, key=lambda pair: (pair[0].value, pair[1].value)),
+        ids=lambda v: v.value,
+    )
+    def test_one_by_one_same_stops_and_errors_as_run(self, kind, regime, trials, monkeypatch):
+        monkeypatch.setattr(solvers, "RESIDUAL_REFRESH_EVERY", 37)
+
+        def no_lockstep(*args):
+            raise AssertionError("steps_batch called below LOCKSTEP_MIN_TRIALS")
+
+        monkeypatch.setattr(solvers._SOLVER_CLASSES[kind], "steps_batch", no_lockstep)
+        m, n = _AGREEMENT_SYSTEMS[regime]
+        sys_ = gaussian_system(m, n, regime, seed=6)
+        cfg = SolveConfig(max_iter=20_000, tol=1e-8, record_every=7)
+        self._assert_batch_is_run(sys_, kind, cfg, trials)
 
     @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
     def test_a_zero_reference_stops_every_trial_at_0(self, kind):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from kaczgs import cli, harness
+from kaczgs import cli, solvers
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import load_system
 from kaczgs.sampling import Prng
@@ -133,6 +133,12 @@ TOMO_SOLVE_SHA256 = {
 #: bound alpha^t ||X ref||^2 / lambda_min
 COMPARE_SHA256 = "f6089091c817ed5dde2dc5290d2a96483f31eddb5cf2340e0859fbeb544c222c"
 
+#: sha256 of `kaczgs compare --trials 3 --redraw-per-trial --record-every 10 --max-iter 3000
+#: --tol 1e-8 --seed 5` on the over-consistent system. Each trial runs on its own redrawn
+#: system, and 11 of the 12 (solver, trial) runs stop between grid points, so the grid
+#: past a stop carries that trial's terminal error, not its last grid value.
+REDRAW_COMPARE_SHA256 = "6532273bd45e0d47222e003bf83820b4ab2026852a83432eaac62bf13dc11aa2"
+
 #: sha256 of the pinned systems' arrays and of the BLAS dots and matvecs a solve
 #: takes on them. The CSV digests above hold where these round as they did when
 #: the digests were recorded (numpy 2.4 with its OpenBLAS 0.3.31 on x86-64);
@@ -201,13 +207,21 @@ class TestPinnedBytes:
         assert pinned == CONVERGENT_PAIRS
 
     def test_per_trial_compare_csv(self, system_dirs, tmp_path, monkeypatch):
-        # 4 trials run one by one here, so run's chunked checks decide the stops
-        monkeypatch.setattr(harness, "LOCKSTEP_MIN_TRIALS", 5)
+        # 4 trials run one by one here, each span of a trial one ``steps`` call
+        monkeypatch.setattr(solvers, "LOCKSTEP_MIN_TRIALS", 5)
         out = tmp_path / "compare.csv"
         assert cli.main(["compare", "--system", str(system_dirs / "over-consistent"),
                          "--trials", "4", "--record-every", "10", "--max-iter", "3000",
                          "--tol", "1e-8", "--seed", "5", "--out", str(out)]) == 0
         assert _sha256(out) == COMPARE_SHA256
+
+    def test_redraw_compare_csv(self, system_dirs, tmp_path):
+        out = tmp_path / "compare.csv"
+        assert cli.main(["compare", "--system", str(system_dirs / "over-consistent"),
+                         "--trials", "3", "--redraw-per-trial", "--record-every", "10",
+                         "--max-iter", "3000", "--tol", "1e-8", "--seed", "5",
+                         "--out", str(out)]) == 0
+        assert _sha256(out) == REDRAW_COMPARE_SHA256
 
 
 # --- the stop check against an exact check at every step ---------------------
