@@ -179,60 +179,112 @@ def _finish_gaussian(
 # line touches at most 2N-1 cells. The right-hand side comes from weighting
 # the lines by a smooth nonnegative phantom (three seeded Gaussian bumps
 # evaluated at each line's midpoint), keeping y elementwise nonnegative.
+#
+# A candidate line is the next pair of uniforms of the seed's stream, each
+# mapped to a point on the grid's perimeter. It is dropped, and the next pair
+# read, when both ends land on one side or when the chord crosses no cell of
+# the grid (one along the top or right edge). The first n kept candidates are
+# the lines, and the phantom's 12 uniforms follow the n-th kept pair. The
+# candidates are traced in numpy blocks; every value is the IEEE result of the
+# scalar trace, operation for operation, so the blocks change no bit.
+
+#: knot parameters traced per block, 2N + 4 per candidate chord. This bounds a
+#: block's transient arrays at any grid size: at most three float64 arrays of
+#: this many entries, about 0.7 MB in all with the masks and gathered segments
+TRACE_BLOCK_SLOTS = 2**14
 
 
-def _perimeter_point(u: float, n: int) -> tuple[float, float]:
-    side, frac = divmod(u, n)
-    side = int(side) % 4
-    if side == 0:
-        return frac, 0.0
-    if side == 1:
-        return float(n), frac
-    if side == 2:
-        return n - frac, float(n)
-    return 0.0, n - frac
+def _perimeter_points(u, n_grid: int):
+    """Side (0-3 counterclockwise from the bottom) and point of each position u in [0, 4N)."""
+    side, frac = np.divmod(u, n_grid)
+    side = side.astype(np.intp) % 4
+    rest = n_grid - frac
+    return side, np.choose(side, (frac, n_grid, rest, 0.0)), np.choose(side, (0.0, frac, n_grid, rest))
 
 
-def _trace_line(p0, p1, n: int) -> list[tuple[int, float]]:
-    """Cells crossed by segment p0->p1 inside [0,n]^2 with intersection lengths."""
-    x0, y0 = p0
-    x1, y1 = p1
+def _trace_chords(x0, y0, x1, y1, n_grid: int):
+    """The in-grid segments of chords (x0, y0) -> (x1, y1), in (chord, knot) order.
+
+    Returns each segment's chord index, cell (iy * N + ix) and length. A
+    chord's knots are t = 0, 1 and every (k - x0) / dx and (k - y0) / dy in
+    (0, 1), k = 0..N; the span between two consecutive distinct knots lies in
+    the cell of its midpoint. A chord's length is math.hypot, which np.hypot
+    differs from in the last bit on some inputs.
+    """
     dx, dy = x1 - x0, y1 - y0
-    length = math.hypot(dx, dy)
-    if length == 0.0:
-        return []
-    ts = {0.0, 1.0}
-    if dx != 0.0:
-        for k in range(n + 1):
-            t = (k - x0) / dx
-            if 0.0 < t < 1.0:
-                ts.add(t)
-    if dy != 0.0:
-        for k in range(n + 1):
-            t = (k - y0) / dy
-            if 0.0 < t < 1.0:
-                ts.add(t)
-    knots = sorted(ts)
-    out = []
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b <= a:
-            continue
-        tm = 0.5 * (a + b)
-        ix = int(math.floor(x0 + tm * dx))
-        iy = int(math.floor(y0 + tm * dy))
-        if 0 <= ix < n and 0 <= iy < n:
-            out.append((iy * n + ix, (b - a) * length))
-    return out
+    k = np.arange(n_grid + 1.0)
+    knots = np.empty((len(dx), 2 * n_grid + 4))
+    knots[:, 0], knots[:, -1] = 0.0, 1.0
+    # dx = 0 or dy = 0 gives no knot, and neither does a quotient past 1 that overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(k - x0[:, None], dx[:, None], out=knots[:, 1 : n_grid + 2])
+        np.divide(k - y0[:, None], dy[:, None], out=knots[:, n_grid + 2 : -1])
+    inner = knots[:, 1:-1]
+    np.copyto(inner, 1.0, where=~((inner > 0.0) & (inner < 1.0)))  # a copy of t = 1 adds no span
+    knots.sort(axis=1)
+    span = np.diff(knots, axis=1)
+    tm = knots[:, :-1] + knots[:, 1:]
+    del knots, inner  # at most three arrays of the block's knot slots are alive at once
+    tm *= 0.5
+    ix = tm * dx[:, None]
+    ix += x0[:, None]
+    iy = np.multiply(tm, dy[:, None], out=tm)
+    iy += y0[:, None]
+    np.floor(ix, out=ix)
+    np.floor(iy, out=iy)
+    length = np.array([math.hypot(p, q) for p, q in zip(dx.tolist(), dy.tolist())])
+    inside = (span > 0.0) & (ix >= 0.0) & (ix < n_grid) & (iy >= 0.0) & (iy < n_grid)
+    inside &= (length > 0.0)[:, None]
+    at = np.flatnonzero(inside)
+    chord = at // span.shape[1]
+    cell = np.multiply(iy, n_grid, out=iy)
+    cell += ix
+    return chord, cell.ravel()[at].astype(np.intp), span.ravel()[at] * length[chord]
+
+
+def _trace_lines(rng: Prng, n_grid: int, n: int):
+    """The first n kept candidates of rng's stream, traced into an N^2 x n matrix.
+
+    Returns the matrix, the lines' midpoints, and the uniforms drawn past the
+    n-th kept pair, in stream order.
+    """
+    data = np.zeros((n_grid * n_grid, n))
+    midpoints = np.empty((n, 2))
+    cap = max(1, TRACE_BLOCK_SLOTS // (2 * n_grid + 4))
+    lines = 0
+    while lines < n:
+        left = n - lines
+        # 3 candidates in 4 are kept, so 3/2 per missing line usually finish in
+        # one block, and 6 more usually leave the phantom's uniforms drawn
+        u = rng.uniforms(2 * min(cap, left + left // 2 + 6))
+        side, x, y = _perimeter_points(u * (4.0 * n_grid), n_grid)
+        pair = np.flatnonzero(side[0::2] != side[1::2])
+        x0, y0, x1, y1 = x[0::2][pair], y[0::2][pair], x[1::2][pair], y[1::2][pair]
+        chord, cell, seg = _trace_chords(x0, y0, x1, y1, n_grid)
+        has_cell = np.bincount(chord, minlength=len(pair)) > 0
+        kept = np.flatnonzero(has_cell)[:left]
+        spare = u[:0]
+        if len(kept) == left:  # the block holds the n-th line: no candidate after it counts
+            cut = np.searchsorted(chord, kept[-1], side="right")
+            chord, cell, seg = chord[:cut], cell[:cut], seg[:cut]
+            spare = u[2 * pair[kept[-1]] + 2 :]
+        # (line, knot) order, so the segments of a line that share a cell add up in order
+        np.add.at(data, (cell, lines - 1 + np.cumsum(has_cell)[chord]), seg)
+        midpoints[lines : lines + len(kept), 0] = 0.5 * (x0[kept] + x1[kept])
+        midpoints[lines : lines + len(kept), 1] = 0.5 * (y0[kept] + y1[kept])
+        lines += len(kept)
+    return data, midpoints, spare
 
 
 def gen_tomography(spec: TomoSpec) -> LinearSystem:
     """Underdetermined N^2 x (d N^2) line-sampling system with least-norm reference.
 
-    Line endpoints are drawn uniformly on the grid boundary; draws landing
-    on a single side (a degenerate chord along the boundary) are rejected
-    and redrawn. Seeds whose line set fails the full-row-rank requirement of
-    the least-norm oracle are retried with seed+1, ... (mod 2**64) like
-    gen_gaussian.
+    Each candidate line is the next pair of uniforms, its two endpoints drawn
+    uniformly on the grid boundary; a candidate is redrawn from the next pair
+    when both ends land on one side or when the chord crosses no cell of the
+    grid. The phantom's uniforms follow the n-th kept pair. Seeds whose line
+    set fails the full-row-rank requirement of the least-norm oracle are
+    retried with seed+1, ... (mod 2**64) like gen_gaussian.
     """
     last_error = None
     for attempt in range(GEN_MAX_ATTEMPTS):
@@ -246,41 +298,12 @@ def gen_tomography(spec: TomoSpec) -> LinearSystem:
     )
 
 
-def _uniform_stream(rng: Prng, refill: int):
-    """rng's uniforms one at a time in stream order, drawn `refill` at a time.
-
-    Those past the last one read go unseen.
-    """
-    while True:
-        yield from rng.uniforms(refill).tolist()
-
-
 def _build_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
     n_grid = spec.grid_n
-    m = n_grid * n_grid
-    n = spec.oversample * m
-    # a chord is redrawn when both ends land on one side (1 in 4), so the n lines
-    # read about 8n/3 uniforms and the phantom 12 more: one refill of 3n usually covers them
-    draws = _uniform_stream(Prng(seed), 3 * n)
-    perimeter = 4.0 * n_grid
-
-    data = np.zeros((m, n))
-    midpoints = np.empty((n, 2))
-    for j in range(n):
-        while True:
-            u0 = next(draws) * perimeter
-            u1 = next(draws) * perimeter
-            if int(u0 // n_grid) % 4 == int(u1 // n_grid) % 4:
-                continue  # both endpoints on one side: degenerate chord
-            p0 = _perimeter_point(u0, n_grid)
-            p1 = _perimeter_point(u1, n_grid)
-            cells = _trace_line(p0, p1, n_grid)
-            if cells:
-                break
-        for cell, seg in cells:
-            data[cell, j] += seg
-        midpoints[j, 0] = 0.5 * (p0[0] + p1[0])
-        midpoints[j, 1] = 0.5 * (p0[1] + p1[1])
+    n = spec.oversample * n_grid * n_grid
+    rng = Prng(seed)
+    data, midpoints, spare = _trace_lines(rng, n_grid, n)
+    draws = iter(np.concatenate([spare, rng.uniforms(max(0, 12 - len(spare)))]).tolist())
 
     # smooth nonnegative phantom: three seeded Gaussian bumps over the grid
     # domain, evaluated at each line's midpoint

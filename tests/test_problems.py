@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -151,11 +152,23 @@ class TestGenTomography:
         assert trace.records[-1][1] < 1e-6
 
 
+#: sha256 of X.txt of `kaczgs tomo --grid-n <grid> --oversample <d> --seed <seed>`, as the
+#: scalar per-line trace wrote it. X is elementwise arithmetic, with no BLAS.
+TOMO_X_SHA256 = [
+    ("10", "3", "1", "c24d855087d8fabdd4c93605ad6e481f5228af5d56aca170d1027ec5afe496a8"),
+    ("10", "3", "7", "32fed6923c8ce4f6c65c3ff850a1323903741a3cccfc9f3dd1edd2558b4d1346"),
+    ("10", "3", "11", "76abcade9f374acb1f68168213c228c8e087328775a39dcc2148da1d7046a97b"),
+    ("5", "3", "2", "5c4760dbeeaf56fe2790fb487b1cf06c50d12327e0e3d1ee57d9d97d86e3ec18"),
+    ("4", "2", "5", "246349eca6a0eefd90dfdcb31b82259cbf9d785f867a6e15caff5c72ca804b4d"),
+    ("20", "3", "5", "ef355b4c1a01617732c217bf945c1ffaa408beededce1a2bfc29a276edf9a214"),
+]
+
+
 class TestGoldenDraws:
     """The whole draw order of each generator, pinned by the sha256 of X.txt.
 
     The Gaussian file fixes the Box-Muller pairing of X's entries; the
-    tomography file fixes every endpoint draw, the rejected ones included.
+    tomography files fix every endpoint draw, the rejected ones included.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -163,10 +176,237 @@ class TestGoldenDraws:
          "2b3d26f95af29b4ace263b72e55747b9e76b4c30c4d3e5b4b85210efe6fbefed"),
         (["tomo", "--grid-n", "3", "--oversample", "2", "--seed", "1"],
          "9bdd9a88363eccae0cf6861807e2ac44b51ee8db1b71030d5d5e2b97cb85b822"),
-    ], ids=["gen", "tomo"])
+        *(
+            (["tomo", "--grid-n", grid, "--oversample", oversample, "--seed", seed], digest)
+            for grid, oversample, seed, digest in TOMO_X_SHA256
+        ),
+    ], ids=["gen", "tomo", *("tomo-{}x{}-s{}".format(*key[:3]) for key in TOMO_X_SHA256)])
     def test_x_file_digest(self, tmp_path, argv, digest):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "X.txt").read_bytes()).hexdigest() == digest
+
+
+# --- the scalar chord tracer, kept as the oracle of the block tracer ----------
+# One chord at a time, Siddon-style: every knot (k - x0) / dx and (k - y0) / dy
+# inside (0, 1) in a set, each span between sorted knots in its midpoint's cell.
+
+def _perimeter_point(u: float, n: int) -> tuple[float, float]:
+    side, frac = divmod(u, n)
+    side = int(side) % 4
+    if side == 0:
+        return frac, 0.0
+    if side == 1:
+        return float(n), frac
+    if side == 2:
+        return n - frac, float(n)
+    return 0.0, n - frac
+
+
+def _trace_line(p0, p1, n: int) -> list[tuple[int, float]]:
+    """Cells crossed by segment p0->p1 inside [0,n]^2 with intersection lengths."""
+    x0, y0 = p0
+    x1, y1 = p1
+    dx, dy = x1 - x0, y1 - y0
+    length = math.hypot(dx, dy)
+    if length == 0.0:
+        return []
+    ts = {0.0, 1.0}
+    if dx != 0.0:
+        for k in range(n + 1):
+            t = (k - x0) / dx
+            if 0.0 < t < 1.0:
+                ts.add(t)
+    if dy != 0.0:
+        for k in range(n + 1):
+            t = (k - y0) / dy
+            if 0.0 < t < 1.0:
+                ts.add(t)
+    knots = sorted(ts)
+    out = []
+    for a, b in zip(knots[:-1], knots[1:]):
+        if b <= a:
+            continue
+        tm = 0.5 * (a + b)
+        ix = int(math.floor(x0 + tm * dx))
+        iy = int(math.floor(y0 + tm * dy))
+        if 0 <= ix < n and 0 <= iy < n:
+            out.append((iy * n + ix, (b - a) * length))
+    return out
+
+
+def _oracle_lines(stream, n_grid: int, n: int):
+    """The first n kept chords of a uniform stream, traced one by one.
+
+    Returns the N^2 x n matrix, the lines' midpoints and the number of
+    uniforms read.
+    """
+    perimeter = 4.0 * n_grid
+    data = np.zeros((n_grid * n_grid, n))
+    midpoints = np.empty((n, 2))
+    read = 0
+    for j in range(n):
+        while True:
+            u0, u1 = stream[read] * perimeter, stream[read + 1] * perimeter
+            read += 2
+            if int(u0 // n_grid) % 4 == int(u1 // n_grid) % 4:
+                continue  # both endpoints on one side
+            p0 = _perimeter_point(u0, n_grid)
+            p1 = _perimeter_point(u1, n_grid)
+            cells = _trace_line(p0, p1, n_grid)
+            if cells:
+                break
+        for cell, seg in cells:
+            data[cell, j] += seg
+        midpoints[j] = 0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1])
+    return data, midpoints, read
+
+
+def _position(n_grid):
+    """A perimeter position in [0, 4N): anywhere, on the lattice, on a 1/8 grid, or i/d.
+
+    Integers are lattice points, and multiples of N corners. Chords between
+    i/d positions pass near lattice points, where an x knot and a y knot a
+    few ulps apart can put two spans of one chord in one cell.
+    """
+    return st.one_of(
+        st.floats(0.0, 4.0 * n_grid, exclude_max=True),
+        st.integers(0, 4 * n_grid - 1).map(float),
+        st.integers(0, 32 * n_grid - 1).map(lambda i: i / 8.0),
+        st.integers(3, 12).flatmap(lambda d: st.integers(0, 4 * n_grid * d - 1).map(lambda i: i / d)),
+    )
+
+
+@st.composite
+def _chords(draw):
+    """A grid size and a batch of perimeter-position pairs, axis-parallel ones included.
+
+    Side 0 at (f, 0) faces side 2 at 3N - f, and side 1 at (N, f) faces side 3
+    at 4N - f, so those pairs have dx = 0 and dy = 0 exactly when f is on the
+    1/8 grid.
+    """
+    n_grid = draw(st.integers(2, 9))
+    f = st.integers(1, 8 * n_grid - 1).map(lambda i: i / 8.0)
+    pairs = st.one_of(
+        st.tuples(_position(n_grid), _position(n_grid)),
+        f.map(lambda f: (f, 3.0 * n_grid - f)),
+        f.map(lambda f: (n_grid + f, 4.0 * n_grid - f)),
+    )
+    return n_grid, draw(st.lists(pairs, min_size=1, max_size=12))
+
+
+class _Spliced:
+    """A generator whose uniforms are ``head``, then the seed's own stream."""
+
+    def __init__(self, head, seed):
+        self.head, self.rest = np.array(head, dtype=float), Prng(seed)
+
+    def uniforms(self, k):
+        take, self.head = self.head[:k], self.head[k:]
+        return np.concatenate([take, self.rest.uniforms(k - len(take))])
+
+
+#: the chord (4, 11/3) -> (0, 1) of the 4 x 4 grid, as a pair of uniforms: its x and y
+#: knots at the lattice point (3, 3) round apart, so that two of its spans lie in cell 15
+REPEATED_CELL = (7.666666666666667 / 16.0, 15.0 / 16.0)
+
+
+class TestChordTracer:
+    """The block tracer against the scalar oracle above, bit for bit."""
+
+    @staticmethod
+    def _assert_traces_match(n_grid, pairs):
+        u = np.array(pairs, dtype=float).ravel()
+        side, x, y = problems._perimeter_points(u, n_grid)
+        points = [_perimeter_point(v, n_grid) for v in u.tolist()]
+        assert list(zip(x.tolist(), y.tolist())) == points
+        assert side.tolist() == [int(v // n_grid) % 4 for v in u.tolist()]
+        chord, cell, seg = problems._trace_chords(x[0::2], y[0::2], x[1::2], y[1::2], n_grid)
+        for i in range(len(pairs)):
+            expected = _trace_line(points[2 * i], points[2 * i + 1], n_grid)
+            mine = chord == i
+            assert list(zip(cell[mine].tolist(), seg[mine].tolist())) == expected, pairs[i]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_chords())
+    def test_block_trace_is_the_scalar_trace(self, case):
+        self._assert_traces_match(*case)
+
+    @pytest.mark.parametrize("n_grid, pairs", [
+        # (0, 0) -> (4, 2) through the lattice point (2, 1): t = 1/2 is an x and a y knot
+        (4, [(0.0, 4.0 + 2.0)]),
+        # the diagonal (0, 0) -> (4, 4) through every lattice point, and the other diagonal
+        (4, [(0.0, 8.0), (4.0, 12.0)]),
+        # corners to corners along the edges, and one chord of length 0
+        (3, [(0.0, 3.0), (3.0, 6.0), (6.0, 9.0), (9.0, 0.0), (5.5, 5.5)]),
+        # along the top edge y = N and the right edge x = N: no cell in the grid
+        (5, [(15.0, 11.0), (10.0, 6.5)]),
+    ], ids=["lattice-point", "diagonals", "edges-and-a-point", "top-and-right-edges"])
+    def test_chords_through_lattice_points_and_along_edges(self, n_grid, pairs):
+        self._assert_traces_match(n_grid, pairs)
+
+    @pytest.mark.parametrize("n_grid, oversample, seed, head", [
+        (2, 2, 3, ()), (3, 2, 1, ()), (4, 3, 8, ()), (7, 2, 4, ()), (4, 2, 5, REPEATED_CELL),
+    ])
+    def test_lines_are_the_oracle_lines(self, n_grid, oversample, seed, head):
+        n = oversample * n_grid * n_grid
+        data, midpoints, spare = problems._trace_lines(_Spliced(head, seed), n_grid, n)
+        stream = _Spliced(head, seed).uniforms(4 * n + 12).tolist()
+        want, want_mid, read = _oracle_lines(stream, n_grid, n)
+        assert data.tobytes() == want.tobytes()
+        assert midpoints.tobytes() == want_mid.tobytes()
+        # the spare uniforms are the stream right after the n-th kept pair
+        assert spare.tolist() == stream[read : read + len(spare)]
+
+    def test_repeated_cell_chord(self):
+        p0, p1 = (_perimeter_point(u * 16.0, 4) for u in REPEATED_CELL)
+        cells = [cell for cell, _ in _trace_line(p0, p1, 4)]
+        assert cells.count(15) == 2
+
+    def test_a_chord_with_no_cell_is_redrawn(self, monkeypatch):
+        # (0.75, 0.6) puts a chord along the top edge, (0.5, 0.3) one along the right
+        # edge; their ends lie on two sides but the chords cross no cell, so the
+        # generator must read past both pairs to the seed's own stream
+        head = [0.75, 0.6, 0.5, 0.3]
+        for u0, u1 in zip(head[0::2], head[1::2]):
+            p0, p1 = _perimeter_point(u0 * 16.0, 4), _perimeter_point(u1 * 16.0, 4)
+            assert int(u0 * 4) != int(u1 * 4) and _trace_line(p0, p1, 4) == []
+
+        spec = TomoSpec(grid_n=4, oversample=2, seed=5)
+        plain = gen_tomography(spec)
+        monkeypatch.setattr(problems, "Prng", lambda seed: _Spliced(head, seed))
+        spliced = gen_tomography(spec)
+        for a, b in [(plain.X.data, spliced.X.data), (plain.y, spliced.y),
+                     (plain.reference, spliced.reference)]:
+            assert a.tobytes() == b.tobytes()
+
+    def test_block_bound_changes_no_bit(self, monkeypatch):
+        spec = TomoSpec(grid_n=4, oversample=2, seed=5)
+        plain = gen_tomography(spec)
+        blocks, spares = [], []
+        real_uniforms, real_lines = Prng.uniforms, problems._trace_lines
+
+        def uniforms(self, k):
+            blocks.append(real_uniforms(self, k))
+            return blocks[-1]
+
+        def trace_lines(*args):
+            out = real_lines(*args)
+            spares.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(Prng, "uniforms", uniforms)
+        monkeypatch.setattr(problems, "_trace_lines", trace_lines)
+        monkeypatch.setattr(problems, "TRACE_BLOCK_SLOTS", 3 * (2 * 4 + 4))  # 3 candidates a block
+        small = gen_tomography(spec)
+        for a, b in [(plain.X.data, small.X.data), (plain.y, small.y),
+                     (plain.reference, small.reference)]:
+            assert a.tobytes() == b.tobytes()
+        # fewer than 12 uniforms were left after the n-th line, so the phantom drew more
+        assert spares[0] < 12 and blocks[-1].size == 12 - spares[0]
+        # some block's last candidate has both ends on one side and is dropped
+        sides = [(u * 16.0 // 4) % 4 for u in blocks[:-1]]
+        assert all(len(u) == 6 for u in blocks[:-1])
+        assert any(s[4] == s[5] for s in sides)
 
 
 class TestTextFormats:

@@ -139,6 +139,19 @@ COMPARE_SHA256 = "f6089091c817ed5dde2dc5290d2a96483f31eddb5cf2340e0859fbeb544c22
 #: past a stop carries that trial's terminal error, not its last grid value.
 REDRAW_COMPARE_SHA256 = "6532273bd45e0d47222e003bf83820b4ab2026852a83432eaac62bf13dc11aa2"
 
+#: sha256 of y.txt and reference.txt of `kaczgs tomo --grid-n <grid> --oversample <d>
+#: --seed <seed>`; y is X times the phantom, whose uniforms follow the n-th kept chord
+TOMO_Y_REFERENCE_SHA256 = {
+    ("10", "3", "1"): (
+        "88804b0cb45a42a45b1fcf644ad1038baa26167fa7477b31cf496036727445d7",
+        "315331f814e499c2d4443746517cb2c83d3cb786f80607e29eeae59b1f3f24d4",
+    ),
+    ("5", "3", "2"): (
+        "d13b5ceab22c19eeec8dc06ff8e9e8dd92329f9d60bff76a9f48e002c40a1fd7",
+        "58cdb6f06e632866c9893ac2695a56f52a3ebccddf1a7acf11e7f9563ffa93b7",
+    ),
+}
+
 #: sha256 of the pinned systems' arrays and of the BLAS dots and matvecs a solve
 #: takes on them. The CSV digests above hold where these round as they did when
 #: the digests were recorded (numpy 2.4 with its OpenBLAS 0.3.31 on x86-64);
@@ -201,6 +214,14 @@ class TestPinnedBytes:
                          "--max-iter", "3000", "--record-every", "100", "--seed", "5",
                          "--out", str(out)]) == 0
         assert _sha256(out) == TOMO_SOLVE_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(TOMO_Y_REFERENCE_SHA256), ids="x".join)
+    def test_tomography_y_and_reference(self, key, system_dirs, tmp_path):
+        grid, oversample, seed = key
+        assert cli.main(["tomo", "--grid-n", grid, "--oversample", oversample, "--seed", seed,
+                         "--out", str(tmp_path)]) == 0
+        digests = _sha256(tmp_path / "y.txt"), _sha256(tmp_path / "reference.txt")
+        assert digests == TOMO_Y_REFERENCE_SHA256[key]
 
     def test_every_convergent_pair_is_pinned(self):
         pinned = {(SolverKind(s), Regime(r)) for s, r, _, _ in SOLVE_SHA256}
