@@ -2,10 +2,11 @@
 
 Library surface: dense systems and direct reference solutions (``linalg``),
 deterministic seeded sampling (``sampling``), the four iterative kernels and
-run driver (``solvers``), convergence-bound evaluators (``theory``),
-reproducible problem generators (``problems``), and the multi-trial
-experiment harness (``harness``). The ``kaczgs`` console script fronts the
-generators, single runs, comparisons, and bound curves.
+their two run drivers, ``run`` and ``run_batch`` (``solvers``),
+convergence-bound evaluators (``theory``), reproducible problem generators
+(``problems``), and the multi-trial experiment harness (``harness``). The
+``kaczgs`` console script fronts the generators, single runs, comparisons,
+and bound curves.
 """
 
 from .errors import (
@@ -19,7 +20,6 @@ from .linalg import (
     DenseMatrix,
     LinearSystem,
     Regime,
-    SpectralSummary,
     least_norm_ref,
     least_squares_ref,
     spectral_summary,
@@ -67,7 +67,6 @@ __all__ = [
     "SingularMatrixError",
     "SolveConfig",
     "SolverKind",
-    "SpectralSummary",
     "StopMetric",
     "TheoryBound",
     "TomoSpec",

@@ -1,16 +1,25 @@
 """The four randomized iterative kernels and two run drivers.
 
-Each solver advances a mutable :class:`SolverState` by randomized updates:
+Each solver advances a mutable :class:`SolverState` by randomized updates.
+Two base kernels:
 
-* RK   — project the iterate onto the hyperplane of one sampled row.
+* RK   — project the iterate onto the hyperplane x_i . beta = b_i of one
+         sampled row i, with right-hand side b = y.
 * RGS  — exactly minimize the least-squares objective along one sampled
-         coordinate (randomized coordinate descent).
-* REK  — RK plus a column-projection sequence z_t (started at y) that strips
-         the component of y orthogonal to the range of X, unlocking
-         convergence to the least-squares solution.
-* REGS — RGS plus a row-projector sequence z_t (started at 0) that tracks
-         the component of the iterate orthogonal to the row span; the
-         reported estimate is beta_t - z_t, which converges to the
+         coordinate (randomized coordinate descent). Its kernels return each
+         step's coordinate increment.
+
+Two extensions, each its base kernel plus a sequence z_t (Zouzias & Freris):
+
+* REK  — an RK whose step on row i solves against b_i = y_i - z_i, where
+         z_t, started at y, is RGS's residual sequence under column draws:
+         it strips the component of y orthogonal to the range of X,
+         unlocking convergence to the least-squares solution. The z pass
+         never reads beta, so a span runs it first, then RK's row pass.
+* REGS — an RGS whose z_t, started at 0, takes each step's coordinate
+         increment and then RK's projection onto the drawn row's x_i . z = 0,
+         so it tracks the component of the iterate orthogonal to the row
+         span; the reported estimate is beta_t - z_t, which converges to the
          least-norm solution.
 
 One combined update (row draw + column draw for the extended methods)
@@ -62,12 +71,6 @@ computed bit for bit the same way: each row's dot product is one
 calls, and ``residual_of`` refreshes both shapes. So a batched trial's
 errors equal those of ``run``, and so of ``kaczgs solve``, of the same
 trial exactly.
-
-A note on the extended Gauss-Seidel coordinate update: the per-step
-increment along coordinate j is the coordinate least-squares correction
-X_(j)^T (y - X beta) / ||X_(j)||^2, identical to the plain RGS update, so
-driving both kernels with the same column draws produces identical beta
-sequences; only the auxiliary z sequence differs.
 """
 from __future__ import annotations
 
@@ -206,8 +209,6 @@ class _Solver:
     """Shared setup: sampling distributions are built once per system."""
 
     kind: SolverKind
-    needs_rows = True
-    needs_cols = False
 
     def __init__(self, system: LinearSystem):
         self.system = system
@@ -216,17 +217,24 @@ class _Solver:
         self._y = system.y
         self._row_nsq = X.row_norms_sq
         self._col_nsq = X.col_norms_sq
-        self._row_dist = row_distribution(X) if self.needs_rows else None
-        self._col_dist = col_distribution(X) if self.needs_cols else None
-        # contiguous copy of the columns; column dots dominate RGS-family cost
-        self._cols_arr = np.ascontiguousarray(X.data.T) if self.needs_cols else None
         # for ``steps``, Python floats and lists of row and column views: the same
         # IEEE arithmetic and the same BLAS dots (``a.dot(b)`` is ``a @ b``), less dispatch
         self._y_vals = self._y.tolist()
         self._row_nsq_vals = self._row_nsq.tolist()
         self._col_nsq_vals = self._col_nsq.tolist()
-        self._row_views = list(X.data) if self.needs_rows else None
-        self._col_views = list(self._cols_arr) if self.needs_cols else None
+        self._draws: list[WeightedIndex] = []
+
+    def _draw_rows(self) -> None:
+        """Draw a row in each step, after the draws added before; keep row views for ``steps``."""
+        self._draws.append(row_distribution(self.system.X))
+        self._row_views = list(self._rows_arr)
+
+    def _draw_cols(self) -> None:
+        """Draw a column in each step, after the draws added before; copy the columns."""
+        self._draws.append(col_distribution(self.system.X))
+        # contiguous copy of the columns; column dots dominate RGS-family cost
+        self._cols_arr = np.ascontiguousarray(self._rows_arr.T)
+        self._col_views = list(self._cols_arr)
 
     def init_state(self, trials: int | None = None) -> SolverState:
         """Zero iterates: vectors, or one row per trial."""
@@ -246,10 +254,10 @@ class _Solver:
 
     def draw_order(self) -> list[WeightedIndex]:
         """The distributions one step draws from, in the order it draws."""
-        return [self._row_dist]
+        return self._draws
 
     def steps(self, state: SolverState, draws: list[list[int]], rows=(),
-              on_error: bool = False) -> None:
+              on_error: bool = False):
         """Advance a span of steps; draws[k][q] is step q's index for entry k of draw_order().
 
         With ``rows``, one buffer row per step, step q writes into rows[q]
@@ -264,7 +272,7 @@ class _Solver:
 
     # -- lockstep batches: one row per trial, driven by run_batch ----------
 
-    def steps_batch(self, state: SolverState, draws: list[np.ndarray], rows) -> None:
+    def steps_batch(self, state: SolverState, draws: list[np.ndarray], rows):
         """Advance every trial row through a span of steps, each trial by its own indices.
 
         draws[k][q, t] is trial t's index at step q for entry k of
@@ -277,10 +285,54 @@ class _Solver:
         raise NotImplementedError
 
 
-class _MaintainedResidual(_Solver):
-    """RGS and REGS: the state carries y - X beta, and every step updates it."""
+class RandomizedKaczmarz(_Solver):
+    kind = SolverKind.RK
 
-    needs_cols = True
+    def __init__(self, system: LinearSystem):
+        super().__init__(system)
+        self._draw_rows()
+
+    def _rhs(self, state: SolverState, draws: list[list[int]]):
+        """Each step's b_i, as an iterable of floats."""
+        return map(self._y_vals.__getitem__, draws[0])
+
+    def _rhs_batch(self, state: SolverState, draws: list[np.ndarray]) -> np.ndarray:
+        """Each step's b_i of each trial, a (steps, trials) table."""
+        return self._y.take(draws[0])
+
+    def steps(self, state, draws, rows=(), on_error=False):
+        X, nsq = self._row_views, self._row_nsq_vals
+        add = np.add
+        beta = state.beta
+        for i, b, out in zip(draws[0], self._rhs(state, draws), rows or repeat(beta)):
+            xi = X[i]
+            scale = (b - float(xi.dot(beta))) / nsq[i]
+            add(beta, scale * xi, out=out)
+            beta = out
+        if beta is not state.beta:
+            np.copyto(state.beta, beta)
+        state.iteration += len(draws[0])
+
+    def steps_batch(self, state, draws, rows):
+        i = draws[0]
+        take, vecdot, add, multiply = self._rows_arr.take, np.vecdot, np.add, np.multiply
+        beta = state.beta
+        xi = np.empty_like(beta)
+        for iq, bq, nq, out in zip(i, self._rhs_batch(state, draws), self._row_nsq.take(i), rows):
+            take(iq, axis=0, out=xi, mode="clip")  # "clip" writes to xi without a buffer
+            scale = (bq - vecdot(xi, beta)) / nq
+            add(beta, multiply(xi, scale[:, None], out=xi), out=out)
+            beta = out
+        np.copyto(state.beta, beta)
+        state.iteration += len(i)
+
+
+class RandomizedGaussSeidel(_Solver):
+    kind = SolverKind.RGS
+
+    def __init__(self, system: LinearSystem):
+        super().__init__(system)
+        self._draw_cols()
 
     def init_state(self, trials: int | None = None) -> SolverState:
         state = super().init_state(trials)
@@ -298,176 +350,120 @@ class _MaintainedResidual(_Solver):
         if r is not state.residual:
             np.copyto(state.residual, r)
 
-
-class RandomizedKaczmarz(_Solver):
-    kind = SolverKind.RK
-
-    def steps(self, state, draws, rows=(), on_error=False):
-        X, y, nsq = self._row_views, self._y_vals, self._row_nsq_vals
-        add = np.add
-        beta = state.beta
-        for i, out in zip(draws[0], rows or repeat(beta)):
-            xi = X[i]
-            scale = (y[i] - float(xi.dot(beta))) / nsq[i]
-            add(beta, scale * xi, out=out)
-            beta = out
-        if beta is not state.beta:
-            np.copyto(state.beta, beta)
-        state.iteration += len(draws[0])
-
-    def steps_batch(self, state, draws, rows):
-        (i,) = draws
-        take, vecdot, add, multiply = self._rows_arr.take, np.vecdot, np.add, np.multiply
-        beta = state.beta
-        xi = np.empty_like(beta)
-        for iq, yq, nq, out in zip(i, self._y.take(i), self._row_nsq.take(i), rows):
-            take(iq, axis=0, out=xi, mode="clip")  # "clip" writes to xi without a buffer
-            scale = (yq - vecdot(xi, beta)) / nq
-            add(beta, multiply(xi, scale[:, None], out=xi), out=out)
-            beta = out
-        np.copyto(state.beta, beta)
-        state.iteration += len(i)
-
-
-class RandomizedGaussSeidel(_MaintainedResidual):
-    kind = SolverKind.RGS
-    needs_rows = False
-
-    def steps(self, state, draws, rows=(), on_error=False):
+    def steps(self, state, draws, rows=(), on_error=False) -> list[float]:
         cols, nsq = self._col_views, self._col_nsq_vals
         subtract, copyto = np.subtract, np.copyto
         beta, r = state.beta, state.residual
         to_r = rows if rows and not on_error else repeat(r)
         to_est = rows if rows and on_error else repeat(None)
+        scales = []
         for j, out, est in zip(draws[0], to_r, to_est):
             xj = cols[j]
             scale = float(xj.dot(r)) / nsq[j]
-            beta[j] += scale
+            beta[j] = beta.item(j) + scale  # the IEEE add of ``+=``, on Python floats
             subtract(r, scale * xj, out=out)
             r = out
             if est is not None:
                 copyto(est, beta)
+            scales.append(scale)
         self._end_span(state, len(draws[0]), r)
+        return scales
 
-    def draw_order(self) -> list[WeightedIndex]:
-        return [self._col_dist]
-
-    def steps_batch(self, state, draws, rows):
-        (j,) = draws
+    def steps_batch(self, state, draws, rows) -> np.ndarray:
+        j = draws[0]
         take, vecdot, multiply, copyto = self._cols_arr.take, np.vecdot, np.multiply, np.copyto
         beta, r = state.beta, state.residual
         flat_beta = _flat(beta)
         xj = np.empty_like(r)
-        for jq, fq, nq, out in zip(j, _flat_index(j, beta), self._col_nsq.take(j), rows):
+        scales = np.empty(j.shape)
+        for jq, fq, nq, scale, out in zip(j, _flat_index(j, beta), self._col_nsq.take(j), scales,
+                                          rows):
             take(jq, axis=0, out=xj, mode="clip")
-            scale = vecdot(xj, r) / nq
+            vecdot(xj, r, out=scale)
+            scale /= nq
             flat_beta[fq] += scale
             r -= multiply(xj, scale[:, None], out=xj)
             copyto(out, beta)
         self._end_span(state, len(j), r)
+        return scales
 
 
-class ExtendedKaczmarz(_Solver):
+class ExtendedKaczmarz(RandomizedKaczmarz):
     kind = SolverKind.REK
-    needs_rows = True
-    needs_cols = True
+
+    def __init__(self, system: LinearSystem):
+        super().__init__(system)
+        self._draw_cols()
 
     def init_state(self, trials: int | None = None) -> SolverState:
         state = super().init_state(trials)
         state.z = np.tile(self._y, state.beta.shape[:-1] + (1,))  # z starts at y
         return state
 
-    def draw_order(self) -> list[WeightedIndex]:
-        return [self._row_dist, self._col_dist]
-
-    def steps_batch(self, state, draws, rows):
-        i, j = draws
-        take_row, take_col = self._rows_arr.take, self._cols_arr.take
-        vecdot, add, multiply = np.vecdot, np.add, np.multiply
-        beta, z = state.beta, state.z
-        flat_z = _flat(z)
-        xi, xj = np.empty_like(beta), np.empty_like(z)
-        tables = (i, j, _flat_index(i, z), self._y.take(i), self._row_nsq.take(i),
-                  self._col_nsq.take(j), rows)
-        for iq, jq, fq, yq, row_nq, col_nq, out in zip(*tables):
-            take_col(jq, axis=0, out=xj, mode="clip")
-            z -= multiply(xj, (vecdot(xj, z) / col_nq)[:, None], out=xj)
-            take_row(iq, axis=0, out=xi, mode="clip")
-            scale = (yq - flat_z.take(fq) - vecdot(xi, beta)) / row_nq
-            add(beta, multiply(xi, scale[:, None], out=xi), out=out)
-            beta = out
-        np.copyto(state.beta, beta)
-        state.iteration += len(i)
-
-    def steps(self, state, draws, rows=(), on_error=False):
-        X, cols, y = self._row_views, self._col_views, self._y_vals
-        row_nsq, col_nsq = self._row_nsq_vals, self._col_nsq_vals
-        add = np.add
-        beta, z = state.beta, state.z
-        for i, j, out in zip(*draws, rows or repeat(beta)):
+    def _rhs(self, state, draws):
+        """Project z off each step's column; each step's y_i - z_i."""
+        cols, nsq, y, z = self._col_views, self._col_nsq_vals, self._y_vals, state.z
+        rhs = []
+        for i, j in zip(*draws):
             xj = cols[j]
-            z -= (float(xj.dot(z)) / col_nsq[j]) * xj
-            xi = X[i]
-            scale = (y[i] - z.item(i) - float(xi.dot(beta))) / row_nsq[i]
-            add(beta, scale * xi, out=out)
-            beta = out
-        if beta is not state.beta:
-            np.copyto(state.beta, beta)
-        state.iteration += len(draws[0])
+            z -= (float(xj.dot(z)) / nsq[j]) * xj
+            rhs.append(y[i] - z.item(i))
+        return rhs
+
+    def _rhs_batch(self, state, draws):
+        """Project z off each step's column in every trial; a table of y_i - z_i."""
+        i, j = draws
+        take, vecdot, multiply = self._cols_arr.take, np.vecdot, np.multiply
+        z = state.z
+        flat_z = _flat(z)
+        xj = np.empty_like(z)
+        rhs = self._y.take(i)
+        for jq, fq, bq, nq in zip(j, _flat_index(i, z), rhs, self._col_nsq.take(j)):
+            take(jq, axis=0, out=xj, mode="clip")
+            z -= multiply(xj, (vecdot(xj, z) / nq)[:, None], out=xj)
+            bq -= flat_z.take(fq)
+        return rhs
 
 
-class ExtendedGaussSeidel(_MaintainedResidual):
+class ExtendedGaussSeidel(RandomizedGaussSeidel):
     kind = SolverKind.REGS
+
+    def __init__(self, system: LinearSystem):
+        super().__init__(system)
+        self._draw_rows()
 
     def init_state(self, trials: int | None = None) -> SolverState:
         state = super().init_state(trials)
         state.z = np.zeros_like(state.beta)
         return state
 
-    def draw_order(self) -> list[WeightedIndex]:
-        return [self._col_dist, self._row_dist]
-
-    def steps_batch(self, state, draws, rows):
-        j, i = draws
-        take_row, take_col = self._rows_arr.take, self._cols_arr.take
-        vecdot, multiply, subtract = np.vecdot, np.multiply, np.subtract
-        beta, r, z = state.beta, state.residual, state.z
-        flat_beta, flat_z = _flat(beta), _flat(z)
-        xi, xj = np.empty_like(beta), np.empty_like(r)
-        tables = (i, j, _flat_index(j, beta), self._row_nsq.take(i), self._col_nsq.take(j), rows)
-        for iq, jq, fq, row_nq, col_nq, out in zip(*tables):
-            take_col(jq, axis=0, out=xj, mode="clip")
-            scale = vecdot(xj, r) / col_nq
-            flat_beta[fq] += scale
-            r -= multiply(xj, scale[:, None], out=xj)
-            flat_z[fq] += scale
-            take_row(iq, axis=0, out=xi, mode="clip")
-            z -= multiply(xi, (vecdot(xi, z) / row_nq)[:, None], out=xi)
-            subtract(beta, z, out=out)
-        self._end_span(state, len(j), r)
-
     def estimate(self, state: SolverState) -> np.ndarray:
         return state.beta - state.z
 
     def steps(self, state, draws, rows=(), on_error=False):
-        X, cols = self._row_views, self._col_views
-        row_nsq, col_nsq = self._row_nsq_vals, self._col_nsq_vals
-        subtract = np.subtract
-        beta, r, z = state.beta, state.residual, state.z
-        to_r = rows if rows and not on_error else repeat(r)
-        to_est = rows if rows and on_error else repeat(None)
-        for j, i, out, est in zip(*draws, to_r, to_est):
-            xj = cols[j]
-            scale = float(xj.dot(r)) / col_nsq[j]
-            beta[j] += scale
-            subtract(r, scale * xj, out=out)
-            r = out
-            z[j] += scale
+        X, nsq, subtract = self._row_views, self._row_nsq_vals, np.subtract
+        z = state.z
+        to_est = rows if rows and on_error else repeat(None)  # each holds its step's beta
+        for j, i, scale, est in zip(*draws, super().steps(state, draws, rows, on_error), to_est):
+            z[j] = z.item(j) + scale
             xi = X[i]
-            z -= (float(xi.dot(z)) / row_nsq[i]) * xi
+            z -= (float(xi.dot(z)) / nsq[i]) * xi
             if est is not None:
-                subtract(beta, z, out=est)
-        self._end_span(state, len(draws[0]), r)
+                subtract(est, z, out=est)
+
+    def steps_batch(self, state, draws, rows):
+        j, i = draws
+        take, vecdot, multiply, subtract = self._rows_arr.take, np.vecdot, np.multiply, np.subtract
+        z = state.z
+        flat_z = _flat(z)
+        xi = np.empty_like(z)
+        scales = super().steps_batch(state, draws, rows)  # each row holds its step's beta
+        for iq, fq, scale, nq, out in zip(i, _flat_index(j, z), scales, self._row_nsq.take(i),
+                                          rows):
+            flat_z[fq] += scale
+            take(iq, axis=0, out=xi, mode="clip")
+            z -= multiply(xi, (vecdot(xi, z) / nq)[:, None], out=xi)
+            subtract(out, z, out=out)
 
 
 _SOLVER_CLASSES = {
@@ -567,7 +563,7 @@ def _certified_radius_sq(solver: _Solver, metric: StopMetric, tol: float) -> flo
     the floor is within rounding of tol, or on overflow: then R is not a
     finite normal number.
     """
-    if metric is not StopMetric.RESIDUAL_NORM or isinstance(solver, _MaintainedResidual):
+    if metric is not StopMetric.RESIDUAL_NORM or isinstance(solver, RandomizedGaussSeidel):
         return None
     system = solver.system
     w = system.residual_ref
@@ -612,7 +608,7 @@ class _ExactChecks:
 
     def __init__(self, solver: _Solver, on_error: bool, ref, steps: int, trials: int | None = None):
         self.solver, self.ref, self.on_error = solver, ref, on_error
-        self.from_beta = not on_error and not isinstance(solver, _MaintainedResidual)
+        self.from_beta = not on_error and not isinstance(solver, RandomizedGaussSeidel)
         width = solver.system.m if not (on_error or self.from_beta) else solver.system.n
         self.full = np.empty((steps,) + (() if trials is None else (trials,)) + (width,))
         self.keep(trials)

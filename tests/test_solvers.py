@@ -185,6 +185,32 @@ class TestExtendedKaczmarzStep:
             step(solver, state, draws)
         assert np.linalg.norm(state.z - r) < 1e-4
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["steps", "steps_batch"])
+    def test_z_is_rgs_residual_under_shared_column_draws(self, batch):
+        """z is RGS's maintained residual, bit for bit, up to the step before RGS refreshes it."""
+        sys_ = gaussian_system(30, 6, Regime.OVER_INCONSISTENT, seed=12)
+        total = solvers.RESIDUAL_REFRESH_EVERY - 1
+        trials = 3 if batch else None
+        # (steps, trials) row and column indices, one reference stream per trial
+        i, j = np.array([list(reference_draws(sys_, SolverKind.REK, seed, total))
+                         for seed in (5, 6, 7)]).transpose(2, 1, 0)
+        rek, rgs = make_solver(SolverKind.REK, sys_), make_solver(SolverKind.RGS, sys_)
+        st_rek, st_rgs = rek.init_state(trials), rgs.init_state(trials)
+        rows = list(np.empty((solvers.CHECK_CHUNK, 3, sys_.n)))
+        lengths = np.random.default_rng(4)
+        t = 0
+        while t < total:
+            k = min(int(lengths.integers(1, solvers.CHECK_CHUNK + 1)), total - t)
+            if batch:
+                rek.steps_batch(st_rek, [i[t:t + k], j[t:t + k]], rows)
+                rgs.steps_batch(st_rgs, [j[t:t + k]], rows)
+            else:
+                rek.steps(st_rek, [i[t:t + k, 0].tolist(), j[t:t + k, 0].tolist()])
+                rgs.steps(st_rgs, [j[t:t + k, 0].tolist()])
+            t += k
+            assert _hex(st_rek.z) == _hex(st_rgs.residual)
+        assert st_rek.iteration == st_rgs.iteration == total
+
 
 class TestExtendedGaussSeidelStep:
     def test_identity_hand_trace(self):
@@ -206,6 +232,7 @@ class TestExtendedGaussSeidelStep:
             step(regs, st_regs, (j, i))
             step(rgs, st_rgs, (j,))
             assert np.array_equal(st_regs.beta, st_rgs.beta)
+            assert np.array_equal(st_regs.residual, st_rgs.residual)
 
     def test_z_orthogonal_to_chosen_row(self):
         sys_ = gaussian_system(8, 20, Regime.UNDERDETERMINED, seed=10)
