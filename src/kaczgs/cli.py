@@ -16,7 +16,7 @@ Subcommands:
 flags. Every CSV output path may be '-' for stdout.
 
 Exit codes: 0 on success, 2 on configuration errors (including malformed
-inputs), 3 on numerical errors.
+or non-UTF-8 inputs and paths that cannot be opened), 3 on numerical errors.
 """
 from __future__ import annotations
 
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

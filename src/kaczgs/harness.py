@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .linalg import LinearSystem, Regime
 from .problems import load_system, redraw
-from .sampling import Prng, check_seed, spawn_trial_rng, splitmix64
+from .sampling import Prng, check_seed, spawn_trial_rng
 from .solvers import (
     CONVERGENT_PAIRS,
     ConvergenceTrace,
@@ -146,8 +146,7 @@ def _trial_systems(cfg: ExperimentConfig, system: LinearSystem) -> list[LinearSy
     """The system of each trial, shared by every solver: ``system``, or one redraw per trial."""
     if not cfg.redraw_matrix_per_trial:
         return [system] * cfg.trials
-    seeds = [splitmix64((cfg.base_seed + _REDRAW_STREAM_BASE + trial) & 0xFFFFFFFFFFFFFFFF)[1]
-             for trial in range(cfg.trials)]
+    seeds = [spawn_trial_rng(cfg.base_seed, _REDRAW_STREAM_BASE + t).seed for t in range(cfg.trials)]
     return [redraw(cfg.system_dir, system, seed) for seed in seeds]
 
 

@@ -172,10 +172,10 @@ class LinearSystem:
 # ---------------------------------------------------------------------------
 # Symmetric positive-definite solve (Gram systems)
 
-def cholesky_factor(gram: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def cholesky_factor(gram: np.ndarray) -> np.ndarray:
     """Lower-triangular L with gram = L L^T.
 
-    Pivots L[i, i]^2 are required to stay above rtol times the largest
+    Pivots L[i, i]^2 are required to stay above RANK_RTOL times the largest
     diagonal entry of gram; a smaller pivot, or a matrix LAPACK finds not
     positive definite, raises SingularMatrixError.
     """
@@ -186,7 +186,7 @@ def cholesky_factor(gram: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     max_diag = float(a.diagonal().max(initial=0.0))
     if max_diag <= 0.0:
         raise SingularMatrixError("Gram matrix has no positive diagonal entry")
-    floor = rtol * max_diag
+    floor = RANK_RTOL * max_diag
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

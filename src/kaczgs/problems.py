@@ -37,6 +37,7 @@ timestamp, so it too is a pure function of the system.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import zipfile
 from dataclasses import dataclass, replace
@@ -343,6 +344,14 @@ def write_vector(path, vec) -> bytes:
     return text
 
 
+def _decode(path, data: bytes) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:  # reported on the line that holds the first bad byte
+        lineno = data[: exc.start].count(b"\n") + 1
+        raise ParseError(path, lineno, f"not UTF-8 text: {exc.reason}") from None
+
+
 def _parse_floats(path, lineno, line, expected) -> list[float]:
     parts = line.split()
     if len(parts) != expected:
@@ -462,21 +471,22 @@ def load_meta(directory) -> dict:
     if not path.exists():
         raise ConfigurationError(f"missing system file: {path}")
     meta = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(maxsplit=1)
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 'key value', got {line!r}")
-            if parts[0] == "seed" and parts[1] != "none":
-                try:
-                    check_seed(int(parts[1]))
-                except (ValueError, ConfigurationError):
-                    raise ParseError(path, lineno, f"seed {parts[1]!r} is not none or an "
-                                     "integer in [0, 2**64)") from None
-            meta[parts[0]] = parts[1]
+    text = _decode(path, path.read_bytes())
+    # lines end at \n, \r\n or \r, as in a file opened in text mode (str.splitlines ends more)
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            raise ParseError(path, lineno, f"expected 'key value', got {line!r}")
+        if parts[0] == "seed" and parts[1] != "none":
+            try:
+                check_seed(int(parts[1]))
+            except (ValueError, ConfigurationError):
+                raise ParseError(path, lineno, f"seed {parts[1]!r} is not none or an "
+                                 "integer in [0, 2**64)") from None
+        meta[parts[0]] = parts[1]
     if "regime" not in meta:
         raise ParseError(path, 1, "meta.txt is missing the regime entry")
     if meta["regime"] not in {r.value for r in Regime}:
@@ -536,7 +546,7 @@ def load_system(directory) -> LinearSystem:
     if arrays is None:
         arrays = {
             name: (_parse_matrix if name == "X.txt" else _parse_vector)(
-                directory / name, text.decode()
+                directory / name, _decode(directory / name, text)
             )
             for name, text in texts.items()
         }

@@ -7,7 +7,7 @@ import pytest
 from kaczgs import cli
 from kaczgs.errors import NumericalError
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
-from kaczgs.problems import load_system, save_system, write_matrix, write_vector
+from kaczgs.problems import SIDECAR, load_system, save_system, write_matrix, write_vector
 from kaczgs.solvers import LOCKSTEP_MIN_TRIALS
 from kaczgs.theory import TheoryBound
 
@@ -431,3 +431,49 @@ class TestParserBasics:
                      "--max-iter", "10", "--record-every", "5", "--out", "-"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("iteration,bound_value")
+
+
+class TestUnopenablePaths:
+    """A path that cannot be opened or created is a configuration error: exit 2, one line."""
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--solver", "rk", "--max-iter", "50", "--out", "{missing}"],
+        ["compare", "--trials", "2", "--max-iter", "50", "--out", "{missing}"],
+        ["compare", "--trials", "2", "--max-iter", "50", "--out", "{ok}", "--timings-out", "{missing}"],
+        ["bounds", "--solver", "rk", "--max-iter", "50", "--out", "{missing}"],
+        ["gen", "--m", "20", "--n", "4", "--regime", "over-consistent", "--out", "{file}"],
+        ["tomo", "--grid-n", "4", "--oversample", "2", "--out", "{file}"],
+    ], ids=["solve", "compare", "compare-timings", "bounds", "gen", "tomo"])
+    def test_exits_2_with_one_line(self, command, system_dir, tmp_path, capsys):
+        existing = tmp_path / "afile"
+        existing.write_text("not a directory\n")
+        paths = {"missing": tmp_path / "missing" / "x.csv", "ok": tmp_path / "ok.csv", "file": existing}
+        argv = [arg.format(**paths) for arg in command]
+        if command[0] not in ("gen", "tomo"):
+            argv[1:1] = ["--system", str(system_dir)]
+        capsys.readouterr()
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+        assert existing.read_text() == "not a directory\n"
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in a system's text file is a ParseError on its line: exit 2."""
+
+    @pytest.mark.parametrize("name", ["y.txt", "meta.txt"])
+    def test_bad_byte_exits_2_with_path_and_line(self, name, system_dir, capsys):
+        (system_dir / SIDECAR).unlink()
+        path = system_dir / name
+        lines = len(path.read_bytes().splitlines())
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        capsys.readouterr()
+        assert _run(["bounds", "--system", str(system_dir), "--solver", "rk",
+                     "--max-iter", "10", "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}:{lines + 1}: not UTF-8 text")
+        assert len(err.splitlines()) == 1
