@@ -33,13 +33,13 @@ from .harness import (
     emit_timings_csv,
     emit_trace_csv,
     print_timing_summary,
-    solver_bound,
     trial_rng,
 )
 from .linalg import Regime
 from .problems import GenSpec, TomoSpec, gen_gaussian, gen_tomography, load_system, save_system
 from .sampling import check_seed
 from .solvers import SolveConfig, SolverKind, StopMetric, run
+from .theory import TheoryBound
 
 
 @contextmanager
@@ -204,7 +204,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bounds(args) -> int:
     config = SolveConfig(max_iter=args.max_iter, tol=args.tol, record_every=args.record_every)
-    bound = solver_bound(load_system(args.system), SolverKind(args.solver))
+    bound = TheoryBound.from_system(load_system(args.system)).curve(SolverKind(args.solver))
     with _open_out(args.out) as fh:
         emit_bounds_csv(bound, config, fh)
     return 0

@@ -35,6 +35,7 @@ comparison are kept out of it for exactly this reason.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import LinearSystem, Regime
+from .linalg import LinearSystem
 from .problems import load_system, redraw
 from .sampling import Prng, check_seed, spawn_trial_rng
 from .solvers import (
@@ -53,13 +54,7 @@ from .solvers import (
     _pairs_help,
     run_batch,
 )
-from .theory import (
-    TheoryBound,
-    bound_regs,
-    bound_rek,
-    bound_rk_consistent,
-    bound_rk_inconsistent,
-)
+from .theory import TheoryBound
 
 CSV_HEADER = "iteration,solver,mean_err_sq,median_err_sq,min_err_sq,max_err_sq,bound_value"
 
@@ -104,35 +99,6 @@ class AggregateTrace:
     rows: list[tuple[int, SolverKind, float, float, float, float, float]]
     excluded: list[SolverKind] = field(default_factory=list)
     timings: list[tuple[int, SolverKind, float]] = field(default_factory=list)
-
-
-def _bound_evaluator(system: LinearSystem, kind: SolverKind, tb: TheoryBound | None):
-    """t -> bound_value for one solver on one system; NaN where no bound applies.
-
-    The one place that pairs each (solver, regime) with its bound, read by
-    ``compare`` and ``bounds`` alike.
-    """
-    if tb is None or system.reference is None:
-        return lambda t: float("nan")
-    ref = system.reference
-    ref_sq = float(ref @ ref)
-    regime = system.regime
-    if kind is SolverKind.RK:
-        if regime is Regime.OVER_INCONSISTENT:
-            return lambda t: bound_rk_inconsistent(tb, t, ref_sq)
-        return lambda t: bound_rk_consistent(tb, t, ref_sq)
-    if kind is SolverKind.RGS:
-        if regime is Regime.UNDERDETERMINED:
-            return lambda t: float("nan")  # wrong-limit pair: no valid envelope
-        return lambda t: bound_rk_consistent(tb, t, tb.rgs_init)
-    if kind is SolverKind.REK:
-        return lambda t: bound_rek(tb, t, ref_sq)
-    return lambda t: bound_regs(tb, t, ref_sq)
-
-
-def solver_bound(system: LinearSystem, kind: SolverKind) -> Callable[[int], float]:
-    """t -> bound_value of one solver on one system; the theory set-up runs on the call."""
-    return _bound_evaluator(system, kind, TheoryBound.from_system(system))
 
 
 def _theory_bound(system: LinearSystem) -> TheoryBound | None:
@@ -192,13 +158,13 @@ def run_experiment(cfg: ExperimentConfig, system: LinearSystem | None = None) ->
         system = load_system(cfg.system_dir)
     systems = _trial_systems(cfg, system)
     distinct = systems if cfg.redraw_matrix_per_trial else [system]
-    theories = [(s, _theory_bound(s)) for s in distinct]
+    theories = [_theory_bound(s) for s in distinct]
 
     rows = []
     timing_rows = []
     for kind in cfg.solvers:
+        bounds = [(lambda t: math.nan) if tb is None else tb.curve(kind) for tb in theories]
         grid, errs, mean_cum = _trials_on_grid(cfg, systems, kind)
-        bounds = [_bound_evaluator(s, kind, tb) for s, tb in theories]
         # a lone bound is used as it is; redrawn systems' bounds are averaged
         bound_fn = (bounds[0] if len(bounds) == 1
                     else lambda t: sum(b(t) for b in bounds) / len(bounds))

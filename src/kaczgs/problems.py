@@ -402,11 +402,11 @@ def _parse_vector(path, text: str) -> np.ndarray:
 
 
 def read_matrix(path) -> DenseMatrix:
-    return DenseMatrix(_parse_matrix(path, Path(path).read_text()))
+    return DenseMatrix(_parse_matrix(path, _decode(path, Path(path).read_bytes())))
 
 
 def read_vector(path) -> np.ndarray:
-    return _parse_vector(path, Path(path).read_text())
+    return _parse_vector(path, _decode(path, Path(path).read_bytes()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,53 +1,60 @@
-"""Closed-form convergence-bound evaluators.
+"""The paper's convergence bounds: one curve per (solver, regime) cell.
 
 All four methods share the contraction factor
 
     alpha = 1 - sigma_min(X)^2 / ||X||_F^2,
 
-with sigma_min the smallest nonzero singular value. The extended-method
-bound for the least-norm setting is
+with sigma_min the smallest nonzero singular value. ``TheoryBound.curve``
+maps each cell to its bound on E||beta_t - ref||^2, with ref the regime's
+reference solution, B = ||X ref||^2 / ||X||_F^2 and kappa the condition
+number. Plain Kaczmarz cannot descend below the convergence horizon
+||r||^2 / sigma_min^2 of an inconsistent system with least-squares residual
+r; the horizon is exactly 0 elsewhere, so one RK form serves every regime:
 
-    alpha^t ||beta_LN||^2 + 2 alpha^floor(t/2) B / (1 - alpha),
-    B = ||X beta_LN||^2 / ||X||_F^2,
-
-and plain Kaczmarz on an inconsistent system carries the additive
-convergence horizon ||r||^2 / sigma_min^2 below which it cannot descend.
+    RK   over-consistent    alpha^t ||ref||^2
+    RK   over-inconsistent  alpha^t ||ref||^2 + ||r||^2 / sigma_min^2
+    RK   underdetermined    alpha^t ||ref||^2
+    RGS  over-consistent    alpha^t ||X ref||^2 / lambda_min
+    RGS  over-inconsistent  alpha^t ||X ref||^2 / lambda_min
+    RGS  underdetermined    NaN: RGS's limit is not the least-norm ref
+    REK  over-consistent    alpha^floor(t/2) (1 + 2 kappa^2) ||ref||^2
+    REK  over-inconsistent  alpha^floor(t/2) (1 + 2 kappa^2) ||ref||^2
+    REK  underdetermined    alpha^floor(t/2) (1 + 2 kappa^2) ||ref||^2
+    REGS over-consistent    alpha^t ||ref||^2 + 2 alpha^floor(t/2) B / (1 - alpha)
+    REGS over-inconsistent  alpha^t ||ref||^2 + 2 alpha^floor(t/2) B / (1 - alpha)
+    REGS underdetermined    alpha^t ||ref||^2 + 2 alpha^floor(t/2) B / (1 - alpha)
 
 Randomized Gauss-Seidel contracts the objective gap, E||X(beta_t - ref)||^2
 <= alpha^t ||X ref||^2 (Leventhal & Lewis, Math. Oper. Res. 2010), not the
-Euclidean error. With ||e||^2 <= ||X e||^2 / lambda_min its error bound is
-
-    alpha^t ||X ref||^2 / lambda_min,
-
-which is never below alpha^t ||ref||^2. That smaller form is not a bound:
-on a 4x3 system with column scales 1, 10 and 0.1 the exact E||e_1||^2 is
-1.34 times it.
+Euclidean error. ||e||^2 <= ||X e||^2 / lambda_min carries it to the error
+bound above, which is never below alpha^t ||ref||^2. That smaller form is
+not a bound: on a 4x3 system with column scales 1, 10 and 0.1 the exact
+E||e_1||^2 is 1.34 times it.
 
 The extended-Kaczmarz bound is Zouzias & Freris's ("Randomized extended
-Kaczmarz for solving least squares", SIMAX 2013)
-
-    alpha^floor(t/2) (1 + 2 kappa^2) ||ref||^2,
-
-which scales with y and at t = 0 dominates the deterministic initial error
-||ref||^2. The other published form, alpha^floor(t/2) (1 + 2 (sigma_min /
-sigma_max)^2 ||ref||^2), does neither: on the 300x30 over-inconsistent
-Gaussian system of seed 1 it gives 27.9 at t = 0, below the exact initial
-error 47.3, so it is not a bound and is not offered.
+Kaczmarz for solving least squares", SIMAX 2013), which scales with y and
+at t = 0 dominates the deterministic initial error ||ref||^2. The other
+published form, alpha^floor(t/2) (1 + 2 (sigma_min / sigma_max)^2
+||ref||^2), does neither: on the 300x30 over-inconsistent Gaussian system
+of seed 1 it gives 27.9 at t = 0, below the exact initial error 47.3, so
+it is not a bound and is not offered.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .linalg import LinearSystem, Regime, spectral_summary
+from .solvers import SolverKind
 
 
 @dataclass(frozen=True)
 class TheoryBound:
-    """Spectral constants feeding the per-iteration bound evaluators.
+    """One system's bound constants; ``curve`` turns them into each solver's bound.
 
     alpha: contraction factor 1 - sigma_min^2 / ||X||_F^2, in [0, 1).
     B: ||X ref||^2 / ||X||_F^2 (the extended-method forcing term).
@@ -55,6 +62,8 @@ class TheoryBound:
         rounds there: the RGS error bound at t = 0.
     kappa_sq_term: 1 + 2 kappa^2 with kappa the condition number.
     horizon: ||r||^2 / sigma_min^2 for inconsistent systems, else exactly 0.
+    ref_sq: ||ref||^2, the deterministic error at t = 0.
+    regime: the system's regime.
     """
 
     alpha: float
@@ -62,6 +71,8 @@ class TheoryBound:
     rgs_init: float
     kappa_sq_term: float
     horizon: float
+    ref_sq: float
+    regime: Regime
 
     @classmethod
     def from_system(cls, system: LinearSystem) -> "TheoryBound":
@@ -86,6 +97,8 @@ class TheoryBound:
             rgs_init=max(xref_sq / summary.lambda_min, ref_sq),
             kappa_sq_term=1.0 + 2.0 * summary.kappa**2,
             horizon=r_sq / summary.lambda_min,
+            ref_sq=ref_sq,
+            regime=system.regime,
         )
         # an inf here would print inf bounds, and NaN once alpha^t underflows to 0
         if not all(map(math.isfinite, (ref_sq, bound.B, bound.rgs_init, bound.kappa_sq_term,
@@ -93,39 +106,28 @@ class TheoryBound:
             raise NumericalError(f"the bound constants overflow float64: {bound}")
         return bound
 
+    def curve(self, kind: SolverKind) -> Callable[[int], float]:
+        """t -> the bound_value of one solver on this system, as the module docstring gives it.
 
-def _check_iteration(t: int):
-    if t < 0:
-        raise ConfigurationError(f"iteration index must be nonnegative, got {t}")
+        REGS's bound is vacuous for alpha >= 1, which raises here, before any value is used.
+        """
+        a = self.alpha
+        if kind is SolverKind.RGS and self.regime is Regime.UNDERDETERMINED:
+            form = lambda t: math.nan  # RGS's limit is not the least-norm ref
+        elif kind is SolverKind.RK:
+            form = lambda t: a**t * self.ref_sq + self.horizon
+        elif kind is SolverKind.RGS:
+            form = lambda t: a**t * self.rgs_init
+        elif kind is SolverKind.REK:
+            form = lambda t: a ** (t // 2) * self.kappa_sq_term * self.ref_sq
+        else:
+            if a >= 1.0:
+                raise NumericalError(f"bound is vacuous for alpha = {a} >= 1")
+            form = lambda t: a**t * self.ref_sq + 2.0 * a ** (t // 2) * self.B / (1.0 - a)
 
+        def bound(t: int) -> float:
+            if t < 0:
+                raise ConfigurationError(f"iteration index must be nonnegative, got {t}")
+            return form(t)
 
-def bound_rk_consistent(bound: TheoryBound, t: int, init_err_sq: float) -> float:
-    """alpha^t * init_err_sq — consistent-regime expected-error envelope.
-
-    Also the plain Gauss-Seidel bound, with init_err_sq = ``rgs_init``.
-    """
-    _check_iteration(t)
-    return bound.alpha**t * init_err_sq
-
-
-def bound_rk_inconsistent(bound: TheoryBound, t: int, init_err_sq: float) -> float:
-    """alpha^t * init_err_sq + horizon; collapses to the consistent bound when r = 0."""
-    _check_iteration(t)
-    return bound.alpha**t * init_err_sq + bound.horizon
-
-
-def bound_rek(bound: TheoryBound, t: int, norm_ref_sq: float) -> float:
-    """Extended-Kaczmarz bound alpha^floor(t/2) * (1 + 2 kappa^2) * norm_ref_sq."""
-    _check_iteration(t)
-    return bound.alpha ** (t // 2) * bound.kappa_sq_term * norm_ref_sq
-
-
-def bound_regs(bound: TheoryBound, t: int, norm_ln_sq: float) -> float:
-    """Extended Gauss-Seidel bound alpha^t ||b_LN||^2 + 2 alpha^floor(t/2) B/(1-alpha)."""
-    _check_iteration(t)
-    if bound.alpha >= 1.0:
-        raise NumericalError(f"bound is vacuous for alpha = {bound.alpha} >= 1")
-    return bound.alpha**t * norm_ln_sq + 2.0 * bound.alpha ** (t // 2) * bound.B / (
-        1.0 - bound.alpha
-    )
-
+        return bound

@@ -82,7 +82,7 @@ def test_criterion_1_regs_bound_domination(tmp_path):
     ok = frac >= 0.95 and elapsed < 60.0
     assert _report(
         1,
-        "REGS 150x500 mean below bound_regs at >=95% of recorded iterations",
+        "REGS 150x500 mean below the REGS bound at >=95% of recorded iterations",
         ok,
         f"fraction={frac:.3f} over {total} rows, {elapsed:.1f}s",
     )

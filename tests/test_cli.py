@@ -8,7 +8,7 @@ from kaczgs import cli
 from kaczgs.errors import NumericalError
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
 from kaczgs.problems import SIDECAR, load_system, save_system, write_matrix, write_vector
-from kaczgs.solvers import LOCKSTEP_MIN_TRIALS
+from kaczgs.solvers import CONVERGENT_PAIRS, LOCKSTEP_MIN_TRIALS, SolverKind
 from kaczgs.theory import TheoryBound
 
 
@@ -275,6 +275,36 @@ class TestBounds:
         ]
         assert out.read_text().splitlines() == expected
         assert float(expected[1].split(",")[1]) >= ref_sq
+
+    @pytest.mark.parametrize("regime, m, n", [
+        ("over-consistent", 40, 8), ("over-inconsistent", 30, 5), ("underdetermined", 8, 30),
+    ])
+    def test_compare_and_bounds_emit_the_same_curve(self, regime, m, n, tmp_path):
+        target = tmp_path / "sys"
+        assert _run(["gen", "--m", str(m), "--n", str(n), "--regime", regime, "--seed", "2",
+                     "--out", str(target)]) == 0
+        stride = ["--max-iter", "400", "--record-every", "10"]
+        assert _run(["compare", "--system", str(target), "--trials", "2", *stride,
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        emitted = {}  # solver -> {iteration: bound_value text}
+        for line in (tmp_path / "c.csv").read_text().splitlines()[1:]:
+            fields = line.split(",")
+            emitted.setdefault(fields[1].lower(), {})[fields[0]] = fields[-1]
+        convergent = {k.value for k in SolverKind if (k, Regime(regime)) in CONVERGENT_PAIRS}
+        assert set(emitted) == convergent
+        for solver in ("rk", "rgs", "rek", "regs"):
+            out = tmp_path / f"{solver}.csv"
+            assert _run(["bounds", "--system", str(target), "--solver", solver, *stride,
+                         "--out", str(out)]) == 0
+            curve = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+            if solver in emitted:
+                shared = curve.keys() & emitted[solver].keys()
+                assert "0" in shared and len(shared) > 1
+                assert all(emitted[solver][t] == curve[t] for t in shared), solver
+            if solver == "rgs" and regime == "underdetermined":
+                assert set(curve.values()) == {"nan"}
+            else:
+                assert "nan" not in curve.values()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--record-every", "0", "record_every must be >= 1, got 0"),

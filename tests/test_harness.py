@@ -27,6 +27,7 @@ from kaczgs.problems import (
     save_system,
 )
 from kaczgs.solvers import LOCKSTEP_MIN_TRIALS, SolverKind, run
+from kaczgs.theory import TheoryBound
 
 
 @pytest.fixture
@@ -141,7 +142,7 @@ class TestRunExperiment:
         _it, _kind, mean, _median, _mn, _mx, bound = trace.rows[0]
         assert mean <= bound
         systems = harness._trial_systems(cfg, load_system(tmp_path))
-        bounds = [harness.solver_bound(s, kind) for s in systems]
+        bounds = [TheoryBound.from_system(s).curve(kind) for s in systems]
         for it, _kind, _mean, _median, _mn, _mx, bound in trace.rows:
             assert bound == sum(b(it) for b in bounds) / 3
 

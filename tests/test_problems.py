@@ -440,6 +440,13 @@ class TestTextFormats:
         with pytest.raises(ParseError, match=r"v\.txt:3"):
             read_vector(path)
 
+    @pytest.mark.parametrize("read", [read_matrix, read_vector])
+    def test_non_utf8_byte_reports_line(self, tmp_path, read):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"2 1\n1\n\xff\n")
+        with pytest.raises(ParseError, match=r"a\.txt:3: not UTF-8 text"):
+            read(path)
+
     def test_empty_matrix_file(self, tmp_path):
         path = tmp_path / "X.txt"
         path.write_text("")

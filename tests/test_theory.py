@@ -1,8 +1,10 @@
-"""Bound evaluators: frozen arithmetic, limits, properties, and mean-trace domination."""
+"""Bound curves: frozen arithmetic, limits, properties, and mean-trace domination."""
 from __future__ import annotations
 
-
+import math
+from dataclasses import replace
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,18 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaczgs.errors import ConfigurationError, NumericalError
-from kaczgs.harness import _bound_evaluator, trial_rng
+from kaczgs.harness import trial_rng
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
-from kaczgs.solvers import CONVERGENT_PAIRS, SolveConfig, SolverKind, run
-from kaczgs.theory import (
-    TheoryBound,
-    bound_regs,
-    bound_rek,
-    bound_rk_consistent,
-    bound_rk_inconsistent,
-)
+from kaczgs.solvers import CONVERGENT_PAIRS, SolveConfig, SolverKind, make_solver, run
+from kaczgs.theory import TheoryBound
 
-from conftest import gaussian_system, rgs_one_step
+from conftest import STEP_DRAWS, gaussian_system, rgs_one_step, step
 
 
 def _bound_for(data) -> TheoryBound:
@@ -36,64 +32,74 @@ def _bound_for(data) -> TheoryBound:
 IDENTITY_BOUND = _bound_for(np.eye(2))  # alpha = 1/2, kappa = 1
 DIAG_BOUND = _bound_for([[1.0, 0.0], [0.0, 2.0]])  # alpha = 0.8, kappa = 2
 _PAIRS = sorted(CONVERGENT_PAIRS, key=lambda p: (p[0].value, p[1].value))
+RK, RGS, REK, REGS = SolverKind.RK, SolverKind.RGS, SolverKind.REK, SolverKind.REGS
+
+
+def _curve(tb: TheoryBound, kind: SolverKind, **fields):
+    """The curve of ``kind`` on ``tb`` with the given fields replaced."""
+    return replace(tb, **fields).curve(kind)
 
 
 class TestEvaluatorArithmetic:
     def test_rk_consistent_t0_is_initial_error(self):
-        assert bound_rk_consistent(DIAG_BOUND, 0, 7.5) == 7.5
+        assert _curve(DIAG_BOUND, RK, ref_sq=7.5)(0) == 7.5
 
     def test_rk_consistent_identity_matrix(self):
         assert IDENTITY_BOUND.alpha == pytest.approx(0.5, rel=1e-12)
-        assert bound_rk_consistent(IDENTITY_BOUND, 2, 4.0) == pytest.approx(1.0, rel=1e-12)
+        assert _curve(IDENTITY_BOUND, RK, ref_sq=4.0)(2) == pytest.approx(1.0, rel=1e-12)
 
     def test_rk_consistent_diag(self):
         assert DIAG_BOUND.alpha == pytest.approx(0.8, rel=1e-12)
-        assert bound_rk_consistent(DIAG_BOUND, 3, 1.0) == pytest.approx(0.512, rel=1e-12)
+        assert _curve(DIAG_BOUND, RK, ref_sq=1.0)(3) == pytest.approx(0.512, rel=1e-12)
 
     def test_rk_inconsistent_collapses_when_consistent(self):
         for t in (0, 3, 10):
-            assert bound_rk_inconsistent(DIAG_BOUND, t, 2.0) == pytest.approx(
-                bound_rk_consistent(DIAG_BOUND, t, 2.0)
-            )
+            inconsistent = _curve(DIAG_BOUND, RK, ref_sq=2.0, regime=Regime.OVER_INCONSISTENT)
+            assert inconsistent(t) == pytest.approx(_curve(DIAG_BOUND, RK, ref_sq=2.0)(t))
 
     def test_rk_inconsistent_limit_is_horizon(self):
-        tb = TheoryBound(alpha=0.8, B=1.0, rgs_init=1.0, kappa_sq_term=9.0, horizon=3.25)
-        assert bound_rk_inconsistent(tb, 10_000, 5.0) == pytest.approx(3.25)
+        tb = TheoryBound(alpha=0.8, B=1.0, rgs_init=1.0, kappa_sq_term=9.0, horizon=3.25,
+                         ref_sq=5.0, regime=Regime.OVER_INCONSISTENT)
+        assert tb.curve(RK)(10_000) == pytest.approx(3.25)
 
     def test_rek_t0_with_zero_reference_norm(self):
-        assert bound_rek(DIAG_BOUND, 0, 0.0) == 0.0
+        assert _curve(DIAG_BOUND, REK, ref_sq=0.0)(0) == 0.0
 
     def test_rek_floor_behavior(self):
-        assert bound_rek(DIAG_BOUND, 1, 2.0) == bound_rek(DIAG_BOUND, 0, 2.0)
+        assert _curve(DIAG_BOUND, REK, ref_sq=2.0)(1) == _curve(DIAG_BOUND, REK, ref_sq=2.0)(0)
 
     def test_rek_diag_value(self):
         # alpha^floor(4/2) * (1 + 2 kappa^2) * 1 = 0.8^2 * 9
-        assert bound_rek(DIAG_BOUND, 4, 1.0) == pytest.approx(5.76, rel=1e-12)
+        assert _curve(DIAG_BOUND, REK, ref_sq=1.0)(4) == pytest.approx(5.76, rel=1e-12)
 
     def test_comparison_kappa_one(self):
-        assert bound_rek(IDENTITY_BOUND, 0, 2.0) == pytest.approx(6.0)
+        assert _curve(IDENTITY_BOUND, REK, ref_sq=2.0)(0) == pytest.approx(6.0)
 
     def test_comparison_kappa_two(self):
         assert DIAG_BOUND.kappa_sq_term == pytest.approx(9.0, rel=1e-12)
-        assert bound_rek(DIAG_BOUND, 0, 1.0) == pytest.approx(9.0)
+        assert _curve(DIAG_BOUND, REK, ref_sq=1.0)(0) == pytest.approx(9.0)
 
     def test_regs_t0_substitution(self):
-        tb = TheoryBound(alpha=0.5, B=2.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0)
-        assert bound_regs(tb, 0, 4.0) == pytest.approx(4.0 + 2.0 * 2.0 / 0.5)
+        tb = TheoryBound(alpha=0.5, B=2.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0,
+                         ref_sq=4.0, regime=Regime.UNDERDETERMINED)
+        assert tb.curve(REGS)(0) == pytest.approx(4.0 + 2.0 * 2.0 / 0.5)
 
     def test_regs_zero_system(self):
-        tb = TheoryBound(alpha=0.5, B=0.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0)
+        tb = TheoryBound(alpha=0.5, B=0.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0,
+                         ref_sq=0.0, regime=Regime.UNDERDETERMINED)
         for t in (0, 1, 5, 50):
-            assert bound_regs(tb, t, 0.0) == 0.0
+            assert tb.curve(REGS)(t) == 0.0
 
     def test_regs_vacuous_alpha_rejected(self):
-        tb = TheoryBound(alpha=1.0, B=1.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0)
-        with pytest.raises(NumericalError):
-            bound_regs(tb, 1, 1.0)
+        tb = TheoryBound(alpha=1.0, B=1.0, rgs_init=1.0, kappa_sq_term=3.0, horizon=0.0,
+                         ref_sq=1.0, regime=Regime.UNDERDETERMINED)
+        with pytest.raises(NumericalError):  # on building the curve, before any value
+            tb.curve(REGS)
 
     def test_negative_iteration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bound_rk_consistent(DIAG_BOUND, -1, 1.0)
+        for kind in SolverKind:
+            with pytest.raises(ConfigurationError):
+                _curve(DIAG_BOUND, kind, ref_sq=1.0)(-1)
 
 
 class TestTheoryBoundConstruction:
@@ -107,6 +113,12 @@ class TestTheoryBoundConstruction:
         tb = TheoryBound.from_system(sys_)
         assert 0.0 < tb.alpha < 1.0
         assert tb.horizon == 0.0
+
+    def test_ref_sq_and_regime_are_the_systems(self):
+        sys_ = gaussian_system(20, 5, Regime.OVER_INCONSISTENT, seed=11)
+        tb = TheoryBound.from_system(sys_)
+        assert tb.ref_sq == float(sys_.reference @ sys_.reference)
+        assert tb.regime is Regime.OVER_INCONSISTENT
 
     def test_horizon_matches_numpy_oracle(self):
         sys_ = gaussian_system(20, 5, Regime.OVER_INCONSISTENT, seed=11)
@@ -149,8 +161,7 @@ class TestRgsBound:
         errors = [rgs_one_step(sys_, np.zeros(3), j) - beta for j in range(3)]
         exact = sum(p * float(e @ e) for p, e in zip(probs, errors))
         assert exact == pytest.approx(1.6845, abs=1e-4)
-        bound = _bound_evaluator(sys_, SolverKind.RGS, TheoryBound.from_system(sys_))
-        assert bound(1) >= exact
+        assert TheoryBound.from_system(sys_).curve(RGS)(1) >= exact
 
     def test_rgs_init_is_x_ref_over_lambda_min(self):
         sys_ = gaussian_system(20, 5, Regime.OVER_INCONSISTENT, seed=11)
@@ -158,17 +169,69 @@ class TestRgsBound:
         xref = sys_.X.data @ sys_.reference
         lambda_min = np.linalg.svd(sys_.X.data, compute_uv=False)[-1] ** 2
         assert tb.rgs_init == pytest.approx(float(xref @ xref) / lambda_min, rel=1e-10)
-        assert _bound_evaluator(sys_, SolverKind.RGS, tb)(7) == tb.alpha**7 * tb.rgs_init
+        assert tb.curve(RGS)(7) == tb.alpha**7 * tb.rgs_init
+
+
+#: every cell whose curve is finite: the convergent pairs and RK's horizon bound
+_FINITE_CELLS = sorted(CONVERGENT_PAIRS | {(RK, Regime.OVER_INCONSISTENT)},
+                       key=lambda p: (p[0].value, p[1].value))
+
+
+class TestOneStepExpectation:
+    """The exact E||beta_1 - ref||^2 from zero, over every draw of one step, is below curve(1)."""
+
+    @staticmethod
+    def _system(regime, rows, seed, noise, scaled):
+        """A rows x 3 (3 x rows if underdetermined) Gaussian system, scaled by 1, 10, 0.1.
+
+        Overdetermined, the columns are scaled and y is X ref + r again, which keeps
+        ref and r; underdetermined, the rows and y, which keeps the solution set.
+        Unscaled if not ``scaled``.
+        """
+        under = regime is Regime.UNDERDETERMINED
+        sys_ = gaussian_system(*((3, rows) if under else (rows, 3)), regime, seed=seed,
+                               noise_scale=noise)
+        if not scaled:
+            return sys_
+        d = np.array([1.0, 10.0, 0.1])
+        if under:
+            return LinearSystem(DenseMatrix(d[:, None] * sys_.X.data), d * sys_.y, regime,
+                                reference=sys_.reference)
+        X, r = sys_.X.data * d, sys_.residual_ref
+        return LinearSystem(DenseMatrix(X), X @ sys_.reference + (0.0 if r is None else r),
+                            regime, reference=sys_.reference, residual_ref=r)
+
+    # the noisy system is one where RK's horizon term is needed, the scaled one
+    # where RGS's alpha^t ||ref||^2 falls below the exact error
+    @pytest.mark.parametrize("rows, seed, noise, scaled", [
+        (6, 1, 1.0, False), (6, 2, 10.0, False), (4, 1, 1.0, True),
+    ], ids=["plain", "noisy", "scaled"])
+    @pytest.mark.parametrize("kind,regime", _FINITE_CELLS)
+    def test_exact_expectation_below_curve(self, kind, regime, rows, seed, noise, scaled):
+        sys_ = self._system(regime, rows, seed, noise, scaled)
+        X = sys_.X
+        probs = {"row": X.row_norms_sq / X.frob_sq, "col": X.col_norms_sq / X.frob_sq}
+        axes = STEP_DRAWS[kind]  # in the order one step draws them
+        solver = make_solver(kind, sys_)
+        exact = 0.0
+        for draws in product(*(range(probs[axis].size) for axis in axes)):
+            state = solver.init_state()
+            step(solver, state, draws)
+            e = solver.estimate(state) - sys_.reference
+            exact += math.prod(probs[a][d] for a, d in zip(axes, draws)) * float(e @ e)
+        assert exact <= TheoryBound.from_system(sys_).curve(kind)(1) * (1 + 8 * 2**-52)
 
 
 class TestMonotonicity:
     def test_all_evaluators_non_increasing(self):
-        tb = TheoryBound(alpha=0.93, B=1.7, rgs_init=1.0, kappa_sq_term=11.0, horizon=0.4)
+        tb = TheoryBound(alpha=0.93, B=1.7, rgs_init=1.0, kappa_sq_term=11.0, horizon=0.4,
+                         ref_sq=3.0, regime=Regime.OVER_INCONSISTENT)
         evals = [
-            lambda t: bound_rk_consistent(tb, t, 3.0),
-            lambda t: bound_rk_inconsistent(tb, t, 3.0),
-            lambda t: bound_rek(tb, t, 3.0),
-            lambda t: bound_regs(tb, t, 3.0),
+            _curve(tb, RK, horizon=0.0, regime=Regime.OVER_CONSISTENT),
+            tb.curve(RK),
+            tb.curve(RGS),
+            tb.curve(REK),
+            tb.curve(REGS),
         ]
         for ev in evals:
             values = [ev(t) for t in range(80)]
@@ -193,12 +256,12 @@ def _pair_systems(draw):
 
 def _emitted(kind, sys_) -> list[float]:
     """The bound_value that compare emits for this pair, at _ITERATIONS."""
-    bound_fn = _bound_evaluator(sys_, kind, TheoryBound.from_system(sys_))
+    bound_fn = TheoryBound.from_system(sys_).curve(kind)
     return [bound_fn(t) for t in _ITERATIONS]
 
 
 class TestEmittedBoundProperties:
-    """Invariants of the emitted bound of every convergent pair (harness._bound_evaluator)."""
+    """Invariants of the emitted bound of every convergent pair (TheoryBound.curve)."""
 
     @_property_settings
     @given(_pair_systems())
@@ -246,7 +309,7 @@ def _mean_trace(kind, regime, seed):
         for t in range(horizon_t + 1):
             prev = errs.get(t, last if t >= tr.records[-1][0] else prev)
             sums[t] += prev
-    bound_fn = _bound_evaluator(sys_, kind, TheoryBound.from_system(sys_))
+    bound_fn = TheoryBound.from_system(sys_).curve(kind)
     return sums / trials, np.array([bound_fn(t) for t in range(horizon_t + 1)])
 
 
