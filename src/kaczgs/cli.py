@@ -15,6 +15,13 @@ Subcommands:
 ``harness`` writes every CSV, and the library's config objects check the
 flags. Every CSV output path may be '-' for stdout.
 
+``main`` registers all five subcommands with their help lines, but adds
+the arguments of only the one that argparse dispatches to: the first token
+of argv that is not an option. Every help text, usage line, error and exit
+code is that of the parser with every subcommand's arguments
+(``build_parser()``), whose add_argument calls are most of the time it
+takes to build.
+
 Exit codes: 0 on success, 2 on configuration errors (including malformed
 or non-UTF-8 inputs and paths that cannot be opened), 3 on numerical errors.
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 
 from .errors import ConfigurationError, NumericalError
@@ -71,67 +79,61 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="-", help="output file, '-' for stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kaczgs",
-        description="Randomized Kaczmarz / Gauss-Seidel solvers, problem generators, "
-        "convergence experiments, and theory-bound curves.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _gen_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--regime", choices=_values(Regime), required=True)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--noise-scale", type=float, default=1.0)
+    parser.add_argument("--out", required=True, help="system directory to write")
 
-    p_gen = sub.add_parser("gen", help="generate a Gaussian system directory")
-    p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--regime", choices=_values(Regime), required=True)
-    p_gen.add_argument("--seed", type=_seed, default=0)
-    p_gen.add_argument("--noise-scale", type=float, default=1.0)
-    p_gen.add_argument("--out", required=True, help="system directory to write")
 
-    p_tomo = sub.add_parser("tomo", help="generate a tomography-style system directory")
-    p_tomo.add_argument("--grid-n", type=int, required=True)
-    p_tomo.add_argument("--oversample", type=int, required=True)
-    p_tomo.add_argument("--seed", type=_seed, default=0)
-    p_tomo.add_argument("--out", required=True, help="system directory to write")
+def _tomo_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--grid-n", type=int, required=True)
+    parser.add_argument("--oversample", type=int, required=True)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--out", required=True, help="system directory to write")
 
-    p_solve = sub.add_parser("solve", help="single-trial run with per-iteration CSV")
-    p_solve.add_argument("--system", required=True, help="system directory")
-    p_solve.add_argument("--solver", choices=_values(SolverKind), required=True)
-    p_solve.add_argument("--stop-metric", choices=_values(StopMetric), default="error")
-    p_solve.add_argument(
+
+def _solve_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--system", required=True, help="system directory")
+    parser.add_argument("--solver", choices=_values(SolverKind), required=True)
+    parser.add_argument("--stop-metric", choices=_values(StopMetric), default="error")
+    parser.add_argument(
         "--trial", type=int, default=0, help="trial index, from 0 (seeds the stream)"
     )
-    _add_common(p_solve)
+    _add_common(parser)
 
-    p_cmp = sub.add_parser("compare", help="multi-trial, multi-solver aggregate CSV")
-    p_cmp.add_argument("--system", required=True)
-    p_cmp.add_argument(
+
+def _compare_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--system", required=True)
+    parser.add_argument(
         "--solvers",
         default="rk,rgs,rek,regs",
         help="comma-separated subset of rk,rgs,rek,regs (default all)",
     )
-    p_cmp.add_argument("--trials", type=int, default=50)
-    p_cmp.add_argument(
+    parser.add_argument("--trials", type=int, default=50)
+    parser.add_argument(
         "--workers",
         type=int,
         default=1,
         help="accepted and validated (>= 1) but has no effect: trials run in one thread",
     )
-    p_cmp.add_argument(
+    parser.add_argument(
         "--redraw-per-trial",
         action="store_true",
         help="redraw the matrix for every trial instead of sharing one draw",
     )
-    p_cmp.add_argument(
+    parser.add_argument(
         "--timings-out", default=None, help="optional wall-clock CSV path, '-' for stdout"
     )
-    _add_common(p_cmp)
+    _add_common(parser)
 
-    p_bounds = sub.add_parser("bounds", help="theory bound curve for one solver")
-    p_bounds.add_argument("--system", required=True)
-    p_bounds.add_argument("--solver", choices=_values(SolverKind), required=True)
-    _add_common(p_bounds)
 
-    return parser
+def _bounds_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--system", required=True)
+    parser.add_argument("--solver", choices=_values(SolverKind), required=True)
+    _add_common(parser)
 
 
 def _cmd_gen(args) -> int:
@@ -210,20 +212,43 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+#: name -> (help line, the function adding its arguments, the function running it)
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "tomo": _cmd_tomo,
-    "solve": _cmd_solve,
-    "compare": _cmd_compare,
-    "bounds": _cmd_bounds,
+    "gen": ("generate a Gaussian system directory", _gen_arguments, _cmd_gen),
+    "tomo": ("generate a tomography-style system directory", _tomo_arguments, _cmd_tomo),
+    "solve": ("single-trial run with per-iteration CSV", _solve_arguments, _cmd_solve),
+    "compare": ("multi-trial, multi-solver aggregate CSV", _compare_arguments, _cmd_compare),
+    "bounds": ("theory bound curve for one solver", _bounds_arguments, _cmd_bounds),
 }
 
 
+def build_parser(commands: Iterable[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The kaczgs parser, with the arguments of the subcommands in ``commands`` only.
+
+    Every subcommand is registered with its help line whatever ``commands``
+    holds, so the top-level help, usage and errors never depend on it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="kaczgs",
+        description="Randomized Kaczmarz / Gauss-Seidel solvers, problem generators, "
+        "convergence experiments, and theory-bound curves.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if name in commands:
+            add_arguments(subparser)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse dispatches on the first token that is not an option (the
+    # top-level parser has only -h), so only that subcommand needs its arguments
+    first = next((token for token in argv if not token.startswith("-")), None)
+    args = build_parser([first] if first in _COMMANDS else []).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (ConfigurationError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

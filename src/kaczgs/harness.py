@@ -173,19 +173,15 @@ def run_experiment(cfg: ExperimentConfig, system: LinearSystem | None = None) ->
         maxs = errs.max(axis=0)
         # clamp away 1-ulp float drift so the band invariant min<=mean<=max is exact
         means = np.clip(errs.mean(axis=0), mins, maxs)
-        for gi, g in enumerate(grid):
-            rows.append(
-                (
-                    g,
-                    kind,
-                    float(means[gi]),
-                    float(medians[gi]),
-                    float(mins[gi]),
-                    float(maxs[gi]),
-                    float(bound_fn(g)),
-                )
+        # the column lists are freed with this statement, before the next solver's
+        # batch allocates: kept alive across it, they fragment the heap
+        rows.extend(
+            (g, kind, mean, median, mn, mx, float(bound_fn(g)))
+            for g, mean, median, mn, mx in zip(
+                grid, means.tolist(), medians.tolist(), mins.tolist(), maxs.tolist()
             )
-        timing_rows.extend((g, kind, float(sec)) for g, sec in zip(grid, mean_cum))
+        )
+        timing_rows.extend((g, kind, sec) for g, sec in zip(grid, mean_cum.tolist()))
     return AggregateTrace(rows=rows, timings=timing_rows)
 
 
@@ -242,16 +238,20 @@ def emit_trace_csv(trace: ConvergenceTrace, fh) -> None:
 
 
 def emit_bounds_csv(bound: Callable[[int], float], cfg: SolveConfig, fh) -> None:
-    """Write a bound curve (iteration,bound_value) at t = 0, record_every, ..., max_iter."""
+    """Write a bound curve (iteration,bound_value) on compare's grid.
+
+    The rows are t = 0, record_every, 2 record_every, ... up to the last
+    multiple of record_every that is at most max_iter, which is max_iter
+    itself only when record_every divides it.
+    """
     fh.write("iteration,bound_value\n")
     for t in range(0, cfg.max_iter + 1, cfg.record_every):
         fh.write(f"{t},{bound(t)!r}\n")
 
 
 def print_timing_summary(trace: AggregateTrace, stream) -> None:
-    totals: dict[SolverKind, float] = {}
-    for it, kind, sec in trace.timings:
-        totals[kind] = max(totals.get(kind, 0.0), sec)
+    # a solver's mean cumulative time never decreases along its grid, so its last is its total
+    totals = {kind: sec for _, kind, sec in trace.timings}
     for kind, sec in totals.items():
         print(f"{kind.name}: ~{sec:.3f}s mean wall-clock per trial", file=stream)
     if trace.excluded:

@@ -33,12 +33,23 @@ so adding, deleting or editing any array file makes the sidecar miss.
 Deleting the sidecar is always safe; the text files stay canonical and a
 system loads to the same bits either way. The archive carries no
 timestamp, so it too is a pure function of the system.
+
+load_system reads the archive in one zipfile pass, which checks each
+member's CRC, and takes the arrays straight from the member bytes. It
+accepts only what np.savez writes for it: stored (uncompressed) members
+named digest.npy and one per present array file, each an npy v1.0 header
+of exactly the form ``{'descr': '<f8' or '|u1', 'fortran_order': False,
+'shape': (m,) or (m, n), }`` followed by exactly the data that shape
+holds. Anything else (another npy version or dtype, Fortran order, a
+short or long data block, a missing or extra member, a compressed or
+unreadable one) is a miss, and the text is parsed.
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import math
+import re
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -428,16 +439,51 @@ def _text_digest(texts: dict[str, bytes]) -> bytes:
     return h.digest()
 
 
+#: the npy v1.0 header that np.savez writes for a C-order float64 or uint8
+#: array of one or two dimensions, after the magic and the header length
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '(<f8|\|u1)', 'fortran_order': False, 'shape': \((\d+)(?:,|, (\d+))\), \} *\n"
+)
+
+
+def _npy_array(blob: bytes) -> np.ndarray | None:
+    """The array of one sidecar member, or None unless it has exactly that header."""
+    if not blob.startswith(_NPY_MAGIC):
+        return None
+    start = 10 + int.from_bytes(blob[8:10], "little")
+    header = _NPY_HEADER.fullmatch(blob, 10, start)
+    if header is None:
+        return None
+    descr, *dims = header.groups()
+    shape = tuple(int(d) for d in dims if d is not None)
+    dtype, count = np.dtype(descr.decode()), math.prod(shape)
+    if len(blob) - start != count * dtype.itemsize:
+        return None
+    return np.frombuffer(blob, dtype, count=count, offset=start).reshape(shape)
+
+
 def _read_sidecar(path: Path, texts: dict[str, bytes]) -> dict[str, np.ndarray] | None:
-    """The sidecar's arrays if it is the cache of exactly ``texts``, else None."""
+    """The sidecar's arrays if it is the cache of exactly ``texts``, else None.
+
+    The arrays are views of the member bytes, which live until the caller's
+    DenseMatrix and LinearSystem have taken their copies.
+    """
+    members = {name.removesuffix(".txt") + ".npy": name for name in texts}
     try:
-        # np.load leaks the handle it opens when the archive is truncated
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if npz["digest"].tobytes() != _text_digest(texts):
+        with zipfile.ZipFile(path) as zf:
+            infos = zf.infolist()
+            if (sorted(info.filename for info in infos) != sorted(["digest.npy", *members])
+                    or any(info.compress_type != zipfile.ZIP_STORED for info in infos)):
                 return None
-            return {name: npz[name.removesuffix(".txt")] for name in texts}
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
-        return None  # missing, truncated or not written by save_system
+            digest = _npy_array(zf.read("digest.npy"))
+            if digest is None or digest.tobytes() != _text_digest(texts):
+                return None
+            arrays = {name: _npy_array(zf.read(member)) for member, name in members.items()}
+    # RuntimeError: a member flagged as encrypted or as needing a newer zip version
+    except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile):
+        return None  # missing, truncated, corrupt or not a zip archive
+    return None if any(a is None for a in arrays.values()) else arrays
 
 
 def save_system(system: LinearSystem, directory, spec: GenSpec | TomoSpec | None = None) -> None:

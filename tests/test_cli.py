@@ -1,6 +1,8 @@
 """CLI subcommands, schemas, determinism, exit codes."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,21 @@ class TestBounds:
             assert f"configuration error: {message}" in capsys.readouterr().err
         assert not any(out.exists() for out in outs.values())
 
+    @pytest.mark.parametrize("max_iter, every, iterations", [
+        (5, 10, [0]), (25, 10, [0, 10, 20]), (30, 10, [0, 10, 20, 30]), (7, 1, list(range(8))),
+    ])
+    def test_rows_stop_at_the_last_multiple_of_record_every(self, system_dir, tmp_path,
+                                                            max_iter, every, iterations):
+        # the same grid as a compare whose trials all run to the cap
+        stride = ["--max-iter", str(max_iter), "--record-every", str(every)]
+        assert _run(["bounds", "--system", str(system_dir), "--solver", "rk", *stride,
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert _run(["compare", "--system", str(system_dir), "--solvers", "rk", "--trials", "1",
+                     "--tol", "1e-300", *stride, "--out", str(tmp_path / "c.csv")]) == 0
+        for name in ("b.csv", "c.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert [int(row.split(",")[0]) for row in rows] == iterations, name
+
     def test_rek_form_option_is_gone(self, system_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             _run(["bounds", "--system", str(system_dir), "--solver", "rek",
@@ -455,6 +472,61 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             _run([])
         assert exc.value.code == 2
+
+    @staticmethod
+    def _text(parse, argv, capsys):
+        """(exit code, stdout, stderr) of a parse that ends the program, as argparse's do."""
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    # main builds the arguments of the dispatched subcommand only; every help
+    # text, usage line and parse error must be those of the full parser
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], *([name, "-h"] for name in cli._COMMANDS), [], ["nosuch"],
+        ["-h", "bounds"], ["--", "bounds", "-h"], ["--verbose", "bounds", "-h"], ["gen", "bounds"],
+        ["--verbose", "bounds", "--system", "s", "--solver", "rk"],
+        ["gen", "--m", "3"], ["tomo"], ["solve", "--solver", "rk"], ["compare"],
+        ["bounds", "--solver", "rk"],
+        ["solve", "--system", "s", "--solver", "nope"],
+        ["bounds", "--system", "s", "--solver", "nope"],
+        ["compare", "--system", "s", "--seed", "-1"],
+        ["bounds", "--system", "s", "--solver", "rk", "--rek-form", "comparison"],
+    ])
+    def test_text_is_the_full_parsers(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = self._text(cli.build_parser().parse_args, argv, capsys)
+        assert self._text(cli.main, argv, capsys) == full
+        assert full[1] or full[2]
+
+    @pytest.mark.parametrize("argv", [["bounds", "-h"], ["solve", "--solver", "nope"], ["nosuch"]])
+    def test_argv_defaults_to_sys_argv(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["kaczgs", *argv])
+        full = self._text(cli.build_parser().parse_args, argv, capsys)
+        assert self._text(lambda _: cli.main(), None, capsys) == full
+
+    @pytest.mark.parametrize("argv, built", [
+        (["bounds", "--system", "missing", "--solver", "rk"], ["bounds"]),
+        (["--verbose", "tomo", "--grid-n", "0", "--oversample", "2", "--out", "t"], ["tomo"]),
+        (["nosuch"], []),
+        (["-h"], []),
+    ])
+    def test_only_the_dispatched_subcommand_is_built(self, argv, built, monkeypatch, capsys):
+        calls = []
+        for name, (help_line, add_arguments, run) in cli._COMMANDS.items():
+            def spy(parser, name=name, add_arguments=add_arguments):
+                calls.append(name)
+                add_arguments(parser)
+
+            monkeypatch.setitem(cli._COMMANDS, name, (help_line, spy, run))
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert calls == built
 
     def test_stdout_output(self, system_dir, capsys):
         assert _run(["bounds", "--system", str(system_dir), "--solver", "rk",

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import tempfile
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -727,3 +729,102 @@ class TestSidecar:
         parsed = _text_parses(monkeypatch)
         assert _bits(load_system(tmp_path / "mine")) == _bits(mine)
         assert parsed == ["X.txt", "y.txt", "reference.txt"]
+
+
+def _npy(array, version=(1, 0)) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, version=version)
+    return buf.getvalue()
+
+
+def _flag_first_member_encrypted(blob: bytes) -> bytes:
+    at = blob.index(b"PK\x01\x02") + 8  # the general-purpose flags of the first central entry
+    flags = int.from_bytes(blob[at:at + 2], "little") | 1
+    return blob[:at] + flags.to_bytes(2, "little") + blob[at + 2:]
+
+
+def _rewrite_sidecar(path, edit, compression=zipfile.ZIP_STORED) -> None:
+    """Rewrite the sidecar's members, a dict of name -> bytes, through ``edit``."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    edit(members)
+    with zipfile.ZipFile(path, "w", compression) as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
+class TestStrictSidecarReader:
+    """A member is read only in the exact layout np.savez gives it; anything else misses."""
+
+    ALL = ["X.txt", "y.txt", "reference.txt", "residual.txt"]
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        sys_ = gen_gaussian(GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3))
+        save_system(sys_, tmp_path)
+        return sys_, tmp_path / SIDECAR
+
+    def test_rewritten_archive_still_hits(self, saved, monkeypatch):
+        sys_, path = saved
+        _rewrite_sidecar(path, lambda members: None)
+        parsed = _text_parses(monkeypatch)
+        assert _bits(load_system(path.parent)) == _bits(sys_)
+        assert parsed == []
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: m.update({"X.npy": _npy(np.asfortranarray(np.load(
+            io.BytesIO(m["X.npy"]))))}), id="fortran-order"),
+        pytest.param(lambda m: m.update({"X.npy": _npy(np.load(io.BytesIO(m["X.npy"]))
+                                                     .astype(np.float32))}), id="float32"),
+        pytest.param(lambda m: m.update({"y.npy": _npy(np.load(io.BytesIO(m["y.npy"])),
+                                                     version=(2, 0))}), id="npy-v2.0"),
+        pytest.param(lambda m: m.update({"reference.npy": m["reference.npy"][:-8]}),
+                     id="short-data"),
+        pytest.param(lambda m: m.update({"residual.npy": m["residual.npy"] + bytes(8)}),
+                     id="long-data"),
+        pytest.param(lambda m: m.update({"extra.npy": m["y.npy"]}), id="extra-member"),
+        pytest.param(lambda m: m.pop("digest.npy"), id="no-digest"),
+        pytest.param(lambda m: m.update({"X.npy": _npy(np.load(io.BytesIO(m["X.npy"]))[None])}),
+                     id="3-d"),
+    ])
+    def test_other_layouts_miss(self, saved, monkeypatch, edit):
+        sys_, path = saved
+        _rewrite_sidecar(path, edit)
+        parsed = _text_parses(monkeypatch)
+        assert _bits(load_system(path.parent)) == _bits(sys_)
+        assert parsed == self.ALL
+
+    def test_compressed_members_miss(self, saved, monkeypatch):
+        sys_, path = saved
+        _rewrite_sidecar(path, lambda members: None, zipfile.ZIP_DEFLATED)
+        parsed = _text_parses(monkeypatch)
+        assert _bits(load_system(path.parent)) == _bits(sys_)
+        assert parsed == self.ALL
+
+    def test_member_zipfile_cannot_read_misses(self, saved, monkeypatch):
+        sys_, path = saved
+        path.write_bytes(_flag_first_member_encrypted(path.read_bytes()))
+        with zipfile.ZipFile(path) as zf, pytest.raises(RuntimeError, match="encrypted"):
+            zf.read(zf.namelist()[0])
+        parsed = _text_parses(monkeypatch)
+        assert _bits(load_system(path.parent)) == _bits(sys_)
+        assert parsed == self.ALL
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3),
+        GenSpec(m=3, n=7, regime=Regime.UNDERDETERMINED, seed=4),
+        TomoSpec(grid_n=3, oversample=2, seed=5),
+    ])
+    def test_hit_is_what_np_load_reads(self, tmp_path, spec):
+        sys_ = (gen_gaussian if isinstance(spec, GenSpec) else gen_tomography)(spec)
+        save_system(sys_, tmp_path, spec)
+        texts = {name: (tmp_path / name).read_bytes()
+                 for name in self.ALL if (tmp_path / name).exists()}
+        arrays = problems._read_sidecar(tmp_path / SIDECAR, texts)
+        with np.load(tmp_path / SIDECAR, allow_pickle=False) as npz:
+            assert list(arrays) == list(texts)
+            for name, array in arrays.items():
+                want = npz[name.removesuffix(".txt")]
+                assert (array.dtype, array.shape, array.flags.c_contiguous) == (
+                    want.dtype, want.shape, want.flags.c_contiguous)
+                assert array.tobytes() == want.tobytes()
