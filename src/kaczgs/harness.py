@@ -17,9 +17,13 @@ an amortized per-trial time, read once a span and interpolated by step
 count at the grid points inside it (``solvers.BatchTrace``). Trials run
 in one thread. A per-trial redraw draws each trial's system once, for
 every solver, from the generator recorded in the system directory
-(``problems.redraw``), and runs each trial as a batch of one on its
-system; ``bound_value`` is then the mean over trials of each redrawn
-system's own bound, so it bounds the mean error where they do.
+(``problems.redraw``). Either way a solver runs one ``run_batch`` per
+distinct system: every trial on the shared system, or each trial alone on
+its redrawn one. ``bound_value`` is the mean over the distinct systems of
+each one's own bound (a lone bound divided by 1 is the same float), so it
+bounds the mean error where they do. Each system's bound constants are
+``TheoryBound.from_system``'s, as for ``kaczgs bounds``, so a system that
+``bounds`` rejects fails the experiment with the same error.
 
 The four CSV writers each take an open text file and write LF line
 endings and full-precision (repr) decimals:
@@ -35,7 +39,6 @@ comparison are kept out of it for exactly this reason.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,10 +51,12 @@ from .problems import load_system, redraw
 from .sampling import Prng, check_seed, spawn_trial_rng
 from .solvers import (
     CONVERGENT_PAIRS,
+    BatchTrace,
     ConvergenceTrace,
     SolveConfig,
     SolverKind,
     _pairs_help,
+    _require_reference,
     run_batch,
 )
 from .theory import TheoryBound
@@ -101,13 +106,6 @@ class AggregateTrace:
     timings: list[tuple[int, SolverKind, float]] = field(default_factory=list)
 
 
-def _theory_bound(system: LinearSystem) -> TheoryBound | None:
-    try:
-        return TheoryBound.from_system(system)
-    except ConfigurationError:
-        return None
-
-
 def _trial_systems(cfg: ExperimentConfig, system: LinearSystem) -> list[LinearSystem]:
     """The system of each trial, shared by every solver: ``system``, or one redraw per trial."""
     if not cfg.redraw_matrix_per_trial:
@@ -129,27 +127,23 @@ def trial_rng(base_seed: int, kind: SolverKind, trial: int) -> Prng:
     return spawn_trial_rng(base_seed, trial * len(SolverKind) + _KIND_ORDINAL[kind])
 
 
-def _trials_on_grid(
-    cfg: ExperimentConfig, systems: list[LinearSystem], kind: SolverKind
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """(grid, errors of shape (trials, grid), mean cumulative seconds per grid point).
+def _stacked(batches: list[BatchTrace]) -> tuple[np.ndarray, np.ndarray]:
+    """(errors of every trial, mean cumulative seconds) on the widest batch's grid.
 
-    Under a per-trial redraw each trial is a batch of one, whose grid is
-    padded forward with its terminal error and its clock with its last read.
+    A narrower batch is padded forward: each trial with its terminal error,
+    the clock with its last read. One batch's arrays are used as they are,
+    so a shared system's (trials, grid) errors are never copied.
     """
-    solve_cfg = cfg.solve_config()
-    rngs = [trial_rng(cfg.base_seed, kind, trial) for trial in range(cfg.trials)]
-    if cfg.redraw_matrix_per_trial:
-        batches = [run_batch(s, kind, solve_cfg, [rng]) for s, rng in zip(systems, rngs)]
-        width = max(b.errors.shape[1] for b in batches)
-        errs = np.array([np.pad(b.errors[0], (0, width - b.errors.shape[1]),
-                                constant_values=b.final_errors[0]) for b in batches])
-        secs = np.mean([np.pad(b.mean_cum_seconds, (0, width - b.errors.shape[1]), mode="edge")
-                        for b in batches], axis=0)
-    else:
-        batch = run_batch(systems[0], kind, solve_cfg, rngs)
-        errs, secs = batch.errors, batch.mean_cum_seconds
-    return list(range(0, errs.shape[1] * cfg.record_every, cfg.record_every)), errs, secs
+    if len(batches) == 1:
+        return batches[0].errors, batches[0].mean_cum_seconds
+    width = max(b.errors.shape[1] for b in batches)
+    errs = np.concatenate([
+        np.hstack([b.errors, np.repeat(b.final_errors[:, None], width - b.errors.shape[1], 1)])
+        for b in batches
+    ])
+    secs = np.mean([np.pad(b.mean_cum_seconds, (0, width - b.errors.shape[1]), mode="edge")
+                    for b in batches], axis=0)
+    return errs, secs
 
 
 def run_experiment(cfg: ExperimentConfig, system: LinearSystem | None = None) -> AggregateTrace:
@@ -158,27 +152,34 @@ def run_experiment(cfg: ExperimentConfig, system: LinearSystem | None = None) ->
         system = load_system(cfg.system_dir)
     systems = _trial_systems(cfg, system)
     distinct = systems if cfg.redraw_matrix_per_trial else [system]
-    theories = [_theory_bound(s) for s in distinct]
+    for s in distinct:  # a system without a reference gets the error that lists the pairs
+        _require_reference(s)
+    theories = [TheoryBound.from_system(s) for s in distinct]
+    solve_cfg = cfg.solve_config()
 
     rows = []
     timing_rows = []
     for kind in cfg.solvers:
-        bounds = [(lambda t: math.nan) if tb is None else tb.curve(kind) for tb in theories]
-        grid, errs, mean_cum = _trials_on_grid(cfg, systems, kind)
-        # a lone bound is used as it is; redrawn systems' bounds are averaged
-        bound_fn = (bounds[0] if len(bounds) == 1
-                    else lambda t: sum(b(t) for b in bounds) / len(bounds))
+        bounds = [tb.curve(kind) for tb in theories]
+        rngs = [trial_rng(cfg.base_seed, kind, trial) for trial in range(cfg.trials)]
+        # trial k runs on distinct[k % len(distinct)]
+        errs, mean_cum = _stacked([run_batch(s, kind, solve_cfg, rngs[i::len(distinct)])
+                                   for i, s in enumerate(distinct)])
+        grid = range(0, errs.shape[1] * cfg.record_every, cfg.record_every)
         medians = np.median(errs, axis=0)
         mins = errs.min(axis=0)
         maxs = errs.max(axis=0)
         # clamp away 1-ulp float drift so the band invariant min<=mean<=max is exact
         means = np.clip(errs.mean(axis=0), mins, maxs)
+        # the distinct systems' bounds summed at each grid point; map and zip loop in C,
+        # where a generator per row would add about 0.5 us a row
+        bound_sums = map(sum, zip(*(map(b, grid) for b in bounds)))
         # the column lists are freed with this statement, before the next solver's
         # batch allocates: kept alive across it, they fragment the heap
         rows.extend(
-            (g, kind, mean, median, mn, mx, float(bound_fn(g)))
-            for g, mean, median, mn, mx in zip(
-                grid, means.tolist(), medians.tolist(), mins.tolist(), maxs.tolist()
+            (g, kind, mean, median, mn, mx, float(total / len(bounds)))
+            for g, mean, median, mn, mx, total in zip(
+                grid, means.tolist(), medians.tolist(), mins.tolist(), maxs.tolist(), bound_sums
             )
         )
         timing_rows.extend((g, kind, sec) for g, sec in zip(grid, mean_cum.tolist()))

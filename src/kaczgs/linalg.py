@@ -148,15 +148,19 @@ class LinearSystem:
                         f"residual_ref is not orthogonal to the column space: "
                         f"||X^T r|| = {lhs * scale:.3e} exceeds {bound * scale:.3e}"
                     )
-        if self.reference is not None and self.regime is not Regime.OVER_INCONSISTENT:
-            scale = max(_max_abs(self.reference), _max_abs(self.y))
+        # a least-squares reference solves X ref = y - r; stored without r, it goes unchecked
+        inconsistent = self.regime is Regime.OVER_INCONSISTENT
+        if self.reference is not None and not (inconsistent and self.residual_ref is None):
+            r = self.residual_ref if inconsistent else 0.0
+            scale = max(_max_abs(self.reference), _max_abs(self.y), _max_abs(r))
             if scale > 0.0:
                 y = self.y / scale
-                gap = _norm(self.X.data @ (self.reference / scale) - y)
+                gap = _norm(self.X.data @ (self.reference / scale) - (y - r / scale))
                 ynorm = _norm(y)
                 if gap > 1e-8 * max(ynorm, 1e-300 / scale):
+                    target = "(y - r)" if inconsistent else "y"
                     raise ConfigurationError(
-                        f"reference does not solve the system: ||X ref - y|| = "
+                        f"reference does not solve the system: ||X ref - {target}|| = "
                         f"{gap * scale:.3e} exceeds 1e-8 * ||y|| = {1e-8 * ynorm * scale:.3e}"
                     )
 
@@ -230,36 +234,34 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray, matrix: DenseMatrix) -> np.nda
     return x
 
 
-def least_squares_ref(system: LinearSystem) -> np.ndarray:
+def least_squares_ref(X: DenseMatrix, y: np.ndarray) -> np.ndarray:
     """Direct least-squares solution (X^T X)^{-1} X^T y via the Gram solve.
 
     Requires m >= n and full column rank (smallest Gram eigenvalue above
     RANK_RTOL times the largest).
     """
-    X = system.X
     if X.rows < X.cols:
         raise ConfigurationError(
             f"least_squares_ref requires m >= n, got {X.rows}x{X.cols}"
         )
     gram = X.data.T @ X.data
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        rhs = X.data.T @ system.y
+        rhs = X.data.T @ y
     if not np.all(np.isfinite(rhs)):
         raise ConfigurationError("X^T y overflows float64")
     return _spd_solve(gram, rhs, X)
 
 
-def least_norm_ref(system: LinearSystem) -> np.ndarray:
+def least_norm_ref(X: DenseMatrix, y: np.ndarray) -> np.ndarray:
     """Minimum-norm solution X^T (X X^T)^{-1} y via the Gram solve.
 
     Requires m <= n, full row rank, and a consistent right-hand side; the
     result lies in the row span of X by construction.
     """
-    X = system.X
     if X.rows > X.cols:
         raise ConfigurationError(f"least_norm_ref requires m <= n, got {X.rows}x{X.cols}")
     gram = X.data @ X.data.T
-    alpha = _spd_solve(gram, system.y, X)
+    alpha = _spd_solve(gram, y, X)
     return X.data.T @ alpha
 
 

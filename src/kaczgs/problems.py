@@ -51,7 +51,7 @@ import io
 import math
 import re
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +121,21 @@ class TomoSpec:
             )
 
 
+def _retried(draw, spec: GenSpec | TomoSpec, failure: str) -> LinearSystem:
+    """``draw(spec, s)`` at s = spec.seed, spec.seed + 1, ... (mod 2**64), up to GEN_MAX_ATTEMPTS.
+
+    A draw that raises SingularMatrixError is retried at the next seed; after
+    the last, the NumericalError says ``failure`` and the last draw's error.
+    """
+    last_error = None
+    for attempt in range(GEN_MAX_ATTEMPTS):
+        try:
+            return draw(spec, (spec.seed + attempt) % 2**64)
+        except SingularMatrixError as exc:
+            last_error = exc
+    raise NumericalError(f"{failure}: {last_error}")
+
+
 def gen_gaussian(spec: GenSpec) -> LinearSystem:
     """Draw an i.i.d. standard-normal system for the requested regime.
 
@@ -130,43 +145,30 @@ def gen_gaussian(spec: GenSpec) -> LinearSystem:
     to GEN_MAX_ATTEMPTS before failing; retry seeds wrap mod 2**64, and the
     seed actually used is the one recorded on the system.
     """
-    last_error = None
-    for attempt in range(GEN_MAX_ATTEMPTS):
-        seed = (spec.seed + attempt) % 2**64
-        rng = Prng(seed)
-        X = DenseMatrix(rng.gaussians(spec.m * spec.n).reshape(spec.m, spec.n))
-        if numeric_rank(X) < min(spec.m, spec.n):
-            last_error = NumericalError(f"rank-degenerate draw at seed {seed}")
-            continue
-        beta = rng.gaussians(spec.n)
-        try:
-            return _finish_gaussian(spec, X, beta, rng, seed)
-        except SingularMatrixError as exc:
-            last_error = exc
-            continue
-    raise NumericalError(
+    return _retried(
+        _draw_gaussian, spec,
         f"gen_gaussian failed after {GEN_MAX_ATTEMPTS} attempts "
-        f"(seeds {spec.seed} + 0..{GEN_MAX_ATTEMPTS - 1} mod 2**64): {last_error}"
+        f"(seeds {spec.seed} + 0..{GEN_MAX_ATTEMPTS - 1} mod 2**64)",
     )
 
 
-def _finish_gaussian(
-    spec: GenSpec, X: DenseMatrix, beta: np.ndarray, rng: Prng, seed: int
-) -> LinearSystem:
+def _draw_gaussian(spec: GenSpec, seed: int) -> LinearSystem:
+    rng = Prng(seed)
+    X = DenseMatrix(rng.gaussians(spec.m * spec.n).reshape(spec.m, spec.n))
+    if numeric_rank(X) < min(spec.m, spec.n):
+        raise SingularMatrixError(f"rank-degenerate draw at seed {seed}")
+    beta = rng.gaussians(spec.n)
     if spec.regime is Regime.OVER_CONSISTENT:
-        y = X.data @ beta
-        return LinearSystem(X, y, spec.regime, reference=beta, seed=seed)
+        return LinearSystem(X, X.data @ beta, spec.regime, reference=beta, seed=seed)
 
     if spec.regime is Regime.UNDERDETERMINED:
         y = X.data @ beta
-        provisional = LinearSystem(X, y, spec.regime, seed=seed)
-        ref = least_norm_ref(provisional)  # the drawn beta is NOT minimum-norm
-        return replace(provisional, reference=ref)
+        # the drawn beta is NOT minimum-norm
+        return LinearSystem(X, y, spec.regime, reference=least_norm_ref(X, y), seed=seed)
 
     # over-inconsistent: residual is a scaled projection onto null(X^T)
     w = rng.gaussians(spec.m)
-    fit = LinearSystem(X, w, Regime.OVER_CONSISTENT, seed=seed)
-    w_col = X.data @ least_squares_ref(fit)
+    w_col = X.data @ least_squares_ref(X, w)
     with np.errstate(over="ignore"):  # a y or ||r||^2 that overflows is reported just below
         r = spec.noise_scale * (w - w_col)
         y = X.data @ beta + r
@@ -176,9 +178,8 @@ def _finish_gaussian(
                                  "in float64")
     if _norm(r) <= 1e-12 * _norm(w):
         raise SingularMatrixError("noise draw landed in the column space")
-    provisional = LinearSystem(X, y, spec.regime, seed=seed)
-    ref = least_squares_ref(provisional)
-    return replace(provisional, reference=ref, residual_ref=r)
+    return LinearSystem(X, y, spec.regime, reference=least_squares_ref(X, y), residual_ref=r,
+                        seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +299,11 @@ def gen_tomography(spec: TomoSpec) -> LinearSystem:
     set fails the full-row-rank requirement of the least-norm oracle are
     retried with seed+1, ... (mod 2**64) like gen_gaussian.
     """
-    last_error = None
-    for attempt in range(GEN_MAX_ATTEMPTS):
-        seed = (spec.seed + attempt) % 2**64
-        try:
-            return _build_tomography(spec, seed)
-        except SingularMatrixError as exc:
-            last_error = exc
-    raise NumericalError(
-        f"gen_tomography failed after {GEN_MAX_ATTEMPTS} attempts: {last_error}"
-    )
+    return _retried(_draw_tomography, spec,
+                    f"gen_tomography failed after {GEN_MAX_ATTEMPTS} attempts")
 
 
-def _build_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
+def _draw_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
     n_grid = spec.grid_n
     n = spec.oversample * n_grid * n_grid
     rng = Prng(seed)
@@ -330,9 +323,7 @@ def _build_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
 
     X = DenseMatrix(data)
     y = X.data @ beta
-    provisional = LinearSystem(X, y, Regime.UNDERDETERMINED, seed=seed)
-    ref = least_norm_ref(provisional)
-    return replace(provisional, reference=ref)
+    return LinearSystem(X, y, Regime.UNDERDETERMINED, reference=least_norm_ref(X, y), seed=seed)
 
 
 # ---------------------------------------------------------------------------

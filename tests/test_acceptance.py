@@ -149,7 +149,7 @@ def test_criterion_3_exact_enumeration_oracles():
             regime = Regime.UNDERDETERMINED
             sys_ = LinearSystem(X, y, regime)
             try:
-                ref = least_norm_ref(sys_)
+                ref = least_norm_ref(sys_.X, sys_.y)
             except Exception:
                 continue  # rank-degenerate tiny draw: not a valid test instance
         summary = spectral_summary(X)

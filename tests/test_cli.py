@@ -6,16 +6,36 @@ import sys
 import numpy as np
 import pytest
 
-from kaczgs import cli
-from kaczgs.errors import NumericalError
+from kaczgs import cli, problems
+from kaczgs.errors import NumericalError, SingularMatrixError
 from kaczgs.linalg import DenseMatrix, LinearSystem, Regime
-from kaczgs.problems import SIDECAR, load_system, save_system, write_matrix, write_vector
+from kaczgs.problems import (
+    SIDECAR,
+    load_system,
+    read_vector,
+    save_system,
+    write_matrix,
+    write_vector,
+)
+from kaczgs.sampling import Prng
 from kaczgs.solvers import CONVERGENT_PAIRS, LOCKSTEP_MIN_TRIALS, SolverKind
 from kaczgs.theory import TheoryBound
 
 
 def _run(argv):
     return cli.main(argv)
+
+
+def _spy_seeds(monkeypatch) -> list[int]:
+    """Record the seed of every generator the problem generators start."""
+    seeds = []
+
+    def prng(seed):
+        seeds.append(seed)
+        return Prng(seed)
+
+    monkeypatch.setattr(problems, "Prng", prng)
+    return seeds
 
 
 @pytest.fixture
@@ -77,6 +97,23 @@ class TestGen:
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
 
+    # each retry seed wraps mod 2**64
+    @pytest.mark.parametrize("seed", [7, 2**64 - 2])
+    def test_rank_degenerate_draws_exit_3_after_every_retry(self, seed, tmp_path, monkeypatch,
+                                                            capsys):
+        seeds = _spy_seeds(monkeypatch)
+        monkeypatch.setattr(problems, "numeric_rank", lambda matrix: 0)
+        out = tmp_path / "sys"
+        assert _run(["gen", "--m", "6", "--n", "2", "--regime", "over-consistent",
+                     "--seed", str(seed), "--out", str(out)]) == 3
+        tried = [(seed + k) % 2**64 for k in range(5)]
+        assert seeds == tried
+        assert capsys.readouterr().err == (
+            f"numerical error: gen_gaussian failed after 5 attempts (seeds {seed} + 0..4 "
+            f"mod 2**64): rank-degenerate draw at seed {tried[-1]}\n"
+        )
+        assert not out.exists()
+
 
 class TestTomo:
     def test_writes_system(self, tmp_path):
@@ -90,6 +127,22 @@ class TestTomo:
     def test_oversample_one_exits_2(self, tmp_path):
         assert _run(["tomo", "--grid-n", "4", "--oversample", "1",
                      "--out", str(tmp_path / "t")]) == 2
+
+    def test_singular_references_exit_3_after_every_retry(self, tmp_path, monkeypatch, capsys):
+        seeds = _spy_seeds(monkeypatch)
+
+        def singular(*args):
+            raise SingularMatrixError("forced singular Gram")
+
+        monkeypatch.setattr(problems, "least_norm_ref", singular)
+        out = tmp_path / "tomo"
+        assert _run(["tomo", "--grid-n", "4", "--oversample", "2", "--seed", "5",
+                     "--out", str(out)]) == 3
+        assert seeds == [5, 6, 7, 8, 9]
+        assert capsys.readouterr().err == (
+            "numerical error: gen_tomography failed after 5 attempts: forced singular Gram\n"
+        )
+        assert not out.exists()
 
 
 class TestSolve:
@@ -465,6 +518,48 @@ class TestEigensolveFailure:
         assert _run(["compare", "--system", str(overflow_dir), "--trials", "1",
                      "--max-iter", "10", "--out", str(tmp_path / "c.csv")]) == 3
         assert "numerical error" in capsys.readouterr().err
+
+
+class TestInconsistentSystemFiles:
+    """An over-inconsistent directory whose array files do not fit together exits 2."""
+
+    @pytest.fixture
+    def oi_dir(self, tmp_path):
+        target = tmp_path / "oi"
+        assert _run(["gen", "--m", "30", "--n", "5", "--regime", "over-inconsistent",
+                     "--seed", "2", "--out", str(target)]) == 0
+        return target
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "rek"],
+        ["compare", "--trials", "2"],
+        ["bounds", "--solver", "rek"],
+    ], ids=lambda a: a[0])
+    def test_reference_that_misses_y_minus_r_exits_2(self, oi_dir, argv, tmp_path, capsys):
+        # the least-squares reference must solve X ref = y - r like any other
+        ref = read_vector(oi_dir / "reference.txt")
+        ref[0] += 5.0
+        write_vector(oi_dir / "reference.txt", ref)
+        (oi_dir / SIDECAR).unlink()
+        out = tmp_path / "out.csv"
+        assert _run(argv + ["--system", str(oi_dir), "--max-iter", "100",
+                            "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: reference does not solve the system: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_missing_residual_fails_compare_as_it_fails_bounds(self, oi_dir, tmp_path, capsys):
+        # compare's bound_value column would be nan without the horizon term
+        (oi_dir / "residual.txt").unlink()
+        for argv in (["bounds", "--solver", "rek"], ["compare", "--trials", "2"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert _run(argv + ["--system", str(oi_dir), "--max-iter", "100",
+                                "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "configuration error: inconsistent system needs residual_ref for the horizon term\n"
+            )
+            assert not out.exists()
 
 
 class TestParserBasics:

@@ -115,11 +115,11 @@ class TestLeastSquares:
         sys_ = LinearSystem(
             DenseMatrix([[1.0], [1.0]]), np.array([1.0, 3.0]), Regime.OVER_INCONSISTENT
         )
-        assert least_squares_ref(sys_) == pytest.approx([2.0])
+        assert least_squares_ref(sys_.X, sys_.y) == pytest.approx([2.0])
 
     def test_identity(self):
         sys_ = LinearSystem(DenseMatrix(np.eye(2)), np.array([2.0, 3.0]), Regime.OVER_CONSISTENT)
-        assert least_squares_ref(sys_) == pytest.approx([2.0, 3.0])
+        assert least_squares_ref(sys_.X, sys_.y) == pytest.approx([2.0, 3.0])
 
     def test_scalar_calculus_oracle(self):
         # minimize (1 - b)^2 + (1 - 2b)^2: derivative 10b - 6 = 0
@@ -127,14 +127,14 @@ class TestLeastSquares:
         sys_ = LinearSystem(
             DenseMatrix([[1.0], [2.0]]), np.array([1.0, 1.0]), Regime.OVER_INCONSISTENT
         )
-        assert least_squares_ref(sys_) == pytest.approx([oracle], rel=1e-12)
+        assert least_squares_ref(sys_.X, sys_.y) == pytest.approx([oracle], rel=1e-12)
 
     def test_normal_equations_residual(self, rng_numpy):
         for _ in range(5):
             X = DenseMatrix(rng_numpy.normal(size=(30, 7)))
             y = rng_numpy.normal(size=30)
             sys_ = LinearSystem(X, y, Regime.OVER_INCONSISTENT)
-            beta = least_squares_ref(sys_)
+            beta = least_squares_ref(sys_.X, sys_.y)
             lhs = np.linalg.norm(X.data.T @ (y - X.data @ beta))
             assert lhs <= 1e-8 * np.sqrt(X.frob_sq) * np.linalg.norm(y)
 
@@ -143,28 +143,28 @@ class TestLeastSquares:
         y = rng_numpy.normal(size=25)
         sys_ = LinearSystem(X, y, Regime.OVER_INCONSISTENT)
         expected = np.linalg.lstsq(X.data, y, rcond=None)[0]
-        assert least_squares_ref(sys_) == pytest.approx(expected, rel=1e-10)
+        assert least_squares_ref(sys_.X, sys_.y) == pytest.approx(expected, rel=1e-10)
 
     def test_rank_deficient_reports_ratio(self):
         X = DenseMatrix(np.column_stack([np.arange(5.0), 2.0 * np.arange(5.0)]))
         sys_ = LinearSystem(X, np.ones(5), Regime.OVER_INCONSISTENT)
         with pytest.raises(SingularMatrixError, match="eigenvalue ratio"):
-            least_squares_ref(sys_)
+            least_squares_ref(sys_.X, sys_.y)
 
     def test_shape_precondition(self):
         sys_ = LinearSystem(DenseMatrix(np.ones((2, 3))), np.ones(2), Regime.UNDERDETERMINED)
         with pytest.raises(ConfigurationError):
-            least_squares_ref(sys_)
+            least_squares_ref(sys_.X, sys_.y)
 
 
 class TestLeastNorm:
     def test_symmetry_forces_equal_coordinates(self):
         sys_ = LinearSystem(DenseMatrix([[1.0, 1.0]]), np.array([2.0]), Regime.UNDERDETERMINED)
-        assert least_norm_ref(sys_) == pytest.approx([1.0, 1.0])
+        assert least_norm_ref(sys_.X, sys_.y) == pytest.approx([1.0, 1.0])
 
     def test_single_pinned_coordinate(self):
         sys_ = LinearSystem(DenseMatrix([[1.0, 0.0]]), np.array([5.0]), Regime.UNDERDETERMINED)
-        assert least_norm_ref(sys_) == pytest.approx([5.0, 0.0])
+        assert least_norm_ref(sys_.X, sys_.y) == pytest.approx([5.0, 0.0])
 
     def test_minimum_over_solution_line(self):
         # solutions of x + 2z = 5 are (5 - 2z, z); norm' = 0 at z = 2 -> (1, 2)
@@ -173,13 +173,13 @@ class TestLeastNorm:
         z_star = zs[np.argmin(norms)]
         assert z_star == pytest.approx(2.0, abs=2e-3)
         sys_ = LinearSystem(DenseMatrix([[1.0, 2.0]]), np.array([5.0]), Regime.UNDERDETERMINED)
-        assert least_norm_ref(sys_) == pytest.approx([1.0, 2.0], rel=1e-12)
+        assert least_norm_ref(sys_.X, sys_.y) == pytest.approx([1.0, 2.0], rel=1e-12)
 
     def test_solves_system_and_lies_in_row_span(self, rng_numpy):
         X = DenseMatrix(rng_numpy.normal(size=(6, 20)))
         y = rng_numpy.normal(size=6)
         sys_ = LinearSystem(X, y, Regime.UNDERDETERMINED)
-        beta = least_norm_ref(sys_)
+        beta = least_norm_ref(sys_.X, sys_.y)
         assert np.linalg.norm(X.data @ beta - y) <= 1e-8 * np.linalg.norm(y)
         off_span = beta - project_row_span(X, beta)
         assert np.linalg.norm(off_span) <= 1e-8 * np.linalg.norm(beta)
@@ -188,7 +188,7 @@ class TestLeastNorm:
         X = DenseMatrix(rng_numpy.normal(size=(5, 16)))
         y = rng_numpy.normal(size=5)
         sys_ = LinearSystem(X, y, Regime.UNDERDETERMINED)
-        beta_ln = least_norm_ref(sys_)
+        beta_ln = least_norm_ref(sys_.X, sys_.y)
         for _ in range(20):
             v = rng_numpy.normal(size=16)
             z = v - project_row_span(X, v)  # null-space vector
@@ -200,7 +200,7 @@ class TestLeastNorm:
         X = DenseMatrix(np.vstack([np.arange(4.0), 2.0 * np.arange(4.0)]))
         sys_ = LinearSystem(X, np.array([1.0, 2.0]), Regime.UNDERDETERMINED)
         with pytest.raises(SingularMatrixError):
-            least_norm_ref(sys_)
+            least_norm_ref(sys_.X, sys_.y)
 
 
 class TestRowProjector:

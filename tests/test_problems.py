@@ -593,7 +593,9 @@ def _edge_systems(draw):
     X entries stay within 1e150 (DenseMatrix rejects overflowing squared
     norms). The last row of X is signed zeros and the residual is zero
     elsewhere, so X^T r is exactly zero whatever the residual's last entry.
-    An over-inconsistent reference has no identity to meet.
+    A reference drawn with a residual must solve X ref = y - r, so y is
+    computed from them: the reference is signed zeros but for one entry
+    within 1e150, which makes each entry of X ref one rounded product.
     """
     m = draw(st.integers(2, 5))
     n = draw(st.integers(1, m - 1))
@@ -601,12 +603,17 @@ def _edge_systems(draw):
     zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n + m - 1, max_size=n + m - 1))
     X = np.array(data + zeros[:n]).reshape(m, n)
     y = np.array(draw(st.lists(_vector_entries, min_size=m, max_size=m)))
-    reference = None
-    if draw(st.booleans()):
-        reference = np.array(draw(st.lists(_vector_entries, min_size=n, max_size=n)))
     residual = None
     if draw(st.booleans()):
         residual = np.array(zeros[n:] + [draw(_vector_entries)])
+    reference = None
+    if draw(st.booleans()):
+        if residual is None:
+            reference = np.array(draw(st.lists(_vector_entries, min_size=n, max_size=n)))
+        else:
+            reference = np.array(zeros[:n])
+            reference[draw(st.integers(0, n - 1))] = draw(_entries)
+            y = X @ reference + residual
     return LinearSystem(DenseMatrix(X), y, Regime.OVER_INCONSISTENT, reference=reference,
                         residual_ref=residual, seed=draw(st.integers(0, 2**64 - 1)))
 

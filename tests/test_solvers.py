@@ -338,7 +338,7 @@ class TestExpectationContractionsSmallSystems:
                 Regime.UNDERDETERMINED if m < n else Regime.OVER_CONSISTENT
             )
             sys_ = LinearSystem(X, y, regime)
-            ref = least_norm_ref(sys_) if m < n else beta_star
+            ref = least_norm_ref(sys_.X, sys_.y) if m < n else beta_star
             summary = spectral_summary(X)
             alpha = 1.0 - summary.lambda_min / X.frob_sq
             state = rng_numpy.normal(size=n)
