@@ -34,8 +34,10 @@ endings and full-precision (repr) decimals:
     emit_bounds_csv   iteration,bound_value
 
 Determinism contract: the aggregate CSV bytes are a pure function of
-(config, system files). Wall-clock measurements for the CPU-time
-comparison are kept out of it for exactly this reason.
+(config, system files) on one machine at one BLAS thread count
+(OpenBLAS's Gram products can round differently at 1 thread than at 2).
+Wall-clock measurements for the CPU-time comparison are no such
+function, so they are kept out of it.
 """
 from __future__ import annotations
 

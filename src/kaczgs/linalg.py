@@ -148,20 +148,32 @@ class LinearSystem:
                         f"residual_ref is not orthogonal to the column space: "
                         f"||X^T r|| = {lhs * scale:.3e} exceeds {bound * scale:.3e}"
                     )
-        # a least-squares reference solves X ref = y - r; stored without r, it goes unchecked
+        # a least-squares reference solves X ref = y - r; stored without r, it meets
+        # the normal equations X^T (y - X ref) = 0
         inconsistent = self.regime is Regime.OVER_INCONSISTENT
-        if self.reference is not None and not (inconsistent and self.residual_ref is None):
-            r = self.residual_ref if inconsistent else 0.0
+        normal = inconsistent and self.residual_ref is None
+        if self.reference is not None:
+            r = self.residual_ref if inconsistent and not normal else 0.0
             scale = max(_max_abs(self.reference), _max_abs(self.y), _max_abs(r))
             if scale > 0.0:
                 y = self.y / scale
-                gap = _norm(self.X.data @ (self.reference / scale) - (y - r / scale))
+                gap = self.X.data @ (self.reference / scale) - (y - r / scale)
                 ynorm = _norm(y)
-                if gap > 1e-8 * max(ynorm, 1e-300 / scale):
+                if normal:
+                    frob = math.sqrt(self.X.frob_sq)
+                    lhs = _norm(self.X.data.T @ gap)
+                    if lhs > 1e-8 * frob * max(ynorm, 1e-300 / scale):
+                        raise ConfigurationError(
+                            f"reference does not meet the normal equations: "
+                            f"||X^T (y - X ref)|| = {lhs * scale:.3e} exceeds "
+                            f"1e-8 * ||X||_F * ||y|| = {1e-8 * frob * ynorm * scale:.3e}"
+                        )
+                elif _norm(gap) > 1e-8 * max(ynorm, 1e-300 / scale):
                     target = "(y - r)" if inconsistent else "y"
                     raise ConfigurationError(
                         f"reference does not solve the system: ||X ref - {target}|| = "
-                        f"{gap * scale:.3e} exceeds 1e-8 * ||y|| = {1e-8 * ynorm * scale:.3e}"
+                        f"{_norm(gap) * scale:.3e} exceeds 1e-8 * ||y|| = "
+                        f"{1e-8 * ynorm * scale:.3e}"
                     )
 
     @property

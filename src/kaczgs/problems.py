@@ -14,7 +14,7 @@ Serialized systems are plain text, one directory per system:
   residual.txt  optional, vector format (least-squares residual)
   meta.txt      "key value" lines: regime, seed, and the generating spec's kind
                 (gaussian: noise_scale; tomography: grid_n, oversample)
-  arrays.npz    binary cache of the four array files (below)
+  arrays.bin    binary cache of the present array files (below)
 
 A matrix or vector file holds exactly the lines its header declares,
 then blank lines only.
@@ -24,33 +24,23 @@ value-exact. Saving into an existing directory deletes an optional array
 file that the new system lacks, so no earlier system's reference loads with
 it. ``redraw`` draws a fresh system from the generator that meta.txt records.
 
-save_system also writes arrays.npz, an uncompressed numpy archive holding
-X, y and the present references as float64 arrays, plus a sha256 of the
-exact bytes of the text array files (each framed by its name and length).
-It is a cache: load_system takes the arrays from it only when that digest
-matches the text files it has just read, and otherwise parses the text,
-so adding, deleting or editing any array file makes the sidecar miss.
-Deleting the sidecar is always safe; the text files stay canonical and a
-system loads to the same bits either way. The archive carries no
+save_system also writes arrays.bin: a 32-byte sha256, then m and n as two
+little-endian uint64, then X (row-major), y and the present references as
+little-endian float64, in _ARRAY_FILES order. The digest covers the exact
+bytes of the text array files (each framed by its name and length) and
+then every byte after it. The file is a cache: load_system takes the
+arrays from it only when that digest matches and the file is exactly as
+long as m, n and the present text files say, and otherwise parses the
+text, so adding, deleting or editing any array file, or any byte of the
+cache, makes it miss. Deleting it is always safe; the text files stay
+canonical and a system loads to the same bits either way. It carries no
 timestamp, so it too is a pure function of the system.
-
-load_system reads the archive in one zipfile pass, which checks each
-member's CRC, and takes the arrays straight from the member bytes. It
-accepts only what np.savez writes for it: stored (uncompressed) members
-named digest.npy and one per present array file, each an npy v1.0 header
-of exactly the form ``{'descr': '<f8' or '|u1', 'fortran_order': False,
-'shape': (m,) or (m, n), }`` followed by exactly the data that shape
-holds. Anything else (another npy version or dtype, Fortran order, a
-short or long data block, a missing or extra member, a compressed or
-unreadable one) is a miss, and the text is parsed.
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import math
-import re
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -414,67 +404,46 @@ def read_vector(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Binary sidecar: a cache of the text array files, checked against their bytes
 
-SIDECAR = "arrays.npz"
+SIDECAR = "arrays.bin"
 
-#: the text array files, in digest order; each is stored in the sidecar under its stem
+#: the text array files, in digest and sidecar order
 _ARRAY_FILES = ("X.txt", "y.txt", "reference.txt", "residual.txt")
 
 
-def _text_digest(texts: dict[str, bytes]) -> bytes:
-    """sha256 over the present array files, each framed by its name and length."""
+def _digest(texts: dict[str, bytes], body) -> bytes:
+    """sha256 over ``texts``, the present text array files in _ARRAY_FILES order, then ``body``.
+
+    Each text file is framed by its name and length; ``body`` is the
+    sidecar's bytes after the digest, as buffers.
+    """
     h = hashlib.sha256()
-    for name in _ARRAY_FILES:
-        if name in texts:
-            h.update(f"{name} {len(texts[name])}\n".encode())
-            h.update(texts[name])
+    for name, text in texts.items():
+        h.update(f"{name} {len(text)}\n".encode())
+        h.update(text)
+    for part in body:
+        h.update(part)
     return h.digest()
-
-
-#: the npy v1.0 header that np.savez writes for a C-order float64 or uint8
-#: array of one or two dimensions, after the magic and the header length
-_NPY_MAGIC = b"\x93NUMPY\x01\x00"
-_NPY_HEADER = re.compile(
-    rb"\{'descr': '(<f8|\|u1)', 'fortran_order': False, 'shape': \((\d+)(?:,|, (\d+))\), \} *\n"
-)
-
-
-def _npy_array(blob: bytes) -> np.ndarray | None:
-    """The array of one sidecar member, or None unless it has exactly that header."""
-    if not blob.startswith(_NPY_MAGIC):
-        return None
-    start = 10 + int.from_bytes(blob[8:10], "little")
-    header = _NPY_HEADER.fullmatch(blob, 10, start)
-    if header is None:
-        return None
-    descr, *dims = header.groups()
-    shape = tuple(int(d) for d in dims if d is not None)
-    dtype, count = np.dtype(descr.decode()), math.prod(shape)
-    if len(blob) - start != count * dtype.itemsize:
-        return None
-    return np.frombuffer(blob, dtype, count=count, offset=start).reshape(shape)
 
 
 def _read_sidecar(path: Path, texts: dict[str, bytes]) -> dict[str, np.ndarray] | None:
     """The sidecar's arrays if it is the cache of exactly ``texts``, else None.
 
-    The arrays are views of the member bytes, which live until the caller's
-    DenseMatrix and LinearSystem have taken their copies.
+    The arrays are read-only views of the file's bytes, which live until the
+    caller's DenseMatrix and LinearSystem have taken their copies.
     """
-    members = {name.removesuffix(".txt") + ".npy": name for name in texts}
     try:
-        with zipfile.ZipFile(path) as zf:
-            infos = zf.infolist()
-            if (sorted(info.filename for info in infos) != sorted(["digest.npy", *members])
-                    or any(info.compress_type != zipfile.ZIP_STORED for info in infos)):
-                return None
-            digest = _npy_array(zf.read("digest.npy"))
-            if digest is None or digest.tobytes() != _text_digest(texts):
-                return None
-            arrays = {name: _npy_array(zf.read(member)) for member, name in members.items()}
-    # RuntimeError: a member flagged as encrypted or as needing a newer zip version
-    except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile):
-        return None  # missing, truncated, corrupt or not a zip archive
-    return None if any(a is None for a in arrays.values()) else arrays
+        blob = path.read_bytes()
+    except OSError:
+        return None
+    m, n = int.from_bytes(blob[32:40], "little"), int.from_bytes(blob[40:48], "little")
+    sizes = {"X.txt": m * n, "y.txt": m, "reference.txt": n, "residual.txt": m}
+    counts = [sizes[name] for name in texts]
+    if len(blob) != 48 + 8 * sum(counts) or _digest(texts, [memoryview(blob)[32:]]) != blob[:32]:
+        return None
+    floats = np.frombuffer(blob, "<f8", offset=48)
+    arrays = dict(zip(texts, np.split(floats, np.cumsum(counts)[:-1])))
+    arrays["X.txt"] = arrays["X.txt"].reshape(m, n)
+    return arrays
 
 
 def save_system(system: LinearSystem, directory, spec: GenSpec | TomoSpec | None = None) -> None:
@@ -490,9 +459,12 @@ def save_system(system: LinearSystem, directory, spec: GenSpec | TomoSpec | None
         name: (write_matrix if name == "X.txt" else write_vector)(directory / name, values)
         for name, values in arrays.items()
     }
-    stored = {name.removesuffix(".txt"): values for name, values in arrays.items()}
-    digest = np.frombuffer(_text_digest(texts), dtype=np.uint8)
-    np.savez(directory / SIDECAR, digest=digest, **stored)
+    body = [np.array(system.X.data.shape, "<u8"),
+            *(np.ascontiguousarray(values, "<f8") for values in arrays.values())]
+    with open(directory / SIDECAR, "wb") as fh:
+        fh.write(_digest(texts, body))
+        for part in body:
+            fh.write(part)
     meta = {"regime": system.regime.value, "seed": system.seed}
     if isinstance(spec, GenSpec):
         meta.update(kind="gaussian", noise_scale=spec.noise_scale)

@@ -20,7 +20,9 @@ Two extensions, each its base kernel plus a sequence z_t (Zouzias & Freris):
          increment and then RK's projection onto the drawn row's x_i . z = 0,
          so it tracks the component of the iterate orthogonal to the row
          span; the reported estimate is beta_t - z_t, which converges to the
-         least-norm solution.
+         least-norm solution. Given REK's draws with each step's row and
+         column swapped, it is REK's beta_t up to rounding: both take the
+         same row step toward RGS's iterate, so the two are one process.
 
 One combined update (row draw + column draw for the extended methods)
 counts as one iteration.

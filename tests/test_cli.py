@@ -549,6 +549,45 @@ class TestInconsistentSystemFiles:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @staticmethod
+    def _gen_without_residual(target, m, n, noise_scale="1.0"):
+        """gen an over-inconsistent system at seed 1, then delete its residual and cache."""
+        assert _run(["gen", "--m", str(m), "--n", str(n), "--regime", "over-inconsistent",
+                     "--seed", "1", "--noise-scale", noise_scale, "--out", str(target)]) == 0
+        (target / "residual.txt").unlink()
+        (target / SIDECAR).unlink()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "rek"],
+        ["compare", "--trials", "2"],
+        ["bounds", "--solver", "rek"],
+    ], ids=lambda a: a[0])
+    def test_reference_off_the_normal_equations_exits_2(self, argv, tmp_path, capsys):
+        # stored without its residual, a least-squares reference must still meet
+        # X^T (y - X ref) = 0; unchecked, solve measured every step against it
+        target = tmp_path / "oi"
+        self._gen_without_residual(target, 60, 6)
+        ref = read_vector(target / "reference.txt")
+        ref[0] += 5.0
+        write_vector(target / "reference.txt", ref)
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert _run(argv + ["--system", str(target), "--max-iter", "2000",
+                            "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "configuration error: reference does not meet the normal equations: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise_scale", ["1e-9", "1e6"])
+    @pytest.mark.parametrize("shape", [(60, 6), (300, 30)], ids=["60x6", "300x30"])
+    def test_generated_reference_without_residual_solves(self, shape, noise_scale, tmp_path):
+        target = tmp_path / "oi"
+        self._gen_without_residual(target, *shape, noise_scale)
+        assert _run(["solve", "--system", str(target), "--solver", "rek", "--max-iter", "100",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+
     def test_missing_residual_fails_compare_as_it_fails_bounds(self, oi_dir, tmp_path, capsys):
         # compare's bound_value column would be nan without the horizon term
         (oi_dir / "residual.txt").unlink()

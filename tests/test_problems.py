@@ -2,10 +2,8 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import tempfile
-import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -593,9 +591,12 @@ def _edge_systems(draw):
     X entries stay within 1e150 (DenseMatrix rejects overflowing squared
     norms). The last row of X is signed zeros and the residual is zero
     elsewhere, so X^T r is exactly zero whatever the residual's last entry.
-    A reference drawn with a residual must solve X ref = y - r, so y is
-    computed from them: the reference is signed zeros but for one entry
-    within 1e150, which makes each entry of X ref one rounded product.
+    A reference drawn with a residual must solve X ref = y - r, and one
+    drawn without must meet the normal equations X^T (y - X ref) = 0, so y
+    is computed from it: y = X ref + r, with r the residual if one is drawn
+    and else zero but for y's drawn last entry. The reference is signed
+    zeros but for one entry within 1e150, which makes each entry of X ref
+    one rounded product.
     """
     m = draw(st.integers(2, 5))
     n = draw(st.integers(1, m - 1))
@@ -608,12 +609,9 @@ def _edge_systems(draw):
         residual = np.array(zeros[n:] + [draw(_vector_entries)])
     reference = None
     if draw(st.booleans()):
-        if residual is None:
-            reference = np.array(draw(st.lists(_vector_entries, min_size=n, max_size=n)))
-        else:
-            reference = np.array(zeros[:n])
-            reference[draw(st.integers(0, n - 1))] = draw(_entries)
-            y = X @ reference + residual
+        reference = np.array(zeros[:n])
+        reference[draw(st.integers(0, n - 1))] = draw(_entries)
+        y = X @ reference + (np.array(zeros[n:] + [y[-1]]) if residual is None else residual)
     return LinearSystem(DenseMatrix(X), y, Regime.OVER_INCONSISTENT, reference=reference,
                         residual_ref=residual, seed=draw(st.integers(0, 2**64 - 1)))
 
@@ -738,30 +736,13 @@ class TestSidecar:
         assert parsed == ["X.txt", "y.txt", "reference.txt"]
 
 
-def _npy(array, version=(1, 0)) -> bytes:
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, array, version=version)
-    return buf.getvalue()
+def _cached_texts(directory) -> dict[str, bytes]:
+    names = ("X.txt", "y.txt", "reference.txt", "residual.txt")
+    return {name: (directory / name).read_bytes() for name in names if (directory / name).exists()}
 
 
-def _flag_first_member_encrypted(blob: bytes) -> bytes:
-    at = blob.index(b"PK\x01\x02") + 8  # the general-purpose flags of the first central entry
-    flags = int.from_bytes(blob[at:at + 2], "little") | 1
-    return blob[:at] + flags.to_bytes(2, "little") + blob[at + 2:]
-
-
-def _rewrite_sidecar(path, edit, compression=zipfile.ZIP_STORED) -> None:
-    """Rewrite the sidecar's members, a dict of name -> bytes, through ``edit``."""
-    with zipfile.ZipFile(path) as zf:
-        members = {name: zf.read(name) for name in zf.namelist()}
-    edit(members)
-    with zipfile.ZipFile(path, "w", compression) as zf:
-        for name, data in members.items():
-            zf.writestr(name, data)
-
-
-class TestStrictSidecarReader:
-    """A member is read only in the exact layout np.savez gives it; anything else misses."""
+class TestFlatSidecar:
+    """arrays.bin is a digest, (m, n) and the arrays' float64 bytes; any other file misses."""
 
     ALL = ["X.txt", "y.txt", "reference.txt", "residual.txt"]
 
@@ -771,67 +752,68 @@ class TestStrictSidecarReader:
         save_system(sys_, tmp_path)
         return sys_, tmp_path / SIDECAR
 
-    def test_rewritten_archive_still_hits(self, saved, monkeypatch):
-        sys_, path = saved
-        _rewrite_sidecar(path, lambda members: None)
+    def _assert_miss(self, sys_, directory, monkeypatch):
         parsed = _text_parses(monkeypatch)
-        assert _bits(load_system(path.parent)) == _bits(sys_)
-        assert parsed == []
-
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda m: m.update({"X.npy": _npy(np.asfortranarray(np.load(
-            io.BytesIO(m["X.npy"]))))}), id="fortran-order"),
-        pytest.param(lambda m: m.update({"X.npy": _npy(np.load(io.BytesIO(m["X.npy"]))
-                                                     .astype(np.float32))}), id="float32"),
-        pytest.param(lambda m: m.update({"y.npy": _npy(np.load(io.BytesIO(m["y.npy"])),
-                                                     version=(2, 0))}), id="npy-v2.0"),
-        pytest.param(lambda m: m.update({"reference.npy": m["reference.npy"][:-8]}),
-                     id="short-data"),
-        pytest.param(lambda m: m.update({"residual.npy": m["residual.npy"] + bytes(8)}),
-                     id="long-data"),
-        pytest.param(lambda m: m.update({"extra.npy": m["y.npy"]}), id="extra-member"),
-        pytest.param(lambda m: m.pop("digest.npy"), id="no-digest"),
-        pytest.param(lambda m: m.update({"X.npy": _npy(np.load(io.BytesIO(m["X.npy"]))[None])}),
-                     id="3-d"),
-    ])
-    def test_other_layouts_miss(self, saved, monkeypatch, edit):
-        sys_, path = saved
-        _rewrite_sidecar(path, edit)
-        parsed = _text_parses(monkeypatch)
-        assert _bits(load_system(path.parent)) == _bits(sys_)
+        assert _bits(load_system(directory)) == _bits(sys_)
         assert parsed == self.ALL
 
-    def test_compressed_members_miss(self, saved, monkeypatch):
+    @pytest.mark.parametrize("at", [0, 31, 32, 40, 47, 48, -1],
+                             ids=["digest", "digest-end", "m", "n", "n-high", "data", "data-end"])
+    def test_flipped_byte_misses(self, saved, monkeypatch, at):
         sys_, path = saved
-        _rewrite_sidecar(path, lambda members: None, zipfile.ZIP_DEFLATED)
-        parsed = _text_parses(monkeypatch)
-        assert _bits(load_system(path.parent)) == _bits(sys_)
-        assert parsed == self.ALL
+        blob = bytearray(path.read_bytes())
+        blob[at] ^= 0x01
+        path.write_bytes(bytes(blob))
+        self._assert_miss(sys_, path.parent, monkeypatch)
 
-    def test_member_zipfile_cannot_read_misses(self, saved, monkeypatch):
+    def test_swapped_dimensions_miss(self, saved, monkeypatch):
+        # n x m holds as many floats as m x n: only the digest tells them apart
         sys_, path = saved
-        path.write_bytes(_flag_first_member_encrypted(path.read_bytes()))
-        with zipfile.ZipFile(path) as zf, pytest.raises(RuntimeError, match="encrypted"):
-            zf.read(zf.namelist()[0])
-        parsed = _text_parses(monkeypatch)
-        assert _bits(load_system(path.parent)) == _bits(sys_)
-        assert parsed == self.ALL
+        blob = path.read_bytes()
+        path.write_bytes(blob[:32] + blob[40:48] + blob[32:40] + blob[48:])
+        self._assert_miss(sys_, path.parent, monkeypatch)
+
+    @pytest.mark.parametrize("edit", [lambda body: body[:-8], lambda body: body + bytes(8)],
+                             ids=["one-float-short", "one-float-long"])
+    def test_wrong_length_with_a_valid_digest_misses(self, saved, monkeypatch, edit):
+        sys_, path = saved
+        body = edit(path.read_bytes()[32:])
+        path.write_bytes(problems._digest(_cached_texts(path.parent), [body]) + body)
+        self._assert_miss(sys_, path.parent, monkeypatch)
+
+    def test_legacy_npz_is_parsed_and_kept(self, saved, monkeypatch):
+        # the archive that older versions wrote, with the digest of these text files
+        sys_, path = saved
+        path.unlink()
+        legacy = path.parent / "arrays.npz"
+        digest = np.frombuffer(problems._digest(_cached_texts(path.parent), []), np.uint8)
+        np.savez(legacy, digest=digest, X=sys_.X.data, y=sys_.y, reference=sys_.reference,
+                 residual=sys_.residual_ref)
+        self._assert_miss(sys_, path.parent, monkeypatch)
+        assert legacy.exists() and not path.exists()
 
     @pytest.mark.parametrize("spec", [
         GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3),
         GenSpec(m=3, n=7, regime=Regime.UNDERDETERMINED, seed=4),
         TomoSpec(grid_n=3, oversample=2, seed=5),
-    ])
-    def test_hit_is_what_np_load_reads(self, tmp_path, spec):
+    ], ids=["oi", "ud", "tomo"])
+    def test_layout(self, tmp_path, spec):
         sys_ = (gen_gaussian if isinstance(spec, GenSpec) else gen_tomography)(spec)
         save_system(sys_, tmp_path, spec)
-        texts = {name: (tmp_path / name).read_bytes()
-                 for name in self.ALL if (tmp_path / name).exists()}
+        texts = _cached_texts(tmp_path)
+        present = [a for a in (sys_.X.data, sys_.y, sys_.reference, sys_.residual_ref)
+                   if a is not None]
+        data = b"".join(a.astype("<f8").tobytes() for a in present)
+        blob = (tmp_path / SIDECAR).read_bytes()
+        assert len(blob) == 48 + 8 * (sys_.m * sys_.n + sys_.m + sys_.n
+                                      + (sys_.m if sys_.residual_ref is not None else 0))
+        head = sys_.m.to_bytes(8, "little") + sys_.n.to_bytes(8, "little")
+        assert blob[32:] == head + data
+        assert blob[:32] == hashlib.sha256(
+            b"".join(f"{name} {len(text)}\n".encode() + text for name, text in texts.items())
+            + blob[32:]).digest()
         arrays = problems._read_sidecar(tmp_path / SIDECAR, texts)
-        with np.load(tmp_path / SIDECAR, allow_pickle=False) as npz:
-            assert list(arrays) == list(texts)
-            for name, array in arrays.items():
-                want = npz[name.removesuffix(".txt")]
-                assert (array.dtype, array.shape, array.flags.c_contiguous) == (
-                    want.dtype, want.shape, want.flags.c_contiguous)
-                assert array.tobytes() == want.tobytes()
+        assert list(arrays) == list(texts)
+        for array, want in zip(arrays.values(), present):
+            assert (array.dtype.str, array.shape) == ("<f8", want.shape)
+            assert array.tobytes() == want.tobytes()

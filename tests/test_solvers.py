@@ -12,6 +12,7 @@ from kaczgs.linalg import (
     least_norm_ref,
     spectral_summary,
 )
+from kaczgs.problems import TomoSpec, gen_tomography
 from kaczgs.sampling import Prng, spawn_trial_rng
 from kaczgs import solvers
 from kaczgs.solvers import (
@@ -269,6 +270,53 @@ class TestExtendedGaussSeidelStep:
             lhs = float(np.linalg.norm(solver.estimate(state) - beta_ln) ** 2)
             rhs = float(term_a @ term_a) + float(term_b @ term_b)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-20)
+
+
+class TestExtendedMethodsAreOneProcess:
+    """REK's beta is REGS's beta - z when REK draws (row, column) and REGS (column, row).
+
+    REK's z is RGS's residual y - X beta_RGS and REGS's beta is beta_RGS, so
+    both estimates e take the same row step e += (x_i . (beta_RGS - e) / ||x_i||^2) x_i.
+    They agree up to rounding, which RGS's residual refreshes also move.
+    """
+
+    SYSTEMS = {
+        "oi-500x20": lambda: gaussian_system(500, 20, Regime.OVER_INCONSISTENT, seed=1),
+        "ud-50x200": lambda: gaussian_system(50, 200, Regime.UNDERDETERMINED, seed=1),
+        "oc-300x30": lambda: gaussian_system(300, 30, Regime.OVER_CONSISTENT, seed=1),
+        "tomo-10x3": lambda: gen_tomography(TomoSpec(grid_n=10, oversample=3, seed=1)),
+    }
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    @pytest.mark.parametrize("batch", [False, True], ids=["steps", "steps_batch"])
+    def test_rek_beta_is_regs_estimate(self, batch, name):
+        sys_ = self.SYSTEMS[name]()
+        tol = 1e-12 * np.linalg.norm(sys_.reference)
+        seeds, total = ((5, 6, 7), 200) if batch else ((5,), 20_000)
+        trials = len(seeds) if batch else None
+        # (steps, trials) row and column indices, one reference stream per trial
+        i, j = np.array([list(reference_draws(sys_, SolverKind.REK, seed, total))
+                         for seed in seeds]).transpose(2, 1, 0)
+        rek, regs = make_solver(SolverKind.REK, sys_), make_solver(SolverKind.REGS, sys_)
+        st_rek, st_regs = rek.init_state(trials), regs.init_state(trials)
+        rows_rek, rows_regs = np.empty((2, solvers.CHECK_CHUNK, len(seeds), sys_.n))
+        lengths, refresh = np.random.default_rng(4), solvers.RESIDUAL_REFRESH_EVERY
+        t = 0
+        while t < total:
+            # a span may end on a residual refresh but not pass one
+            k = min(int(lengths.integers(1, solvers.CHECK_CHUNK + 1)), total - t,
+                    refresh - t % refresh)
+            if batch:
+                rek.steps_batch(st_rek, [i[t:t + k], j[t:t + k]], list(rows_rek))
+                regs.steps_batch(st_regs, [j[t:t + k], i[t:t + k]], list(rows_regs))
+                gap = np.linalg.norm(rows_rek[:k] - rows_regs[:k], axis=-1).max()
+            else:
+                rek.steps(st_rek, [i[t:t + k, 0].tolist(), j[t:t + k, 0].tolist()])
+                regs.steps(st_regs, [j[t:t + k, 0].tolist(), i[t:t + k, 0].tolist()])
+                gap = np.linalg.norm(st_rek.beta - regs.estimate(st_regs))
+            t += k
+            assert gap <= tol, (t, gap)
+        assert st_rek.iteration == st_regs.iteration == total
 
 
 class TestPythagoreanRecursions:
