@@ -20,9 +20,14 @@ A matrix or vector file holds exactly the lines its header declares,
 then blank lines only.
 
 Values are written with full round-trip precision (repr), so save/load is
-value-exact. Saving into an existing directory deletes an optional array
-file that the new system lacks, so no earlier system's reference loads with
-it. ``redraw`` draws a fresh system from the generator that meta.txt records.
+value-exact. A file costs one repr per entry that is not +0.0: an entry
+whose bits are +0.0 is written as "0.0", which is repr(0.0), so the bytes
+are those of repr on every entry, -0.0 included. read_matrix and
+read_vector parse one file on its own; load_system does not use them, and
+the tests keep them as the oracle of the writers' round trip. Saving into
+an existing directory deletes an optional array file that the new system
+lacks, so no earlier system's reference loads with it. ``redraw`` draws a
+fresh system from the generator that meta.txt records.
 
 save_system also writes arrays.bin: a 32-byte sha256, then m and n as two
 little-endian uint64, then X (row-major), y and the present references as
@@ -61,6 +66,13 @@ from .sampling import Prng, check_seed
 GEN_MAX_ATTEMPTS = 5
 
 
+def _check_size(m: int, n: int) -> None:
+    """An m x n float64 X must fit one numpy array: at most np.iinfo(np.intp).max bytes."""
+    if 8 * m * n > np.iinfo(np.intp).max:
+        raise ConfigurationError(f"a {m}x{n} X takes {8 * m * n} bytes of float64, more than "
+                                 f"the {np.iinfo(np.intp).max} one array can hold")
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters for one Gaussian system draw."""
@@ -90,6 +102,7 @@ class GenSpec:
             )
         if self.regime is Regime.OVER_INCONSISTENT and self.noise_scale == 0:
             raise ConfigurationError("inconsistent generation requires noise_scale > 0")
+        _check_size(self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -109,6 +122,7 @@ class TomoSpec:
                 f"oversample must be >= 2 so the system is underdetermined, "
                 f"got {self.oversample}"
             )
+        _check_size(self.grid_n**2, self.oversample * self.grid_n**2)
 
 
 def _retried(draw, spec: GenSpec | TomoSpec, failure: str) -> LinearSystem:
@@ -319,21 +333,51 @@ def _draw_tomography(spec: TomoSpec, seed: int) -> LinearSystem:
 # ---------------------------------------------------------------------------
 # Text serialization
 
+def _rows(data: np.ndarray):
+    """The tokens of each row of the float64 matrix ``data``: its entries' repr, in order.
+
+    An entry whose bits are +0.0 is the constant "0.0", which is repr(0.0),
+    without a call to repr; -0.0 goes through repr like any other value. In
+    a matrix with no +0.0 entry, and in each full row of one that has some,
+    the tokens are repr mapped over the row; a row with zeros is a list of
+    "0.0" with its other entries filled in, found by one flatnonzero over
+    the matrix's bits.
+    """
+    m, n = data.shape
+    bits = data.view(np.uint64)
+    if np.count_nonzero(bits) == data.size:
+        yield from (map(repr, row) for row in data.tolist())
+        return
+    rows, cols = np.divmod(np.flatnonzero(bits), n)
+    values = data[rows, cols]
+    starts = np.searchsorted(rows, np.arange(m + 1)).tolist()
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        if hi - lo == n:
+            yield map(repr, values[lo:hi].tolist())
+            continue
+        tokens = ["0.0"] * n
+        for j, value in zip(cols[lo:hi].tolist(), values[lo:hi].tolist()):
+            tokens[j] = repr(value)
+        yield tokens
+
+
+def _write_lines(path, header: str, lines) -> bytes:
+    text = "\n".join([header, *lines, ""]).encode()  # the joined list is freed before encode
+    Path(path).write_bytes(text)
+    return text
+
+
 def write_matrix(path, matrix) -> bytes:
     """Write a matrix file; returns the bytes written."""
     data = matrix.data if isinstance(matrix, DenseMatrix) else np.asarray(matrix, dtype=float)
-    rows = (" ".join(map(repr, row)) for row in data.tolist())
-    text = "\n".join([f"{data.shape[0]} {data.shape[1]}", *rows, ""]).encode()
-    Path(path).write_bytes(text)
-    return text
+    return _write_lines(path, f"{data.shape[0]} {data.shape[1]}", map(" ".join, _rows(data)))
 
 
 def write_vector(path, vec) -> bytes:
     """Write a vector file; returns the bytes written."""
     vec = np.asarray(vec, dtype=float)
-    text = "\n".join([str(vec.shape[0]), *map(repr, vec.tolist()), ""]).encode()
-    Path(path).write_bytes(text)
-    return text
+    (tokens,) = _rows(vec.reshape(1, -1))
+    return _write_lines(path, str(vec.shape[0]), tokens)
 
 
 def _decode(path, data: bytes) -> str:

@@ -115,6 +115,25 @@ class TestGen:
         assert not out.exists()
 
 
+# X of either shape holds more float64 bytes than np.intp can count
+OVERSIZE = {
+    "gen": ["gen", "--m", "4000000000", "--n", "3000000000", "--regime", "over-consistent"],
+    "tomo": ["tomo", "--grid-n", "1000000", "--oversample", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZE))
+def test_oversize_generator_shape_exits_2_before_drawing(command, tmp_path, monkeypatch, capsys):
+    seeds = _spy_seeds(monkeypatch)
+    out = tmp_path / "sys"
+    assert _run([*OVERSIZE[command], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: a ") and err.count("\n") == 1
+    assert f"bytes of float64, more than the {np.iinfo(np.intp).max} one array can hold" in err
+    assert seeds == []  # rejected by the spec: no generator started, no array allocated
+    assert not out.exists()
+
+
 class TestTomo:
     def test_writes_system(self, tmp_path):
         out = tmp_path / "tomo"

@@ -409,7 +409,85 @@ class TestChordTracer:
         assert any(s[4] == s[5] for s in sides)
 
 
+# finite float64 values that text and binary must both carry exactly
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-300]
+_entries = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_subnormal=True),
+)
+# vectors carry no norm cache, so they also reach 1e+300 and the largest float
+_vector_entries = st.one_of(
+    _entries, st.sampled_from([1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308])
+)
+# the writers take any finite value: signed zeros, and values near 1e-300 and 1e+300 of
+# either sign
+_text_entries = st.one_of(_vector_entries, st.sampled_from([0.0, -0.0]), *(
+    st.floats(min_value=lo, max_value=hi)
+    for lo, hi in [(1e-301, 1e-299), (-1e-299, -1e-301), (1e299, 1e301), (-1e301, -1e299)]
+))
+
+
+@st.composite
+def _zero_masked_matrices(draw):
+    """Matrices of edge values under a zero mask, in C, Fortran, transposed or strided layout.
+
+    The shape is 1x1, 1xn, mx1 or mxn. The mask sets +0.0 on every entry,
+    on none (a drawn +0.0 becomes 1.0, so no +0.0 is left), on random
+    entries, or on whole rows and columns.
+    """
+    m = draw(st.sampled_from([1, draw(st.integers(2, 7))]))
+    n = draw(st.sampled_from([1, draw(st.integers(2, 7))]))
+    data = np.array(draw(st.lists(_text_entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+    mask = draw(st.sampled_from(["all", "none", "entries", "rows and columns"]))
+    flags = np.array(draw(st.lists(st.booleans(), min_size=m * n + m + n, max_size=m * n + m + n)))
+    if mask == "all":
+        data[:] = 0.0
+    elif mask == "none":
+        data[data.view(np.uint64) == 0] = 1.0
+    elif mask == "entries":
+        data[flags[: m * n].reshape(m, n)] = 0.0
+    else:
+        data[flags[m * n : m * n + m]] = 0.0
+        data[:, flags[m * n + m :]] = 0.0
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(data)
+    if layout == "transposed":
+        return np.ascontiguousarray(data.T).T
+    if layout == "strided":
+        wide = np.full((m, 2 * n), np.nan)
+        wide[:, ::2] = data
+        return wide[:, ::2]
+    return data
+
+
+def _repr_lines(header: str, lines) -> bytes:
+    """A text file as written before +0.0 entries were special-cased: repr of every entry."""
+    return "\n".join([header, *lines, ""]).encode()
+
+
 class TestTextFormats:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_zero_masked_matrices())
+    def test_bytes_are_the_repr_of_every_entry(self, data):
+        m, n = data.shape
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "X.txt"
+            text = write_matrix(path, data)
+            assert text == path.read_bytes() == _repr_lines(
+                f"{m} {n}", (" ".join(map(repr, row)) for row in data.tolist())
+            )
+            with np.errstate(over="ignore"):
+                squares_fit = math.isfinite(float((data * data).sum()))
+            if squares_fit:  # DenseMatrix rejects entries whose squared norms overflow
+                assert read_matrix(path).data.tobytes() == np.ascontiguousarray(data).tobytes()
+            # every row and column as a vector, strided views included
+            for vec in [*data, *data.T]:
+                path = Path(tmp) / "v.txt"
+                text = write_vector(path, vec)
+                assert text == _repr_lines(str(len(vec)), map(repr, vec.tolist()))
+                assert read_vector(path).tobytes() == np.ascontiguousarray(vec).tobytes()
+
     def test_matrix_roundtrip_bit_exact(self, tmp_path, rng_numpy):
         values = rng_numpy.normal(size=(7, 3)) * np.exp(rng_numpy.normal(size=(7, 3)) * 5)
         path = tmp_path / "X.txt"
@@ -571,17 +649,6 @@ class TestSystemDirectories:
 
 
 _sidecar_settings = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
-# finite float64 values that text and binary must both carry exactly
-_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-300]
-_entries = st.one_of(
-    st.sampled_from(_EDGE_VALUES),
-    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_subnormal=True),
-)
-# vectors carry no norm cache, so they also reach 1e+300 and the largest float
-_vector_entries = st.one_of(
-    _entries, st.sampled_from([1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308])
-)
 
 
 @st.composite
