@@ -23,7 +23,8 @@ code is that of the parser with every subcommand's arguments
 takes to build.
 
 Exit codes: 0 on success, 2 on configuration errors (including malformed
-or non-UTF-8 inputs and paths that cannot be opened), 3 on numerical errors.
+or non-UTF-8 inputs, paths that cannot be opened and arrays too big to
+allocate), 3 on numerical errors.
 """
 from __future__ import annotations
 
@@ -251,6 +252,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][2](args)
     except (ConfigurationError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a gen or tomo shape under the size check, too big for RAM
+        print(f"configuration error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

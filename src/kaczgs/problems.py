@@ -338,10 +338,9 @@ def _rows(data: np.ndarray):
 
     An entry whose bits are +0.0 is the constant "0.0", which is repr(0.0),
     without a call to repr; -0.0 goes through repr like any other value. In
-    a matrix with no +0.0 entry, and in each full row of one that has some,
-    the tokens are repr mapped over the row; a row with zeros is a list of
-    "0.0" with its other entries filled in, found by one flatnonzero over
-    the matrix's bits.
+    a matrix with no +0.0 entry the tokens are repr mapped over each row;
+    otherwise each row is a list of "0.0" with its other entries filled in,
+    found by one flatnonzero over the matrix's bits.
     """
     m, n = data.shape
     bits = data.view(np.uint64)
@@ -352,9 +351,6 @@ def _rows(data: np.ndarray):
     values = data[rows, cols]
     starts = np.searchsorted(rows, np.arange(m + 1)).tolist()
     for lo, hi in zip(starts[:-1], starts[1:]):
-        if hi - lo == n:
-            yield map(repr, values[lo:hi].tolist())
-            continue
         tokens = ["0.0"] * n
         for j, value in zip(cols[lo:hi].tolist(), values[lo:hi].tolist()):
             tokens[j] = repr(value)

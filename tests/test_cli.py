@@ -1,6 +1,7 @@
 """CLI subcommands, schemas, determinism, exit codes."""
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -131,6 +132,33 @@ def test_oversize_generator_shape_exits_2_before_drawing(command, tmp_path, monk
     assert err.startswith("configuration error: a ") and err.count("\n") == 1
     assert f"bytes of float64, more than the {np.iinfo(np.intp).max} one array can hold" in err
     assert seeds == []  # rejected by the spec: no generator started, no array allocated
+    assert not out.exists()
+
+
+# X of either shape fits np.intp's byte count but not in memory
+UNALLOCATABLE = {
+    "gen": (["gen", "--m", "1100000000", "--n", "1000000000", "--regime", "over-consistent"],
+            "empty", 11 * 10**17),
+    "tomo": (["tomo", "--grid-n", "20000", "--oversample", "2"], "zeros", (400000000, 800000000)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNALLOCATABLE))
+def test_unallocatable_generator_shape_exits_2(command, tmp_path, monkeypatch, capsys):
+    argv, allocator, shape = UNALLOCATABLE[command]
+    allocate = getattr(np, allocator)
+
+    def no_memory(size, *args, **kwargs):  # refuses X's allocation instead of attempting it
+        if math.prod(size if isinstance(size, tuple) else (size,)) > 10**12:
+            raise MemoryError(f"Unable to allocate an array with shape {size}")
+        return allocate(size, *args, **kwargs)
+
+    monkeypatch.setattr(np, allocator, no_memory)
+    out = tmp_path / "sys"
+    assert _run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: out of memory: Unable to allocate an array with shape {shape}\n"
+    )
     assert not out.exists()
 
 
