@@ -33,6 +33,18 @@ endings and full-precision (repr) decimals:
     emit_trace_csv    trial,iteration,solver,error_sq,residual_sq
     emit_bounds_csv   iteration,bound_value
 
+``emit_bounds_csv`` evaluates the curve BOUNDS_CHUNK grid rows at a time,
+formats each distinct value of a chunk once (told apart by its bits, so
+-0.0 stays -0.0) and writes the chunk with one join and one write. Its
+bytes are still ``repr(bound(t))`` on every row. The REK and REGS curves
+decay as alpha^floor(t/2), so at a stride of 1 about half their rows repeat
+the row before (REGS on gen oc 500x20 seed 1: 10 990 distinct values in
+20 001 rows), and tiny values, such as that curve's 9.2e-144 at t = 20000,
+take about a microsecond each to format. ``emit_csv`` keeps its row loop:
+its error columns hardly repeat, and on the 1546-row compare of gen oc
+500x20 a column-wise writer with the same per-value formatting took 7.4 ms
+against the loop's 6.5 ms.
+
 Determinism contract: the aggregate CSV bytes are a pure function of
 (config, system files) on one machine at one BLAS thread count
 (OpenBLAS's Gram products can round differently at 1 thread than at 2).
@@ -41,6 +53,7 @@ function, so they are kept out of it.
 """
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -69,6 +82,8 @@ _KIND_ORDINAL = {kind: i for i, kind in enumerate(SolverKind)}
 #: from this trial on, a stream index trial * 4 + ordinal would reach 2**64
 _TRIAL_LIMIT = 2**64 // len(SolverKind)
 _REDRAW_STREAM_BASE = 1 << 32  # generator seed streams, disjoint from solver streams
+#: grid rows per write of ``emit_bounds_csv``: its memory is one chunk's text, not the curve's
+BOUNDS_CHUNK = 1024
 
 
 @dataclass
@@ -240,16 +255,37 @@ def emit_trace_csv(trace: ConvergenceTrace, fh) -> None:
         fh.write(f"{trace.trial},{it},{trace.solver.name},{err!r},{res!r}\n")
 
 
+def _reprs(values: list[float]) -> list[str]:
+    """``list(map(repr, values))``, calling ``repr`` once per distinct float.
+
+    Floats are told apart by their bits: keyed on the float, -0.0 would take
+    0.0's text, since the two compare equal.
+    """
+    bits = memoryview(array("d", values)).cast("B").cast("q").tolist()
+    one_each = dict(zip(bits, values))
+    if len(one_each) == len(values):  # no repeats: the lookups would cost more than they save
+        return list(map(repr, values))
+    text = dict(zip(one_each, map(repr, one_each.values())))
+    return list(map(text.__getitem__, bits))
+
+
 def emit_bounds_csv(bound: Callable[[int], float], cfg: SolveConfig, fh) -> None:
     """Write a bound curve (iteration,bound_value) on compare's grid.
 
     The rows are t = 0, record_every, 2 record_every, ... up to the last
     multiple of record_every that is at most max_iter, which is max_iter
-    itself only when record_every divides it.
+    itself only when record_every divides it. The chunks are cut at their
+    first t and never by ``len``: at max_iter 10**30 and stride 1 the grid
+    has more rows than ``len`` can count.
     """
     fh.write("iteration,bound_value\n")
-    for t in range(0, cfg.max_iter + 1, cfg.record_every):
-        fh.write(f"{t},{bound(t)!r}\n")
+    stride, end = cfg.record_every, cfg.max_iter + 1
+    for first in range(0, end, stride * BOUNDS_CHUNK):
+        grid = range(first, min(first + stride * BOUNDS_CHUNK, end), stride)
+        # one expression, so no chunk's lists outlive its write
+        fh.write("".join(
+            [f"{t},{text}\n" for t, text in zip(grid, _reprs(list(map(bound, grid))))]
+        ))
 
 
 def print_timing_summary(trace: AggregateTrace, stream) -> None:

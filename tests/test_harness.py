@@ -3,16 +3,21 @@ from __future__ import annotations
 
 import io
 import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kaczgs import harness, solvers
 from kaczgs.errors import ConfigurationError
 from kaczgs.harness import (
+    BOUNDS_CHUNK,
     CSV_HEADER,
     AggregateTrace,
     ExperimentConfig,
     compare_solvers,
+    emit_bounds_csv,
     emit_csv,
     emit_timings_csv,
     run_experiment,
@@ -26,7 +31,7 @@ from kaczgs.problems import (
     load_system,
     save_system,
 )
-from kaczgs.solvers import LOCKSTEP_MIN_TRIALS, SolverKind, run
+from kaczgs.solvers import LOCKSTEP_MIN_TRIALS, SolveConfig, SolverKind, run
 from kaczgs.theory import TheoryBound
 
 
@@ -266,3 +271,83 @@ class TestEmitCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "iteration,solver,mean_cum_seconds"
         assert len(lines) > 1
+
+
+def _nan_with_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: values whose text a value-keyed memo would get wrong or that format unusually:
+#: both zeros, NaNs of three bit patterns, infinities, subnormals and tiny normals
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, _nan_with_bits(0xFFF8000000000000), _nan_with_bits(0x7FF0000000000001),
+    math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 9.234364956133329e-144, 1.0,
+]
+_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+#: lists drawn from a small pool, so most values repeat, side by side or far apart
+_float_lists = st.lists(_floats, min_size=1, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=300)
+)
+
+
+def _bounds_csv_row_by_row(bound, cfg) -> str:
+    """The bounds CSV as one write of ``repr(bound(t))`` per grid row."""
+    buf = io.StringIO()
+    buf.write("iteration,bound_value\n")
+    for t in range(0, cfg.max_iter + 1, cfg.record_every):
+        buf.write(f"{t},{bound(t)!r}\n")
+    return buf.getvalue()
+
+
+def _halving(t: int) -> float:
+    """Halves every second step, as REK's bound does, through the subnormals to 0.0."""
+    return 0.5 ** (t // 2) * 3.0
+
+
+def _cycling(t: int) -> float:
+    """The special floats in turn, so every chunk holds each of them many times."""
+    return _SPECIAL_FLOATS[t % len(_SPECIAL_FLOATS)]
+
+
+class TestEmitBoundsCsv:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_float_lists)
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example([-0.0, 0.0])
+    @example([])
+    def test_reprs_are_repr_of_each_value(self, values):
+        assert harness._reprs(values) == list(map(repr, values))
+
+    @pytest.mark.parametrize("bound", [_halving, _cycling])
+    @pytest.mark.parametrize("max_iter, every", [
+        (5, 10),  # 1 row
+        (BOUNDS_CHUNK - 2, 1),  # a chunk less one
+        (BOUNDS_CHUNK - 1, 1),  # a chunk
+        (BOUNDS_CHUNK, 1),  # a chunk and one row
+        (7 * BOUNDS_CHUNK + 6, 7),  # a chunk and one row, the stride not dividing max_iter
+        (3 * BOUNDS_CHUNK - 2, 3),  # a chunk, the stride not dividing max_iter
+    ])
+    def test_bytes_are_those_of_a_row_at_a_time_writer(self, bound, max_iter, every):
+        cfg = SolveConfig(max_iter=max_iter, record_every=every)
+        buf = io.StringIO()
+        emit_bounds_csv(bound, cfg, buf)
+        # compared as lines: pytest's diff of two strings this long takes minutes
+        expected = _bounds_csv_row_by_row(bound, cfg)
+        assert buf.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+    def test_a_grid_past_sys_maxsize_is_written_chunk_by_chunk(self):
+        # 10**30 + 1 rows: a writer that took len() of the grid would fail before writing
+        class Enough(Exception):
+            pass
+
+        def bound(t):
+            if t == 2 * BOUNDS_CHUNK:
+                raise Enough
+            return _halving(t)
+
+        buf = io.StringIO()
+        with pytest.raises(Enough):
+            emit_bounds_csv(bound, SolveConfig(max_iter=10**30, record_every=1), buf)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == 1 + 2 * BOUNDS_CHUNK
+        assert lines[-1] == f"{2 * BOUNDS_CHUNK - 1},{_halving(2 * BOUNDS_CHUNK - 1)!r}"

@@ -139,6 +139,39 @@ COMPARE_SHA256 = "f6089091c817ed5dde2dc5290d2a96483f31eddb5cf2340e0859fbeb544c22
 #: past a stop carries that trial's terminal error, not its last grid value.
 REDRAW_COMPARE_SHA256 = "6532273bd45e0d47222e003bf83820b4ab2026852a83432eaac62bf13dc11aa2"
 
+#: sha256 of `kaczgs bounds --max-iter 20000 --record-every 1`, keyed (system, solver), on
+#: the three Gaussian systems above and the tomography system of ``tomo_dir``, as the
+#: row-at-a-time writer wrote them. The two over-determined systems have the same bound
+#: constants but for RK's horizon, so their other curves share a digest; RGS's curve on
+#: an underdetermined system is 20 001 rows of nan.
+BOUNDS_SHA256 = {
+    ("over-consistent", "rk"): "7fa2f3083210efc4307ed8f3fe54c5b0629acac3df975f3cf993d4ebfb0790a7",
+    ("over-consistent", "rgs"): "6032585789e7369269eed19ee555e2bb5eebb3a7067e50d2d62fa12ae15274f6",
+    ("over-consistent", "rek"): "9fa299629763bec1e1bb24254c2930b53b514f246011aa2b1401f0562ad30f7b",
+    ("over-consistent", "regs"): "c112b0099768805a14407acf9876fe10c491e872e8c5e49bc585e3f0d5f656d0",
+    ("over-inconsistent", "rk"): "41524ab24aa1039d681cc6e2c0e60a65d05285f7e945fd06eb4f2d70ea402d11",
+    ("over-inconsistent", "rgs"): "6032585789e7369269eed19ee555e2bb5eebb3a7067e50d2d62fa12ae15274f6",
+    ("over-inconsistent", "rek"): "9fa299629763bec1e1bb24254c2930b53b514f246011aa2b1401f0562ad30f7b",
+    ("over-inconsistent", "regs"): "c112b0099768805a14407acf9876fe10c491e872e8c5e49bc585e3f0d5f656d0",
+    ("underdetermined", "rk"): "badb8d8a52dd60c406e549dac1b704c1ffa0ad2063f715d119a453815e7cebc5",
+    ("underdetermined", "rgs"): "c6e69d20d38f279b014f4f8bd7a9cb921151bcb185d20ceeff9c04b01e434aa0",
+    ("underdetermined", "rek"): "74cb98413d6a340e04e415e44f461257a761a159b504fc476a5df64c7c7304b6",
+    ("underdetermined", "regs"): "92912bae80bf3d4e1d477e8bbffc4f98b7351692e8b3e7e79788eeb39c87c659",
+    ("tomo", "rk"): "a389231b8c766580c8f2c7356812f9860925dc35cca2a5c56bab1140464b0741",
+    ("tomo", "rgs"): "c6e69d20d38f279b014f4f8bd7a9cb921151bcb185d20ceeff9c04b01e434aa0",
+    ("tomo", "rek"): "0a7e38e81831c128c85437677e64d6c947a94af743fb1d075ec9a04ed951c2af",
+    ("tomo", "regs"): "428f7479f1f2a9ef3d8a64bd9b25d8e45360682ed45febb35e1b881b42feedaa",
+}
+
+#: sha256 of `kaczgs bounds --max-iter 10**30 --record-every 10**29` on the over-inconsistent
+#: system, keyed by solver: 11 rows, more than ``sys.maxsize`` apart
+HUGE_GRID_BOUNDS_SHA256 = {
+    "rk": "1797a696f96833af5e19260a947ec99b0255ba85253ced018dbb5ecd0ae3cda1",
+    "rgs": "68336a302bef46151e449c4e710b8e65429edc61d8b9c64cf1b0230c8f34a129",
+    "rek": "f2d459ebff60912f649868631f5e5eb5a84d25deccfbe88a5785e0d2334beef0",
+    "regs": "36aec1e8bef4cbf94603d2011e2abb7691dc8909bf0113e149b18093f3bc90b5",
+}
+
 #: sha256 of y.txt and reference.txt of `kaczgs tomo --grid-n <grid> --oversample <d>
 #: --seed <seed>`; y is X times the phantom, whose uniforms follow the n-th kept chord
 TOMO_Y_REFERENCE_SHA256 = {
@@ -222,6 +255,23 @@ class TestPinnedBytes:
                          "--out", str(tmp_path)]) == 0
         digests = _sha256(tmp_path / "y.txt"), _sha256(tmp_path / "reference.txt")
         assert digests == TOMO_Y_REFERENCE_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(BOUNDS_SHA256), ids="-".join)
+    def test_bounds_csv(self, key, system_dirs, tomo_dir, tmp_path):
+        system, solver = key
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", "--system", str(system_dirs / system), "--solver", solver,
+                         "--max-iter", "20000", "--record-every", "1", "--out", str(out)]) == 0
+        assert _sha256(out) == BOUNDS_SHA256[key]
+
+    @pytest.mark.parametrize("solver", sorted(HUGE_GRID_BOUNDS_SHA256))
+    def test_bounds_csv_on_a_grid_past_sys_maxsize(self, solver, system_dirs, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", "--system", str(system_dirs / "over-inconsistent"),
+                         "--solver", solver, "--max-iter", str(10**30),
+                         "--record-every", str(10**29), "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 12
+        assert _sha256(out) == HUGE_GRID_BOUNDS_SHA256[solver]
 
     def test_every_convergent_pair_is_pinned(self):
         pinned = {(SolverKind(s), Regime(r)) for s, r, _, _ in SOLVE_SHA256}
