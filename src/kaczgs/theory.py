@@ -52,6 +52,10 @@ from .linalg import LinearSystem, Regime, spectral_summary
 from .solvers import SolverKind
 
 
+def _negative_index(t: int) -> ConfigurationError:
+    return ConfigurationError(f"iteration index must be nonnegative, got {t}")
+
+
 @dataclass(frozen=True)
 class TheoryBound:
     """One system's bound constants; ``curve`` turns them into each solver's bound.
@@ -111,23 +115,34 @@ class TheoryBound:
 
         REGS's bound is vacuous for alpha >= 1, which raises here, before any value is used.
         """
-        a = self.alpha
+        a, ref_sq, horizon = self.alpha, self.ref_sq, self.horizon
+        rgs_init, kappa_sq_term, B = self.rgs_init, self.kappa_sq_term, self.B
         if kind is SolverKind.RGS and self.regime is Regime.UNDERDETERMINED:
-            form = lambda t: math.nan  # RGS's limit is not the least-norm ref
+            def bound(t: int) -> float:  # RGS's limit is not the least-norm ref
+                if t < 0:
+                    raise _negative_index(t)
+                return math.nan
         elif kind is SolverKind.RK:
-            form = lambda t: a**t * self.ref_sq + self.horizon
+            def bound(t: int) -> float:
+                if t < 0:
+                    raise _negative_index(t)
+                return a**t * ref_sq + horizon
         elif kind is SolverKind.RGS:
-            form = lambda t: a**t * self.rgs_init
+            def bound(t: int) -> float:
+                if t < 0:
+                    raise _negative_index(t)
+                return a**t * rgs_init
         elif kind is SolverKind.REK:
-            form = lambda t: a ** (t // 2) * self.kappa_sq_term * self.ref_sq
+            def bound(t: int) -> float:
+                if t < 0:
+                    raise _negative_index(t)
+                return a ** (t // 2) * kappa_sq_term * ref_sq
         else:
             if a >= 1.0:
                 raise NumericalError(f"bound is vacuous for alpha = {a} >= 1")
-            form = lambda t: a**t * self.ref_sq + 2.0 * a ** (t // 2) * self.B / (1.0 - a)
 
-        def bound(t: int) -> float:
-            if t < 0:
-                raise ConfigurationError(f"iteration index must be nonnegative, got {t}")
-            return form(t)
-
+            def bound(t: int) -> float:
+                if t < 0:
+                    raise _negative_index(t)
+                return a**t * ref_sq + 2.0 * a ** (t // 2) * B / (1.0 - a)
         return bound

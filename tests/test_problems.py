@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -473,8 +476,9 @@ class TestTextFormats:
         m, n = data.shape
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "X.txt"
-            text = write_matrix(path, data)
-            assert text == path.read_bytes() == _repr_lines(
+            write_matrix(path, data)
+            text = path.read_bytes()
+            assert text == _repr_lines(
                 f"{m} {n}", (" ".join(map(repr, row)) for row in data.tolist())
             )
             with np.errstate(over="ignore"):
@@ -484,9 +488,31 @@ class TestTextFormats:
             # every row and column as a vector, strided views included
             for vec in [*data, *data.T]:
                 path = Path(tmp) / "v.txt"
-                text = write_vector(path, vec)
+                write_vector(path, vec)
+                text = path.read_bytes()
                 assert text == _repr_lines(str(len(vec)), map(repr, vec.tolist()))
                 assert read_vector(path).tobytes() == np.ascontiguousarray(vec).tobytes()
+
+    @pytest.mark.parametrize("zeros", ["none", "some rows", "every other entry"])
+    def test_bytes_of_many_blocks_are_the_repr_of_every_entry(self, tmp_path, rng_numpy, zeros):
+        # TEXT_BLOCK // 1000 rows of 40 entries, or TEXT_BLOCK // 25 entries of a vector, are
+        # formatted at a time; the blocks of one file take the no-zero path, the +0.0 path or
+        # a mix of the two
+        m = 4 * problems.TEXT_BLOCK // 1000 + 7
+        data = rng_numpy.normal(size=(m, 40))
+        if zeros == "some rows":
+            data[m // 3 : m // 3 + 10] = 0.0
+            data[-5, 7] = 0.0
+        elif zeros == "every other entry":
+            data.flat[::2] = 0.0
+        vec = data.ravel()
+        write_matrix(tmp_path / "X.txt", data)
+        write_vector(tmp_path / "v.txt", vec)
+        assert (tmp_path / "X.txt").read_bytes() == _repr_lines(
+            f"{m} 40", (" ".join(map(repr, row)) for row in data.tolist())
+        )
+        assert (tmp_path / "v.txt").read_bytes() == _repr_lines(str(len(vec)),
+                                                                map(repr, vec.tolist()))
 
     def test_matrix_roundtrip_bit_exact(self, tmp_path, rng_numpy):
         values = rng_numpy.normal(size=(7, 3)) * np.exp(rng_numpy.normal(size=(7, 3)) * 5)
@@ -803,9 +829,9 @@ class TestSidecar:
         assert parsed == ["X.txt", "y.txt", "reference.txt"]
 
 
-def _cached_texts(directory) -> dict[str, bytes]:
+def _cached_files(directory) -> list[Path]:
     names = ("X.txt", "y.txt", "reference.txt", "residual.txt")
-    return {name: (directory / name).read_bytes() for name in names if (directory / name).exists()}
+    return [directory / name for name in names if (directory / name).exists()]
 
 
 class TestFlatSidecar:
@@ -845,7 +871,21 @@ class TestFlatSidecar:
     def test_wrong_length_with_a_valid_digest_misses(self, saved, monkeypatch, edit):
         sys_, path = saved
         body = edit(path.read_bytes()[32:])
-        path.write_bytes(problems._digest(_cached_texts(path.parent), [body]) + body)
+        path.write_bytes(problems._digest(_cached_files(path.parent), [body]) + body)
+        self._assert_miss(sys_, path.parent, monkeypatch)
+
+    @pytest.mark.parametrize("off", [-1, 1], ids=["read-more", "read-less"])
+    def test_read_length_unlike_the_file_size_misses(self, saved, monkeypatch, off):
+        # a file that grows or shrinks while it is hashed: its size says one length, its
+        # reads another
+        sys_, path = saved
+
+        def fstat(fd):
+            stat = os.fstat(fd)
+            return os.stat_result((*stat[:6], stat.st_size + off, *stat[7:10]))
+
+        monkeypatch.setattr(problems, "os", SimpleNamespace(fstat=fstat))
+        assert problems._digest(_cached_files(path.parent), []) is None
         self._assert_miss(sys_, path.parent, monkeypatch)
 
     def test_legacy_npz_is_parsed_and_kept(self, saved, monkeypatch):
@@ -853,21 +893,26 @@ class TestFlatSidecar:
         sys_, path = saved
         path.unlink()
         legacy = path.parent / "arrays.npz"
-        digest = np.frombuffer(problems._digest(_cached_texts(path.parent), []), np.uint8)
+        digest = np.frombuffer(problems._digest(_cached_files(path.parent), []), np.uint8)
         np.savez(legacy, digest=digest, X=sys_.X.data, y=sys_.y, reference=sys_.reference,
                  residual=sys_.residual_ref)
         self._assert_miss(sys_, path.parent, monkeypatch)
         assert legacy.exists() and not path.exists()
 
-    @pytest.mark.parametrize("spec", [
-        GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3),
-        GenSpec(m=3, n=7, regime=Regime.UNDERDETERMINED, seed=4),
-        TomoSpec(grid_n=3, oversample=2, seed=5),
-    ], ids=["oi", "ud", "tomo"])
-    def test_layout(self, tmp_path, spec):
+    # the last two write and hash X.txt in several blocks of problems.TEXT_BLOCK bytes
+    @pytest.mark.parametrize("spec, blocks", [
+        (GenSpec(m=6, n=2, regime=Regime.OVER_INCONSISTENT, seed=3), 0),
+        (GenSpec(m=3, n=7, regime=Regime.UNDERDETERMINED, seed=4), 0),
+        (TomoSpec(grid_n=3, oversample=2, seed=5), 0),
+        (GenSpec(m=600, n=40, regime=Regime.OVER_INCONSISTENT, seed=3), 3),
+        (TomoSpec(grid_n=12, oversample=3, seed=5), 2),
+    ], ids=["oi", "ud", "tomo", "oi-blocks", "tomo-blocks"])
+    def test_layout(self, tmp_path, spec, blocks):
         sys_ = (gen_gaussian if isinstance(spec, GenSpec) else gen_tomography)(spec)
         save_system(sys_, tmp_path, spec)
-        texts = _cached_texts(tmp_path)
+        assert (tmp_path / "X.txt").stat().st_size > blocks * problems.TEXT_BLOCK
+        files = _cached_files(tmp_path)
+        texts = {path.name: path.read_bytes() for path in files}
         present = [a for a in (sys_.X.data, sys_.y, sys_.reference, sys_.residual_ref)
                    if a is not None]
         data = b"".join(a.astype("<f8").tobytes() for a in present)
@@ -879,8 +924,38 @@ class TestFlatSidecar:
         assert blob[:32] == hashlib.sha256(
             b"".join(f"{name} {len(text)}\n".encode() + text for name, text in texts.items())
             + blob[32:]).digest()
-        arrays = problems._read_sidecar(tmp_path / SIDECAR, texts)
+        arrays = problems._read_sidecar(tmp_path / SIDECAR, files)
         assert list(arrays) == list(texts)
         for array, want in zip(arrays.values(), present):
             assert (array.dtype.str, array.shape) == ("<f8", want.shape)
             assert array.tobytes() == want.tobytes()
+
+
+def _traced_peak(fn, *args) -> int:
+    """The most bytes ``fn(*args)`` holds at once beyond what was held before it (tracemalloc)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestBlockMemory:
+    """Save and load hold the arrays and one block of text, never a whole text file."""
+
+    def test_save_and_load_peaks_do_not_follow_the_text(self, tmp_path):
+        spec = GenSpec(m=1000, n=100, regime=Regime.OVER_INCONSISTENT, seed=1)
+        sys_ = gen_gaussian(spec)
+        save_system(sys_, tmp_path, spec)
+        assert (tmp_path / "X.txt").stat().st_size > 1.8 * 2**20  # more than the save bound
+        # one block of formatted rows; the sidecar's body is views of the arrays
+        assert _traced_peak(save_system, sys_, tmp_path, spec) < 2**20
+        # the sidecar's bytes, DenseMatrix's copy of X and its squared entries, and one block
+        # (X.txt whole would be 2.5 times X.data.nbytes more)
+        bound = 3 * sys_.X.data.nbytes + 2 * problems.TEXT_BLOCK
+        assert _traced_peak(load_system, tmp_path) < bound
