@@ -8,10 +8,10 @@ solver/regime.
 
 Every trial stops on its squared error to the system's reference, so the
 system needs one. All trials of a solver on one shared system are one
-``solvers.run_batch``, which runs them in lockstep from
-``solvers.LOCKSTEP_MIN_TRIALS`` trials. A batched trial is bit for bit the
-``run`` (and so the ``kaczgs solve``) of the same trial, so the lockstep
-threshold changes the speed only, never a CSV byte. The wall-clock
+``solvers.run_batch``: a span of at least ``solvers.LOCKSTEP_MIN_TRIALS``
+running trials runs in lockstep, a span of fewer trial by trial. A batched
+trial is bit for bit the ``run`` (and so the ``kaczgs solve``) of the same
+trial, so this rule changes the speed only, never a CSV byte. The wall-clock
 companion table holds the batch's time divided by the number of trials,
 an amortized per-trial time, read once a span and interpolated by step
 count at the grid points inside it (``solvers.BatchTrace``). Trials run
@@ -222,7 +222,7 @@ def compare_solvers(
             kept.append(kind)
     if not kept:
         raise ConfigurationError(
-            f"no requested solver converges on a {system.regime.value} system; "
+            f"no requested solver converges on an {system.regime.value} system; "
             f"convergent pairs: {_pairs_help()}"
         )
     trace = run_experiment(replace(cfg, solvers=kept), system=system)

@@ -566,7 +566,7 @@ def load_meta(directory) -> dict:
     path = Path(directory) / "meta.txt"
     if not path.exists():
         raise ConfigurationError(f"missing system file: {path}")
-    meta = {}
+    meta, at = {}, {}  # at: the line of each key's last entry
     text = _decode(path, path.read_bytes())
     # lines end at \n, \r\n or \r, as in a file opened in text mode (str.splitlines ends more)
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
@@ -582,11 +582,11 @@ def load_meta(directory) -> dict:
             except (ValueError, ConfigurationError):
                 raise ParseError(path, lineno, f"seed {parts[1]!r} is not none or an "
                                  "integer in [0, 2**64)") from None
-        meta[parts[0]] = parts[1]
+        meta[parts[0]], at[parts[0]] = parts[1], lineno
     if "regime" not in meta:
         raise ParseError(path, 1, "meta.txt is missing the regime entry")
     if meta["regime"] not in {r.value for r in Regime}:
-        raise ParseError(path, 1, f"unknown regime {meta['regime']!r}")
+        raise ParseError(path, at["regime"], f"unknown regime {meta['regime']!r}")
     return meta
 
 

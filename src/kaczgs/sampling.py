@@ -232,8 +232,7 @@ class Prng:
         for _ in range(4):
             s, word = splitmix64(s)
             words.append(word)
-        if not any(words):
-            words[0] = 1  # all-zero state would be a fixed point
+        # 4 distinct states (seed + k * _GOLDEN, _GOLDEN odd), a bijective mix: never all 0
         self._state = tuple(words)
 
     def uniforms(self, k: int) -> np.ndarray:

@@ -60,10 +60,11 @@ checks of a span's steps before the first whose beta row lies outside it.
 solver together, on a state whose arrays hold one row per trial: (T, n)
 iterates, a (T, m) residual for RGS and REGS, and a (T, m) z for REK or
 a (T, n) z for REGS. Its spans end where ``run``'s do, except at
-records. Each is one ``steps_batch`` call in lockstep, else one
-``steps`` call per trial row; every step writes each trial's estimate
-into an ``_ExactChecks`` row, one ``flush`` takes the errors of the
-span, and the grid points inside it are filled from them.
+records. A span of LOCKSTEP_MIN_TRIALS or more running trials is one
+``steps_batch`` call (lockstep), of fewer one ``steps`` call per trial
+row; every step writes each trial's estimate into an ``_ExactChecks``
+row, one ``flush`` takes the errors of the span, and the grid points
+inside it are filled from them.
 ``steps_batch`` takes the span's (steps, T) scalar tables and the flat
 indices of its one-entry updates once, and gathers each step's rows or
 columns of X into one reused (T, width) buffer. Each trial gets the same
@@ -99,12 +100,12 @@ DRAW_BUDGET = 4096
 #: the most steps whose exact stop metrics are taken in one ``np.vecdot``
 CHECK_CHUNK = 64
 
-#: from this many trials, ``run_batch`` runs them in lockstep. Lockstep over one-by-one
-#: time of the full compare, when one by one was a ``run`` per trial, median of 12
-#: alternating in-process pairs on each of the three benchmark systems, for seeds 5 and
-#: 9, with ``steps_batch`` spans: at 2 trials 0.58-0.60 on oc, 1.01 on oi and 1.05-1.06
-#: on tomo, where lockstep won 0-4 of 12 pairs; at 3 trials 0.45-0.48, 0.75-0.77 and
-#: 0.76-0.79, 12 of 12 pairs each; at 4 trials 0.37, 0.63 and 0.63. So it starts at 3.
+#: a span of ``run_batch`` with this many running trials or more is one ``steps_batch``
+#: call, else one ``steps`` call per trial. Lockstep over one-by-one process time of the
+#: full compare, median of 12 alternating in-process pairs on seed-5 systems of the
+#: benchmark's oc, oi and tomo shapes, 1 BLAS thread: at 2 trials 1.08, 1.12 and 1.12 (one
+#: by one won 11, 8 and 9 of 12); at 3 trials 0.91, 0.91 and 0.90; at 4 0.81, 0.68 and
+#: 0.73; at 8 0.57, 0.58 and 0.52; at 16 0.41, 0.44 and 0.42. So it starts at 3.
 LOCKSTEP_MIN_TRIALS = 3
 
 
@@ -766,10 +767,10 @@ def run_batch(
     as ``run`` would, bit for bit, so its errors equal ``run``'s and it
     stops at the same iteration. The trials advance together in spans, each
     at most CHECK_CHUNK steps, which end at every RESIDUAL_REFRESH_EVERY-th
-    step, max_iter and the end of a draw block, but not at grid points. From
-    LOCKSTEP_MIN_TRIALS trials on, a span of two or more running trials is
-    one ``steps_batch`` call (lockstep); else each running trial's span is
-    its own ``steps`` call on a view of its row. One ``_ExactChecks.flush``
+    step, max_iter and the end of a draw block, but not at grid points. A
+    span of at least LOCKSTEP_MIN_TRIALS running trials is one
+    ``steps_batch`` call (lockstep); a span of fewer is one ``steps`` call
+    per running trial, on a view of its row. One ``_ExactChecks.flush``
     takes every step's errors of the span, and the grid points inside it are
     filled from them. A trial whose error falls below tol inside a span gets
     that step and error as its final ones, carries that error forward on the
@@ -786,7 +787,6 @@ def run_batch(
     ref = _require_reference(system)
     solver = make_solver(kind, system)
     trials = len(rngs)
-    lockstep = trials >= LOCKSTEP_MIN_TRIALS
     state = solver.init_state(trials)
     start = time.perf_counter_ns()
 
@@ -807,15 +807,15 @@ def run_batch(
     converged = np.full(trials, at_0)
     live = list(rngs)  # the generators of the trials still running
     checks = _ExactChecks(solver, True, ref, min(CHECK_CHUNK, last), trials)
-    # each batch row's buffer rows for ``steps``; a lockstep batch's last trial is row 0
-    trial_rows = [list(checks.full[:, row]) for row in range(1 if lockstep else trials)]
+    # the buffer rows for ``steps`` of each batch row that runs one by one
+    trial_rows = [list(checks.full[:, row]) for row in range(min(trials, LOCKSTEP_MIN_TRIALS - 1))]
     t = 0
     for block in _draw_blocks(solver.draw_order(), live, steps):
         base, end = t, t + len(block[0])
         while t < end:
             k = min(CHECK_CHUNK, end - t, RESIDUAL_REFRESH_EVERY - t % RESIDUAL_REFRESH_EVERY)
             span = [b[t - base:t - base + k] for b in block]
-            if lockstep and active.size > 1:
+            if active.size >= LOCKSTEP_MIN_TRIALS:
                 solver.steps_batch(state, span, checks.rows)
             else:
                 for row in range(active.size):

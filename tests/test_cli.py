@@ -250,6 +250,28 @@ class TestSolve:
         assert _run(["solve", "--system", str(target), "--solver", "rk",
                      "--out", "-"]) == 2
 
+    def test_no_reference_with_residual_metric_writes_nan_errors(self, system_dir, tmp_path):
+        (system_dir / "reference.txt").unlink()
+        out = tmp_path / "r.csv"
+        assert _run(["solve", "--system", str(system_dir), "--solver", "rk",
+                     "--stop-metric", "residual", "--record-every", "20",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) > 2
+        assert all(row[3] == "nan" and math.isfinite(float(row[4])) for row in rows)
+
+    @pytest.mark.parametrize("solver, what", [("rk", "rows"), ("rgs", "columns")])
+    def test_all_zero_system_exits_2(self, solver, what, tmp_path, capsys):
+        sys_ = LinearSystem(DenseMatrix(np.zeros((4, 2))), np.zeros(4), Regime.OVER_CONSISTENT,
+                            reference=np.zeros(2))
+        save_system(sys_, tmp_path / "zero")
+        out = tmp_path / "z.csv"
+        assert _run(["solve", "--system", str(tmp_path / "zero"), "--solver", solver,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot sample {what} of an all-zero matrix\n")
+        assert not out.exists()
+
 
 class TestCompare:
     def test_deterministic_including_workers(self, system_dir, tmp_path):
@@ -286,6 +308,24 @@ class TestCompare:
         assert _run(["compare", "--system", str(system_dir), "--solvers", solvers,
                      "--trials", "2", "--max-iter", "100", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("regime, shape, solver", [
+        ("underdetermined", (8, 30), "rgs"),
+        ("over-inconsistent", (40, 8), "rk"),
+    ], ids=["underdetermined-rgs", "over-inconsistent-rk"])
+    def test_no_convergent_solver_exits_2_and_writes_nothing(self, regime, shape, solver,
+                                                             tmp_path, capsys):
+        target = tmp_path / "sys"
+        assert _run(["gen", "--m", str(shape[0]), "--n", str(shape[1]), "--regime", regime,
+                     "--seed", "3", "--out", str(target)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "cmp.csv"
+        assert _run(["compare", "--system", str(target), "--solvers", solver,
+                     "--trials", "2", "--max-iter", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: no requested solver converges on an {regime} system; "
+            "convergent pairs: RK: over-consistent, underdetermined; ")
         assert not out.exists()
 
     def test_timings_out(self, system_dir, tmp_path):
@@ -742,6 +782,50 @@ class TestUnopenablePaths:
         assert "Traceback" not in err
         assert not (tmp_path / "missing").exists()
         assert existing.read_text() == "not a directory\n"
+
+
+class TestMalformedSystemFiles:
+    """A system file that does not parse exits 2 with one line naming the file and line."""
+
+    @staticmethod
+    def _replace_lines(path, edit):
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("X.txt", lambda lines: ["40"] + lines[1:], "X.txt:1: expected header 'm n', got '40'"),
+        ("X.txt", lambda lines: ["40 eight"] + lines[1:],
+         "X.txt:1: non-integer dimensions in header '40 eight'"),
+        ("X.txt", lambda lines: lines[:-1], "X.txt:40: expected 40 matrix rows, found 39"),
+        ("y.txt", lambda lines: [], "y.txt:1: empty vector file"),
+        ("meta.txt", lambda lines: lines[:1] + ["seed"] + lines[2:],
+         "meta.txt:2: expected 'key value', got 'seed'"),
+    ], ids=["one-field-header", "non-integer-dimension", "one-row-short", "empty-y",
+            "meta-key-without-value"])
+    def test_exits_2_with_path_and_line(self, name, edit, message, system_dir, tmp_path, capsys):
+        (system_dir / SIDECAR).unlink()  # the text is parsed, with no cache to read
+        self._replace_lines(system_dir / name, edit)
+        out = tmp_path / "b.csv"
+        assert _run(["bounds", "--system", str(system_dir), "--solver", "rk",
+                     "--max-iter", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {system_dir / message}\n"
+        assert not out.exists()
+
+    def test_missing_meta_exits_2(self, system_dir, tmp_path, capsys):
+        (system_dir / "meta.txt").unlink()
+        out = tmp_path / "b.csv"
+        assert _run(["bounds", "--system", str(system_dir), "--solver", "rk",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: missing system file: {system_dir / 'meta.txt'}\n")
+        assert not out.exists()
+
+    def test_blank_meta_lines_are_skipped(self, system_dir, tmp_path):
+        argv = ["bounds", "--system", str(system_dir), "--solver", "rk", "--max-iter", "10"]
+        assert _run(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        self._replace_lines(system_dir / "meta.txt",
+                            lambda lines: ["", lines[0], "  ", "\t", *lines[1:], ""])
+        assert _run(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestNonUtf8Input:

@@ -640,6 +640,17 @@ class TestSystemDirectories:
         with pytest.raises(ParseError, match="regime"):
             load_system(tmp_path / "sys")
 
+    # the last regime entry is the one used, and the error names its line
+    @pytest.mark.parametrize("meta, message", [
+        ("seed 1\nkind gaussian\nregime sideways\n", "meta.txt:3: unknown regime 'sideways'"),
+        ("regime sideways\nseed 1\n", "meta.txt:1: unknown regime 'sideways'"),
+        ("regime over-consistent\n\nregime up\n", "meta.txt:3: unknown regime 'up'"),
+    ], ids=["last-line", "first-line", "repeated"])
+    def test_unknown_meta_regime_names_its_line(self, tmp_path, meta, message):
+        (tmp_path / "meta.txt").write_text(meta)
+        with pytest.raises(ParseError, match=message):
+            load_meta(tmp_path)
+
     # a seed that is not an integer, or lies outside [0, 2**64), is named with its line
     @pytest.mark.parametrize("seed", ["abc", "1.5", "-7", str(2**64)])
     def test_malformed_or_out_of_range_meta_seed(self, tmp_path, seed):

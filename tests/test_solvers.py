@@ -784,6 +784,33 @@ class TestRunBatchAgreement:
         cfg = SolveConfig(max_iter=20_000, tol=1e-8, record_every=7)
         self._assert_batch_is_run(sys_, kind, cfg, trials)
 
+    # the mode of a span follows the trials still running, so the last two trials of a
+    # lockstep batch run one by one; spans of one step let the trials stop one at a time
+    @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
+    def test_a_span_runs_in_lockstep_iff_enough_trials_are_running(self, kind, monkeypatch):
+        monkeypatch.setattr(solvers, "CHECK_CHUNK", 1)
+        cls = solvers._SOLVER_CLASSES[kind]
+        batch_steps, one_steps = cls.steps_batch, cls.steps
+        calls = []  # (kernel, trials running) of each kernel call
+
+        def steps_batch(self, state, *args):
+            calls.append(("steps_batch", len(state.beta)))
+            return batch_steps(self, state, *args)
+
+        def steps(self, state, *args):
+            calls.append(("steps", len(state.beta.base)))  # a view of one batch row
+            return one_steps(self, state, *args)
+
+        monkeypatch.setattr(cls, "steps_batch", steps_batch)
+        monkeypatch.setattr(cls, "steps", steps)
+        sys_ = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)
+        cfg = SolveConfig(max_iter=20_000, tol=1e-8, record_every=7)
+        batch = run_batch(sys_, kind, cfg, [spawn_trial_rng(2, k) for k in range(8)])
+        assert batch.converged.all()
+        assert all((kernel == "steps_batch") == (running >= LOCKSTEP_MIN_TRIALS)
+                   for kernel, running in calls)
+        assert {("steps_batch", 8), ("steps", 2)} <= set(calls)
+
     @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
     def test_a_zero_reference_stops_every_trial_at_0(self, kind):
         base = gaussian_system(40, 8, Regime.OVER_CONSISTENT, seed=6)

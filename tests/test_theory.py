@@ -96,10 +96,14 @@ class TestEvaluatorArithmetic:
         with pytest.raises(NumericalError):  # on building the curve, before any value
             tb.curve(REGS)
 
-    def test_negative_iteration_rejected(self):
+    # RGS on an underdetermined system has a curve of its own, all nan
+    @pytest.mark.parametrize("regime", [Regime.OVER_CONSISTENT, Regime.UNDERDETERMINED],
+                             ids=lambda r: r.value)
+    def test_negative_iteration_rejected(self, regime):
         for kind in SolverKind:
-            with pytest.raises(ConfigurationError):
-                _curve(DIAG_BOUND, kind, ref_sq=1.0)(-1)
+            with pytest.raises(ConfigurationError,
+                               match="^iteration index must be nonnegative, got -1$"):
+                _curve(DIAG_BOUND, kind, ref_sq=1.0, regime=regime)(-1)
 
 
 class TestTheoryBoundConstruction:
